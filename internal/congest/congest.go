@@ -1,12 +1,13 @@
 // Package congest is the temporal counterpart of internal/simnet: an
-// event-driven network simulator that replays a trace's wire messages
-// through per-link FIFO contention queues under a bandwidth-delay
-// service model. Where simnet reserves links greedily in release order
-// (a deliberate simplification), congest advances a global event clock —
-// a message's head requests each link of its route when it actually
-// arrives there, waits behind whatever the link already serves, and only
-// then moves on — so transient hotspots, queue build-up, and the
-// persistence of congestion over time become observable.
+// event-driven network simulator that replays the prepared simnet.Wire
+// both simulators share through per-link FIFO contention queues under
+// a bandwidth-delay service model. Where simnet reserves links greedily
+// in release order (a deliberate simplification), congest advances a
+// global event clock — a message's head requests each link of its route
+// when it actually arrives there, waits behind whatever the link
+// already serves, and only then moves on — so transient hotspots, queue
+// build-up, and the persistence of congestion over time become
+// observable.
 //
 // Routing is pluggable (see Policies): deterministic shortest paths for
 // baseline parity with simnet, ECMP hashing over the equal-cost
@@ -30,7 +31,6 @@ import (
 	"strings"
 
 	"netloc/internal/mapping"
-	"netloc/internal/mpi"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
@@ -60,57 +60,36 @@ func Policies() []string {
 	return []string{PolicyMinimal, PolicyECMP, PolicyValiant, PolicyUGAL}
 }
 
-// defaultSeed feeds the ECMP flow hash and the Valiant pivot hash when
-// Options.Seed is zero, so default runs are reproducible across hosts.
-const defaultSeed = 0x4c4c414d50 // "LLAMP"
+// hashSeed feeds the ECMP flow hash and the Valiant pivot hash, so runs
+// are reproducible across hosts.
+const hashSeed = 0x4c4c414d50 // "LLAMP"
 
-// DefaultHotspotBuckets is the time resolution of the hotspot
-// persistence analysis: the makespan is divided into this many equal
-// windows and the hottest link of each window is compared against the
-// overall hottest link.
-const DefaultHotspotBuckets = 64
+// hotspotBuckets is the time resolution of the hotspot persistence
+// analysis: the makespan is divided into this many equal windows and
+// the hottest link of each window is compared against the overall
+// hottest link.
+const hotspotBuckets = 64
 
-// Options configures a temporal simulation. The bandwidth, packet, and
-// message-cap fields share simnet.Options' semantics and validation
-// (zero means default, negatives are rejected).
+// Options configures a temporal simulation.
 type Options struct {
+	// Options carries the link bandwidth and packet size, with simnet's
+	// defaults and validation.
+	simnet.Options
 	// Policy is one of Policies(); empty means PolicyMinimal.
 	Policy string
-	// BandwidthBytesPerSec is the per-link bandwidth (default 12 GB/s).
-	BandwidthBytesPerSec float64
-	// PacketBytes sets the cut-through head latency per hop (default
-	// 4096, the paper's packet size).
-	PacketBytes int
-	// MaxMessages aborts when the expanded message count exceeds this
-	// bound. Zero means 4 million.
-	MaxMessages int
 	// ExtraHopLatency adds this many seconds to every link traversal's
 	// head latency — the knob the LLAMP-style tolerance sweep probes.
 	// Must be finite and >= 0.
 	ExtraHopLatency float64
-	// Seed drives the ECMP flow hash and Valiant pivot choice; zero
-	// means a fixed default so results are reproducible.
-	Seed uint64
-	// HotspotBuckets is the number of time windows of the hotspot
-	// persistence analysis; zero means DefaultHotspotBuckets.
-	HotspotBuckets int
 }
 
-// normalize validates and defaults the options, reusing simnet's
-// validation for the fields the two simulators share.
+// normalize validates and defaults the options, listing every problem
+// in one error.
 func (o Options) normalize() (Options, error) {
-	base, err := simnet.Options{
-		BandwidthBytesPerSec: o.BandwidthBytesPerSec,
-		PacketBytes:          o.PacketBytes,
-		MaxMessages:          o.MaxMessages,
-	}.Normalize()
 	var probs []string
-	if err != nil {
+	var err error
+	if o.Options, err = o.Options.Normalize(); err != nil {
 		probs = append(probs, err.Error())
-	} else {
-		o.BandwidthBytesPerSec = base.BandwidthBytesPerSec
-		o.PacketBytes = base.PacketBytes
-		o.MaxMessages = base.MaxMessages
 	}
 	if o.Policy == "" {
 		o.Policy = PolicyMinimal
@@ -120,15 +99,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if !(o.ExtraHopLatency >= 0) || math.IsInf(o.ExtraHopLatency, 1) {
 		probs = append(probs, fmt.Sprintf("extra hop latency %g s (need finite, >= 0)", o.ExtraHopLatency))
-	}
-	if o.HotspotBuckets < 0 {
-		probs = append(probs, fmt.Sprintf("hotspot buckets %d (need > 0)", o.HotspotBuckets))
-	}
-	if o.HotspotBuckets == 0 {
-		o.HotspotBuckets = DefaultHotspotBuckets
-	}
-	if o.Seed == 0 {
-		o.Seed = defaultSeed
 	}
 	if len(probs) > 0 {
 		return o, fmt.Errorf("congest: invalid options: %s", strings.Join(probs, "; "))
@@ -258,63 +228,30 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	if err != nil {
 		return nil, err
 	}
-	if mp.Ranks() < t.Meta.Ranks {
-		return nil, fmt.Errorf("congest: mapping covers %d ranks, trace has %d", mp.Ranks(), t.Meta.Ranks)
-	}
-	if mp.Nodes() > topo.Nodes() {
-		return nil, fmt.Errorf("congest: mapping node space %d exceeds topology %s", mp.Nodes(), topo.Name())
-	}
-	world, err := mpi.World(t.Meta.Ranks)
+	w, err := simnet.Prepare(t, topo, mp)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("congest: %w", err)
 	}
+	return simulate(w, topo, opts)
+}
 
+// simulate replays a prepared Wire under normalized options.
+func simulate(w *simnet.Wire, topo topology.Topology, opts Options) (*Stats, error) {
 	bw := opts.BandwidthBytesPerSec
 	hopLat := float64(opts.PacketBytes)/bw + opts.ExtraHopLatency
 
-	// Expand the trace into inter-node messages, exactly like simnet:
-	// collectives unroll through mpi.ExpandEvent, zero-byte and
-	// intra-node messages never enter the network.
-	var msgs []*inflight
-	var buf []mpi.Message
-	for i, e := range t.Events {
-		buf, err = mpi.ExpandEvent(buf[:0], e, world, mpi.ExpandOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("congest: event %d: %w", i, err)
-		}
-		for _, m := range buf {
-			if m.Bytes == 0 {
-				continue
-			}
-			ns, err := mp.NodeOf(m.Src)
-			if err != nil {
-				return nil, err
-			}
-			nd, err := mp.NodeOf(m.Dst)
-			if err != nil {
-				return nil, err
-			}
-			if ns == nd {
-				continue
-			}
-			msgs = append(msgs, &inflight{
-				seq: len(msgs), src: ns, dst: nd,
+	// Only inter-node messages enter the network. Their sequence numbers
+	// follow Wire (release) order so event ties resolve the way a FIFO
+	// injection queue would.
+	msgs := make([]inflight, 0, len(w.Messages))
+	for _, m := range w.Messages {
+		if m.SrcNode != m.DstNode {
+			msgs = append(msgs, inflight{
+				seq: len(msgs), src: int(m.SrcNode), dst: int(m.DstNode),
 				serial:  float64(m.Bytes) / bw,
-				release: float64(e.Start) / 1e9,
+				release: m.Release,
 			})
-			if len(msgs) > opts.MaxMessages {
-				return nil, fmt.Errorf("congest: message count exceeds limit %d", opts.MaxMessages)
-			}
 		}
-	}
-	if len(msgs) == 0 {
-		return nil, fmt.Errorf("congest: trace has no inter-node messages")
-	}
-	// Sequence numbers follow release order so event ties resolve the
-	// way a FIFO injection queue would.
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].release < msgs[j].release })
-	for i, m := range msgs {
-		m.seq = i
 	}
 
 	st := &simState{
@@ -322,13 +259,14 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		busyTime:  make([]float64, len(topo.Links())),
 		queues:    make([]linkQueue, len(topo.Links())),
 	}
-	rt, err := newRouter(opts.Policy, topo, opts.Seed, st, hopLat)
+	rt, err := newRouter(opts.Policy, topo, hashSeed, st, hopLat)
 	if err != nil {
 		return nil, err
 	}
 
 	events := make(eventHeap, 0, len(msgs))
-	for _, m := range msgs {
+	for i := range msgs {
+		m := &msgs[i]
 		events = append(events, event{time: m.release + opts.ExtraHopLatency, seq: m.seq, msg: m})
 	}
 	heap.Init(&events)
@@ -411,14 +349,14 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		sum += l
 	}
 	stats.MeanLatency = sum / float64(len(latencies))
-	stats.P99Latency = quantile(latencies, 0.99)
+	stats.P99Latency = simnet.Quantile(latencies, 0.99)
 	stats.MaxLatency = latencies[len(latencies)-1]
 	stats.MeanQueueDelay = stats.MeanLatency - idealSum/float64(len(latencies))
 	if stats.MeanQueueDelay < 0 {
 		stats.MeanQueueDelay = 0 // float accumulation noise when nothing queued
 	}
 	linkBusyStats(stats, st.busyTime)
-	hotspotStats(stats, st, opts.HotspotBuckets, firstRelease)
+	hotspotStats(stats, st, firstRelease)
 	return stats, nil
 }
 
@@ -460,9 +398,9 @@ func linkBusyStats(stats *Stats, busyTime []float64) {
 		return
 	}
 	sort.Float64s(used)
-	stats.P50LinkBusyPct = clampPct(100 * used[len(used)/2] / stats.Makespan)
-	stats.P99LinkBusyPct = clampPct(100 * quantile(used, 0.99) / stats.Makespan)
-	stats.MaxLinkBusyPct = clampPct(100 * used[len(used)-1] / stats.Makespan)
+	stats.P50LinkBusyPct = simnet.ClampPct(100 * used[len(used)/2] / stats.Makespan)
+	stats.P99LinkBusyPct = simnet.ClampPct(100 * simnet.Quantile(used, 0.99) / stats.Makespan)
+	stats.MaxLinkBusyPct = simnet.ClampPct(100 * used[len(used)-1] / stats.Makespan)
 }
 
 // hotspotStats computes hotspot persistence: the makespan is divided
@@ -470,13 +408,13 @@ func linkBusyStats(stats *Stats, busyTime []float64) {
 // (window, link), and persistence is the share of busy windows whose
 // busiest link is the overall hottest one. Ties break toward the lower
 // link index so the measure is deterministic.
-func hotspotStats(stats *Stats, st *simState, buckets int, t0 float64) {
+func hotspotStats(stats *Stats, st *simState, t0 float64) {
 	if stats.Makespan <= 0 || stats.UsedLinks == 0 {
 		return
 	}
-	width := stats.Makespan / float64(buckets)
+	width := stats.Makespan / float64(hotspotBuckets)
 	nLinks := len(st.busyTime)
-	busy := make([]float64, buckets*nLinks)
+	busy := make([]float64, hotspotBuckets*nLinks)
 	for _, r := range st.reservations {
 		lo := r.start - t0
 		hi := lo + r.dur
@@ -485,8 +423,8 @@ func hotspotStats(stats *Stats, st *simState, buckets int, t0 float64) {
 		if b0 < 0 {
 			b0 = 0
 		}
-		if b1 >= buckets {
-			b1 = buckets - 1
+		if b1 >= hotspotBuckets {
+			b1 = hotspotBuckets - 1
 		}
 		for b := b0; b <= b1; b++ {
 			ws := float64(b) * width
@@ -504,7 +442,7 @@ func hotspotStats(stats *Stats, st *simState, buckets int, t0 float64) {
 		}
 	}
 	busyWindows, hottestWins := 0, 0
-	for b := 0; b < buckets; b++ {
+	for b := 0; b < hotspotBuckets; b++ {
 		row := busy[b*nLinks : (b+1)*nLinks]
 		best, bestBusy := -1, 0.0
 		for li, v := range row {
@@ -523,26 +461,4 @@ func hotspotStats(stats *Stats, st *simState, buckets int, t0 float64) {
 	if busyWindows > 0 {
 		stats.HotspotPersistence = float64(hottestWins) / float64(busyWindows)
 	}
-}
-
-// quantile returns the q-quantile of a sorted slice using the same
-// ceil-rank convention as simnet's P99.
-func quantile(sorted []float64, q float64) float64 {
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
-}
-
-// clampPct bounds a percentage to [0, 100] against float accumulation
-// overshoot.
-func clampPct(v float64) float64 {
-	if v > 100 {
-		return 100
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"netloc/internal/simnet"
 )
 
 // Invariant (zero contention): a lone message's latency and the
@@ -18,7 +20,7 @@ func TestZeroContentionMatchesAnalyticBaseline(t *testing.T) {
 	const bytes = 100_000
 	// Rank 0 -> rank 3 on a 2x2x2 torus: two hops.
 	tr := sendTrace(8, []send{{src: 0, dst: 3, bytes: bytes, start: 0}})
-	stats, err := Simulate(tr, topo, mp, Options{BandwidthBytesPerSec: bw, PacketBytes: 4096})
+	stats, err := Simulate(tr, topo, mp, Options{Options: simnet.Options{BandwidthBytesPerSec: bw, PacketBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +182,8 @@ func TestPolicyStatsConsistency(t *testing.T) {
 }
 
 // Options validation is shared with simnet and lists every problem.
+// Trace and mapping errors are checked for both simulators in simnet's
+// TestSimulateValidation.
 func TestSimulateOptionValidation(t *testing.T) {
 	tr := sendTrace(8, []send{{src: 0, dst: 1, bytes: 100, start: 0}})
 	topo := torus(t, 2, 2, 2)
@@ -190,12 +194,10 @@ func TestSimulateOptionValidation(t *testing.T) {
 		want string
 	}{
 		{"unknown policy", Options{Policy: "psychic"}, "unknown policy"},
-		{"negative bandwidth", Options{BandwidthBytesPerSec: -1}, "bandwidth"},
-		{"negative packets", Options{PacketBytes: -1}, "packet size"},
-		{"negative message cap", Options{MaxMessages: -1}, "message cap"},
+		{"negative bandwidth", Options{Options: simnet.Options{BandwidthBytesPerSec: -1}}, "bandwidth"},
+		{"negative packets", Options{Options: simnet.Options{PacketBytes: -1}}, "packet size"},
 		{"negative extra latency", Options{ExtraHopLatency: -1e-9}, "extra hop latency"},
 		{"NaN extra latency", Options{ExtraHopLatency: math.NaN()}, "extra hop latency"},
-		{"negative buckets", Options{HotspotBuckets: -1}, "hotspot buckets"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -212,13 +214,6 @@ func TestSimulateOptionValidation(t *testing.T) {
 	_, err := Simulate(tr, topo, mp, Options{Policy: "psychic", ExtraHopLatency: -1})
 	if err == nil || !strings.Contains(err.Error(), "unknown policy") || !strings.Contains(err.Error(), "extra hop latency") {
 		t.Errorf("combined error = %v, want both problems listed", err)
-	}
-	// Undersized mappings and empty traces are rejected like simnet.
-	if _, err := Simulate(tr, topo, consecutive(t, 4, 8), Options{}); err == nil {
-		t.Error("undersized mapping accepted")
-	}
-	if _, err := Simulate(sendTrace(8, nil), topo, mp, Options{}); err == nil {
-		t.Error("empty trace accepted")
 	}
 }
 

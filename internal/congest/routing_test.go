@@ -28,7 +28,7 @@ func TestRoutesAreValidWalks(t *testing.T) {
 	for kind, topo := range testTopos(t) {
 		st := &simState{busyUntil: make([]float64, len(topo.Links()))}
 		for _, policy := range Policies() {
-			rt, err := newRouter(policy, topo, defaultSeed, st, 1e-7)
+			rt, err := newRouter(policy, topo, hashSeed, st, 1e-7)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kind, policy, err)
 			}
@@ -53,7 +53,7 @@ func TestRoutesAreValidWalks(t *testing.T) {
 // flows spread over the equal-cost set.
 func TestECMPFlowStickinessAndSpread(t *testing.T) {
 	topo := torus(t, 4, 4, 1)
-	rt, err := newECMPRouter(topo, defaultSeed)
+	rt, err := newECMPRouter(topo, hashSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestValiantGenericPivotDeterministic(t *testing.T) {
 func TestUGALAdaptsToBacklog(t *testing.T) {
 	topo := dragonfly(t, 64)
 	st := &simState{busyUntil: make([]float64, len(topo.Links()))}
-	rt, err := newRouter(PolicyUGAL, topo, defaultSeed, st, 1e-7)
+	rt, err := newRouter(PolicyUGAL, topo, hashSeed, st, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package congest
 
 import (
 	"fmt"
+	"math"
 
 	"netloc/internal/mapping"
+	"netloc/internal/simnet"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
 )
@@ -45,36 +47,42 @@ type Tolerance struct {
 // LatencyTolerance binary-searches the added per-hop latency the
 // workload absorbs on this topology under the options' routing policy
 // before the makespan grows more than growthPct percent (zero means
-// DefaultGrowthPct). The search is deterministic: exponential
-// bracketing from one head-packet latency, then bounded bisection.
+// DefaultGrowthPct; negative, NaN and infinite thresholds are
+// rejected). The search is deterministic: exponential bracketing from
+// one head-packet latency, then bounded bisection, every probe
+// replaying one prepared Wire.
 func LatencyTolerance(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options, growthPct float64) (*Tolerance, error) {
 	if growthPct == 0 {
 		growthPct = DefaultGrowthPct
 	}
-	if growthPct < 0 {
-		return nil, fmt.Errorf("congest: growth threshold %g%% (need > 0)", growthPct)
+	// !(x > 0) also catches NaN, which compares false to everything.
+	if !(growthPct > 0) || math.IsInf(growthPct, 1) {
+		return nil, fmt.Errorf("congest: invalid options: growth threshold %g%% (need finite, > 0)", growthPct)
 	}
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
 	}
-	opts.ExtraHopLatency = 0
-	base, err := Simulate(t, topo, mp, opts)
+	// Every probe replays the same messages; only the hop latency moves.
+	w, err := simnet.Prepare(t, topo, mp)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("congest: %w", err)
 	}
-	tol := &Tolerance{GrowthPct: growthPct, BaseMakespan: base.Makespan, Probes: 1}
-	threshold := base.Makespan * (1 + growthPct/100)
+	tol := &Tolerance{GrowthPct: growthPct}
 	makespan := func(extra float64) (float64, error) {
 		o := opts
 		o.ExtraHopLatency = extra
-		s, err := Simulate(t, topo, mp, o)
+		s, err := simulate(w, topo, o)
 		if err != nil {
 			return 0, err
 		}
 		tol.Probes++
 		return s.Makespan, nil
 	}
+	if tol.BaseMakespan, err = makespan(0); err != nil {
+		return nil, err
+	}
+	threshold := tol.BaseMakespan * (1 + growthPct/100)
 
 	// Bracket: double from one head-packet latency until the threshold
 	// breaks (or the bound says the workload absorbs "anything").

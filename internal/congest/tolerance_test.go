@@ -1,7 +1,9 @@
 package congest
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -65,7 +67,12 @@ func TestLatencyToleranceDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("tolerance sweeps diverged: %+v vs %+v", a, b)
 	}
-	if _, err := LatencyTolerance(tr, topo, mp, Options{}, -3); err == nil {
-		t.Error("negative growth threshold accepted")
+	// A non-finite threshold would run the full sweep into a Tolerance
+	// that json.Marshal refuses.
+	for _, g := range []float64{-3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := LatencyTolerance(tr, topo, mp, Options{}, g)
+		if err == nil || !strings.Contains(err.Error(), "growth threshold") {
+			t.Errorf("growth threshold %g: err = %v, want a growth threshold rejection", g, err)
+		}
 	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"netloc/internal/congest"
 	"netloc/internal/mapping"
+	"netloc/internal/simnet"
 	"netloc/internal/topology"
 	"netloc/internal/workloads"
 )
@@ -39,10 +41,14 @@ var CongestionWorkloads = []WorkloadRef{
 // requested routing policy (nil means all of congest.Policies, baseline
 // first). growthPct sets the latency-tolerance threshold swept on each
 // (workload, topology) baseline row: zero means congest.DefaultGrowthPct,
-// negative disables the sweep. Configurations fan out over the worker
-// budget exactly like SimTable; rows stay in grid order (workload,
-// topology, policy) regardless of Options.Parallelism.
+// negative disables the sweep, NaN and infinities are rejected.
+// Configurations fan out over the worker budget exactly like SimTable;
+// rows stay in grid order (workload, topology, policy) regardless of
+// Options.Parallelism.
 func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct float64, opts Options) ([]CongestionRow, error) {
+	if math.IsNaN(growthPct) || math.IsInf(growthPct, 0) {
+		return nil, fmt.Errorf("core: invalid congestion options: growth threshold %g%% (need finite; negative disables the sweep)", growthPct)
+	}
 	opts = opts.withEngine()
 	if len(refs) == 0 {
 		refs = CongestionWorkloads
@@ -94,9 +100,11 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 			}
 			for _, policy := range policies {
 				copts := congest.Options{
-					Policy:               policy,
-					BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-					PacketBytes:          opts.PacketSize,
+					Options: simnet.Options{
+						BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
+						PacketBytes:          opts.PacketSize,
+					},
+					Policy: policy,
 				}
 				// The spans end via defer on every path: a failing
 				// simulation must not leave an unterminated span in the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netloc/internal/congest"
@@ -99,6 +101,18 @@ func TestCongestionTableOptions(t *testing.T) {
 	// Unknown policies surface congest's validation error.
 	if _, err := CongestionTable(testCongestionRefs[:1], nil, []string{"psychic"}, -1, Options{Parallelism: 1}); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// Non-finite growth thresholds are rejected before any cell runs:
+// NaN would otherwise skip the sweep silently (NaN >= 0 is false) and
+// +Inf would run it into an unencodable result.
+func TestCongestionTableRejectsNonFiniteGrowth(t *testing.T) {
+	for _, g := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := CongestionTable(testCongestionRefs[:1], nil, []string{congest.PolicyMinimal}, g, Options{Parallelism: 1})
+		if err == nil || !strings.Contains(err.Error(), "growth threshold") {
+			t.Errorf("growth threshold %g: err = %v, want a growth threshold rejection", g, err)
+		}
 	}
 }
 

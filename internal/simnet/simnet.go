@@ -21,7 +21,6 @@ import (
 
 	"netloc/internal/comm"
 	"netloc/internal/mapping"
-	"netloc/internal/mpi"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
 )
@@ -34,28 +33,20 @@ type Options struct {
 	// PacketBytes sets the cut-through head latency per hop: the time to
 	// serialize one packet (default 4096, the paper's packet size).
 	PacketBytes int
-	// MaxMessages aborts the simulation when the expanded message count
-	// exceeds this bound (guards against simulating the all-to-all
-	// giants by accident). Zero means 4 million.
-	MaxMessages int
 }
 
 // Normalize fills in defaults (a zero value means "use the default")
-// and validates the result. Explicitly non-positive or non-finite
-// bandwidth, packet sizes, and message caps used to be accepted
-// silently and produced nonsense simulations (negative latencies,
-// divide-by-zero serialization times); now every problem is rejected in
-// one listing-style error. internal/congest shares this validation for
-// the option fields the two simulators have in common.
+// and validates the result. Non-positive or non-finite bandwidth and
+// negative packet sizes would produce nonsense simulations (negative
+// latencies, divide-by-zero serialization times), so every such problem
+// is rejected in one listing-style error. internal/congest embeds
+// Options, so both simulators share these defaults and this validation.
 func (o Options) Normalize() (Options, error) {
 	if o.BandwidthBytesPerSec == 0 {
 		o.BandwidthBytesPerSec = 12e9
 	}
 	if o.PacketBytes == 0 {
 		o.PacketBytes = comm.DefaultPacketSize
-	}
-	if o.MaxMessages == 0 {
-		o.MaxMessages = 4 << 20
 	}
 	var probs []string
 	// !(x > 0) also catches NaN, which compares false to everything.
@@ -64,9 +55,6 @@ func (o Options) Normalize() (Options, error) {
 	}
 	if o.PacketBytes < 0 {
 		probs = append(probs, fmt.Sprintf("packet size %d B (need > 0)", o.PacketBytes))
-	}
-	if o.MaxMessages < 0 {
-		probs = append(probs, fmt.Sprintf("message cap %d (need > 0)", o.MaxMessages))
 	}
 	if len(probs) > 0 {
 		return o, fmt.Errorf("simnet: invalid options: %s", strings.Join(probs, "; "))
@@ -123,54 +111,17 @@ type Stats struct {
 	HopsTraversed uint64
 }
 
-// message is one wire transfer with a release time.
-type message struct {
-	src, dst int
-	bytes    uint64
-	release  float64 // seconds
-}
-
 // Simulate replays the trace's wire messages over the topology.
 func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options) (*Stats, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if mp.Ranks() < t.Meta.Ranks {
-		return nil, fmt.Errorf("simnet: mapping covers %d ranks, trace has %d", mp.Ranks(), t.Meta.Ranks)
-	}
-	if mp.Nodes() > topo.Nodes() {
-		return nil, fmt.Errorf("simnet: mapping node space %d exceeds topology %s", mp.Nodes(), topo.Name())
-	}
-	world, err := mpi.World(t.Meta.Ranks)
+	w, err := Prepare(t, topo, mp)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("simnet: %w", err)
 	}
-
-	msgs := make([]message, 0, len(t.Events))
-	var buf []mpi.Message
-	for i, e := range t.Events {
-		buf, err = mpi.ExpandEvent(buf[:0], e, world, mpi.ExpandOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("simnet: event %d: %w", i, err)
-		}
-		for _, m := range buf {
-			if m.Bytes == 0 {
-				continue
-			}
-			msgs = append(msgs, message{
-				src: m.Src, dst: m.Dst, bytes: m.Bytes,
-				release: float64(e.Start) / 1e9,
-			})
-			if len(msgs) > opts.MaxMessages {
-				return nil, fmt.Errorf("simnet: message count exceeds limit %d", opts.MaxMessages)
-			}
-		}
-	}
-	if len(msgs) == 0 {
-		return nil, fmt.Errorf("simnet: trace has no wire messages")
-	}
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].release < msgs[j].release })
+	msgs := w.Messages
 
 	bw := opts.BandwidthBytesPerSec
 	hopLat := float64(opts.PacketBytes) / bw // head-packet serialization per hop
@@ -181,7 +132,7 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	// release times of each rank's own messages.
 	releasesByRank := make([][]float64, t.Meta.Ranks)
 	for _, m := range msgs {
-		releasesByRank[m.src] = append(releasesByRank[m.src], m.release)
+		releasesByRank[m.Src] = append(releasesByRank[m.Src], m.Release)
 	}
 
 	latencies := make([]float64, 0, len(msgs))
@@ -189,7 +140,7 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	var delayed int
 	// The makespan window opens at the first message that actually
 	// enters the network: intra-node messages are skipped below, so
-	// taking msgs[0].release would stretch the window — and skew
+	// taking msgs[0].Release would stretch the window — and skew
 	// MeasuredUtilizationPct — whenever the earliest releases stay
 	// on-node. msgs is sorted by release, so the first non-skipped
 	// message has the earliest network release.
@@ -202,30 +153,22 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 
 	var route []int
 	for _, m := range msgs {
-		ns, err := mp.NodeOf(m.src)
-		if err != nil {
-			return nil, err
-		}
-		nd, err := mp.NodeOf(m.dst)
-		if err != nil {
-			return nil, err
-		}
-		if ns == nd {
+		if m.SrcNode == m.DstNode {
 			continue // intra-node: no network involvement
 		}
 		if !haveFirst {
-			firstRelease = m.release
+			firstRelease = m.Release
 			haveFirst = true
 		}
-		route, err = topo.Route(ns, nd, route)
+		route, err = topo.Route(int(m.SrcNode), int(m.DstNode), route)
 		if err != nil {
 			return nil, err
 		}
-		serial := float64(m.bytes) / bw
+		serial := float64(m.Bytes) / bw
 		ideal := float64(len(route)-1)*hopLat + serial
 		hopsTraversed += uint64(len(route))
 
-		headTime := m.release
+		headTime := m.Release
 		wasDelayed := false
 		for i, li := range route {
 			if i > 0 {
@@ -239,7 +182,7 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 			linkBusy[li] += serial
 		}
 		arrival := headTime + serial
-		lat := arrival - m.release
+		lat := arrival - m.Release
 		latencies = append(latencies, lat)
 		idealSum += ideal
 		if wasDelayed {
@@ -250,16 +193,13 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		}
 		// Slack: time until the receiver's next own release after this
 		// arrival.
-		if next, ok := nextReleaseAfter(releasesByRank[m.dst], arrival); ok {
+		if next, ok := nextReleaseAfter(releasesByRank[m.Dst], arrival); ok {
 			slack := next - arrival
 			slacks = append(slacks, slack)
 			if slack >= serial {
 				slackCovered++
 			}
 		}
-	}
-	if len(latencies) == 0 {
-		return nil, fmt.Errorf("simnet: all messages were intra-node")
 	}
 
 	stats := &Stats{Messages: len(latencies), HopsTraversed: hopsTraversed}
@@ -270,7 +210,7 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	}
 	stats.MeanLatency = sum / float64(len(latencies))
 	stats.MedianLatency = latencies[len(latencies)/2]
-	stats.P99Latency = latencies[int(math.Ceil(0.99*float64(len(latencies))))-1]
+	stats.P99Latency = Quantile(latencies, 0.99)
 	stats.MaxLatency = latencies[len(latencies)-1]
 	stats.MeanIdealLatency = idealSum / float64(len(latencies))
 	stats.MeanQueueDelay = stats.MeanLatency - stats.MeanIdealLatency
@@ -297,10 +237,10 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		}
 		stats.UsedLinks = used
 		if used > 0 {
-			stats.MeasuredUtilizationPct = clampPct(100 * busySum / (stats.Makespan * float64(used)))
-			stats.MinLinkBusyPct = clampPct(100 * busyMin / stats.Makespan)
+			stats.MeasuredUtilizationPct = ClampPct(100 * busySum / (stats.Makespan * float64(used)))
+			stats.MinLinkBusyPct = ClampPct(100 * busyMin / stats.Makespan)
 		}
-		stats.MaxLinkBusyPct = clampPct(100 * busyMax / stats.Makespan)
+		stats.MaxLinkBusyPct = ClampPct(100 * busyMax / stats.Makespan)
 	}
 	if len(slacks) > 0 {
 		stats.SlackSamples = len(slacks)
@@ -314,19 +254,6 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		stats.SlackCoverShare = float64(slackCovered) / float64(len(slacks))
 	}
 	return stats, nil
-}
-
-// clampPct bounds a percentage to [0, 100]; per-link busy time never
-// truly exceeds the makespan, but float accumulation can overshoot by
-// ulps.
-func clampPct(v float64) float64 {
-	if v > 100 {
-		return 100
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // nextReleaseAfter returns the smallest release time strictly after t in

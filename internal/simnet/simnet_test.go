@@ -222,27 +222,6 @@ func TestSimulateMakespanIgnoresIntraNodeHead(t *testing.T) {
 	}
 }
 
-func TestSimulateValidation(t *testing.T) {
-	tr := &trace.Trace{
-		Meta: trace.Meta{App: "s", Ranks: 8, WallTime: 1},
-		Events: []trace.Event{
-			{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 100},
-		},
-	}
-	topo := torus222(t)
-	small := consecutive(t, 4, 8)
-	if _, err := Simulate(tr, topo, small, Options{}); err == nil {
-		t.Fatal("undersized mapping accepted")
-	}
-	empty := &trace.Trace{Meta: trace.Meta{App: "s", Ranks: 8, WallTime: 1}}
-	if _, err := Simulate(empty, topo, consecutive(t, 8, 8), Options{}); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	if _, err := Simulate(tr, topo, consecutive(t, 8, 8), Options{MaxMessages: -1}); err == nil {
-		t.Fatal("message limit not enforced")
-	}
-}
-
 // Regression: withDefaults silently accepted non-positive bandwidth and
 // packet sizes (a zero value means "use the default", but explicit
 // negatives flowed straight into the latency math). Normalize must
@@ -257,11 +236,10 @@ func TestOptionsNormalizeRejectsNonPositive(t *testing.T) {
 		{"NaN bandwidth", Options{BandwidthBytesPerSec: math.NaN()}, []string{"bandwidth"}},
 		{"infinite bandwidth", Options{BandwidthBytesPerSec: math.Inf(1)}, []string{"bandwidth"}},
 		{"negative packet size", Options{PacketBytes: -4096}, []string{"packet size"}},
-		{"negative message cap", Options{MaxMessages: -1}, []string{"message cap"}},
 		{
 			"everything at once",
-			Options{BandwidthBytesPerSec: -12e9, PacketBytes: -1, MaxMessages: -7},
-			[]string{"bandwidth", "packet size", "message cap"},
+			Options{BandwidthBytesPerSec: -12e9, PacketBytes: -1},
+			[]string{"bandwidth", "packet size"},
 		},
 	}
 	for _, c := range cases {
@@ -283,7 +261,7 @@ func TestOptionsNormalizeRejectsNonPositive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero options rejected: %v", err)
 	}
-	if o.BandwidthBytesPerSec != 12e9 || o.PacketBytes == 0 || o.MaxMessages == 0 {
+	if o.BandwidthBytesPerSec != 12e9 || o.PacketBytes == 0 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
 	// Simulate rejects the same options end to end.

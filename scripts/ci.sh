@@ -1,8 +1,8 @@
 #!/bin/sh
 # Full CI gate: static checks, build, the race-enabled test suite (which
 # exercises the analysis service's concurrent cache/singleflight paths
-# via internal/service's parallel-request tests), and the example smoke
-# tests.
+# via internal/service's parallel-request tests), the benchmark module's
+# vet and tests, and the example smoke tests.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -50,6 +50,12 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 # crashing fails CI before any long fuzz run would find it.
 echo "=== go test (fuzz seed corpora) ==="
 go test -run 'Fuzz' ./internal/topology ./internal/service
+
+# bench/ is a module of its own, so the root ./... above never builds
+# it: vet and test it here, or a change to the packages it drives could
+# stop the benchmark from compiling unnoticed.
+echo "=== bench module ==="
+(cd bench && go vet ./... && go test ./...)
 
 echo "=== examples ==="
 sh scripts/run_examples.sh
