@@ -86,7 +86,7 @@ func (r *CongestionRequest) canonicalize() error {
 	return nil
 }
 
-// cacheKey is the canonical LRU/singleflight key of one request.
+// cacheKey is the canonical result-cache key of one request.
 func (r *CongestionRequest) cacheKey() string {
 	var b strings.Builder
 	b.WriteString("congestion?growth=")
@@ -119,8 +119,8 @@ type CongestionResult struct {
 }
 
 // handleCongestion runs the temporal congestion study over a requested
-// grid: cached in the result LRU under the canonical key, deduplicated
-// through the singleflight group, computed inside the worker pool under
+// grid: cached and deduplicated in the result LRU under the canonical
+// key, computed inside the worker pool under
 // a span in the debug ring, with work counts feeding the netloc_congest_*
 // counters.
 func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {

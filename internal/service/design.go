@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"netloc/internal/core"
 	"netloc/internal/design"
@@ -34,25 +33,12 @@ func (s *Server) designOptions() core.Options {
 // job searches next to everything else and their work counts feed the
 // pipeline counters.
 func (s *Server) designSearch(ctx context.Context, req design.Request, opts core.Options) (*design.Sheet, error) {
-	start := time.Now()
-	s.budget.Acquire()
-	queueWait := time.Since(start)
-	defer s.budget.Release()
-	s.metrics.computations.Inc()
-	root := s.tracer.StartRun(req.CanonicalKey())
-	opts.Span = root
-	sheet, err := design.SearchContext(ctx, req, opts)
-	root.End()
-	ev := obs.RunEvent{
-		RunID: root.RunID(), Endpoint: "design_jobs",
-		App: req.App, Ranks: req.Ranks, Cache: "none",
-		QueueWaitMS: float64(queueWait) / float64(time.Millisecond),
-		DurationMS:  float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	s.metrics.completeRun(root.Data(), ev)
+	ev := obs.RunEvent{Endpoint: "design_jobs", App: req.App, Ranks: req.Ranks, Cache: "none"}
+	v, err := s.execute(req.CanonicalKey(), ev, func(sp *obs.Span) (any, error) {
+		opts.Span = sp
+		return design.SearchContext(ctx, req, opts)
+	})
+	sheet, _ := v.(*design.Sheet)
 	return sheet, err
 }
 
@@ -99,7 +85,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	b, err := s.cached(r, runDims{App: req.App, Ranks: req.Ranks}, req.CanonicalKey(), func(sp *obs.Span) (any, error) {
 		o := opts
 		o.Span = sp
-		// The computation may be shared through the singleflight group
+		// The computation may be shared by identical in-flight requests
 		// and its bytes cached, so it never runs under one client's
 		// request context; cancellation is the job API's feature.
 		return design.SearchContext(context.Background(), req, o)

@@ -52,10 +52,8 @@ type metricsRegistry struct {
 	endpoints map[string]*endpointMetrics
 
 	inFlight     *obs.Gauge
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
 	computations *obs.Counter
-	deduped      *obs.Counter
+	cache        *workcache.LRU[[]byte]
 
 	queueWait *obs.Histogram
 	pipeline  map[string]*obs.Counter
@@ -74,21 +72,29 @@ type metricsRegistry struct {
 	runtime *obs.RuntimeSampler
 }
 
-func newMetricsRegistry(endpoints []string) *metricsRegistry {
+// newMetricsRegistry registers the server's series. The result-cache
+// counts are read from cache's Stats; a cache miss there is any request
+// that did not find its bytes resident, so it counts the LRU's misses
+// and its shared waiters (which /metrics also reports as deduped).
+func newMetricsRegistry(endpoints []string, cache *workcache.LRU[[]byte]) *metricsRegistry {
 	reg := obs.NewRegistry()
 	m := &metricsRegistry{
-		reg:          reg,
-		endpoints:    make(map[string]*endpointMetrics, len(endpoints)),
-		inFlight:     reg.Gauge("netloc_http_inflight", "Requests currently being served."),
-		cacheHits:    reg.Counter("netloc_cache_hits_total", "Result-cache hits."),
-		cacheMisses:  reg.Counter("netloc_cache_misses_total", "Result-cache misses."),
-		computations: reg.Counter("netloc_compute_executed_total", "Computations actually executed."),
-		deduped:      reg.Counter("netloc_compute_deduped_total", "Requests served by joining an identical in-flight computation."),
-		queueWait:    reg.Histogram("netloc_engine_queue_wait_ms", "Time requests waited for a worker token.", queueWaitBucketsMs),
-		pipeline:     make(map[string]*obs.Counter, len(pipelineCountNames)),
-		congest:      make(map[string]*obs.Counter, len(congestCountNames)),
-		slowRuns:     make(map[string]*obs.Counter, len(endpoints)),
+		reg:       reg,
+		endpoints: make(map[string]*endpointMetrics, len(endpoints)),
+		cache:     cache,
+		pipeline:  make(map[string]*obs.Counter, len(pipelineCountNames)),
+		congest:   make(map[string]*obs.Counter, len(congestCountNames)),
+		slowRuns:  make(map[string]*obs.Counter, len(endpoints)),
 	}
+	m.inFlight = reg.Gauge("netloc_http_inflight", "Requests currently being served.")
+	reg.CounterFunc("netloc_cache_hits_total", "Result-cache hits.",
+		func() float64 { return float64(cache.Stats().Hits) })
+	reg.CounterFunc("netloc_cache_misses_total", "Result-cache misses.",
+		func() float64 { s := cache.Stats(); return float64(s.Misses + s.Shared) })
+	m.computations = reg.Counter("netloc_compute_executed_total", "Computations actually executed.")
+	reg.CounterFunc("netloc_compute_deduped_total", "Requests served by joining an identical in-flight computation.",
+		func() float64 { return float64(cache.Stats().Shared) })
+	m.queueWait = reg.Histogram("netloc_engine_queue_wait_ms", "Time requests waited for a worker token.", queueWaitBucketsMs)
 	for _, ep := range endpoints {
 		m.endpoints[ep] = &endpointMetrics{
 			requests: reg.Counter("netloc_http_requests_total", "HTTP requests by endpoint.", obs.Label{Key: "endpoint", Value: ep}),
@@ -110,7 +116,7 @@ func newMetricsRegistry(endpoints []string) *metricsRegistry {
 // worker budget, the result cache, and the span ring — and installs the
 // budget's queue-wait observer. Called once from New, before the server
 // starts serving.
-func (m *metricsRegistry) bindEngine(b *parallel.Budget, c *lruCache, tr *obs.Tracer) {
+func (m *metricsRegistry) bindEngine(b *parallel.Budget, tr *obs.Tracer) {
 	m.reg.GaugeFunc("netloc_engine_tokens_capacity", "Worker-token pool capacity.",
 		func() float64 { return float64(b.Cap()) })
 	m.reg.GaugeFunc("netloc_engine_tokens_in_use", "Worker tokens currently held.",
@@ -120,9 +126,9 @@ func (m *metricsRegistry) bindEngine(b *parallel.Budget, c *lruCache, tr *obs.Tr
 	m.reg.CounterFunc("netloc_engine_degraded_total", "Fan-out loops that stayed on the calling goroutine because the pool was exhausted.",
 		func() float64 { return float64(b.Stats().Degraded) })
 	m.reg.GaugeFunc("netloc_cache_entries", "Result-cache entries.",
-		func() float64 { return float64(c.Len()) })
+		func() float64 { return float64(m.cache.Stats().Entries) })
 	m.reg.CounterFunc("netloc_cache_evictions_total", "Result-cache evictions.",
-		func() float64 { return float64(c.Evictions()) })
+		func() float64 { return float64(m.cache.Stats().Evictions) })
 	m.reg.CounterFunc("netloc_runs_recorded_total", "Analysis runs recorded in the span ring.",
 		func() float64 { return float64(tr.Recorded()) })
 	b.SetWaitObserver(func(d time.Duration) {
@@ -269,7 +275,7 @@ func histogramJSON(h *obs.Histogram) map[string]any {
 // snapshot renders the whole registry as the expvar-style JSON document
 // served at /metrics. The cache/compute/inflight/endpoints shape is the
 // service's stable JSON surface; engine and pipeline are additive.
-func (m *metricsRegistry) snapshot(cacheEntries int, cacheEvictions int64, engine parallel.BudgetStats) map[string]any {
+func (m *metricsRegistry) snapshot(engine parallel.BudgetStats) map[string]any {
 	eps := map[string]any{}
 	for name, ep := range m.endpoints {
 		eps[name] = map[string]any{
@@ -293,6 +299,7 @@ func (m *metricsRegistry) snapshot(cacheEntries int, cacheEvictions int64, engin
 		slow[name] = c.Value()
 	}
 	ws := m.workcache.Stats()
+	cs := m.cache.Stats()
 	doc := map[string]any{
 		"workcache": map[string]any{
 			"hits":      ws.Hits,
@@ -301,14 +308,14 @@ func (m *metricsRegistry) snapshot(cacheEntries int, cacheEvictions int64, engin
 			"evictions": ws.Evictions,
 		},
 		"cache": map[string]any{
-			"hits":      m.cacheHits.Value(),
-			"misses":    m.cacheMisses.Value(),
-			"entries":   cacheEntries,
-			"evictions": cacheEvictions,
+			"hits":      cs.Hits,
+			"misses":    cs.Misses + cs.Shared,
+			"entries":   cs.Entries,
+			"evictions": cs.Evictions,
 		},
 		"compute": map[string]any{
 			"executed": m.computations.Value(),
-			"deduped":  m.deduped.Value(),
+			"deduped":  cs.Shared,
 		},
 		"inflight": m.inFlight.Value(),
 		"engine": map[string]any{

@@ -1,10 +1,11 @@
 // Package service exposes the study's experiment grid, per-workload
 // analyses, topology inspection, and uploaded-trace analysis as a
 // long-running HTTP JSON API. Repeated queries over the (app × scale ×
-// topology × mapping) grid are served from a bounded LRU result cache,
-// concurrent identical requests are deduplicated through a singleflight
-// group so each result is computed once, and all computation runs inside
-// a worker pool bounded to the configured parallelism. Observability is
+// topology × mapping) grid are served from a bounded result cache — a
+// workcache.LRU, the same deduplicating store that holds the workload
+// artifacts — so concurrent identical requests share one computation and
+// each result is computed once, and all computation runs inside a
+// worker pool bounded to the configured parallelism. Observability is
 // built in: per-endpoint request counters and latency histograms, cache
 // hit/miss counters, engine-pool gauges, and pipeline work counters live
 // in one obs.Registry served at /metrics — as expvar-style JSON by
@@ -137,8 +138,7 @@ type Options struct {
 type Server struct {
 	opts      Options
 	mux       *http.ServeMux
-	cache     *lruCache
-	group     flightGroup
+	cache     *workcache.LRU[[]byte]
 	budget    *parallel.Budget
 	metrics   *metricsRegistry
 	tracer    *obs.Tracer
@@ -164,18 +164,19 @@ func New(opts Options) *Server {
 	if opts.MaxUploadBytes == 0 {
 		opts.MaxUploadBytes = 64 << 20
 	}
+	cache := workcache.NewLRU[[]byte](opts.CacheEntries)
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),
-		cache:   newLRUCache(opts.CacheEntries),
+		cache:   cache,
 		budget:  parallel.NewBudget(opts.Workers),
-		metrics: newMetricsRegistry(endpointNames),
+		metrics: newMetricsRegistry(endpointNames, cache),
 		tracer:  obs.NewTracer(obs.DefaultTracerRuns),
 		work:    workcache.New(opts.ArtifactEntries),
 	}
 	s.jobs = design.NewStore(opts.DesignJobs)
 	s.jobs.Search = s.designSearch
-	s.metrics.bindEngine(s.budget, s.cache, s.tracer)
+	s.metrics.bindEngine(s.budget, s.tracer)
 	s.metrics.bindDesignJobs(s.jobs)
 	s.metrics.bindWorkcache(s.work)
 	s.metrics.configureRuns(opts.Log, opts.SlowRunThreshold, opts.SlowRunEndpointThresholds)
@@ -323,16 +324,14 @@ func msSince(t time.Time) float64 {
 	return float64(time.Since(t)) / float64(time.Millisecond)
 }
 
-// cached serves one canonicalized request: from the LRU on a hit,
-// otherwise through the singleflight group and the worker pool, caching
-// the marshaled bytes for the next identical request. Each executed
-// computation runs under a root span (compute receives it to hand down
-// to the pipeline); the finished run lands in the span ring, its work
-// counts feed the pipeline counters, and exactly one canonical run
-// event is logged per caller — cache="miss" for the computing leader
-// (through the completeRun chokepoint, where the slow-run detector
-// also looks), cache="hit" for LRU hits, cache="dedup" for followers
-// that joined an identical in-flight computation.
+// cached serves one canonicalized request through the result LRU: a
+// resident value is served as is, a request that finds an identical
+// computation in flight waits for it and shares its bytes, and
+// otherwise this request computes through execute and the LRU keeps the
+// marshaled bytes for the next identical request. Exactly one canonical
+// run event is logged per caller — cache="miss" for the computing
+// request (through execute), cache="hit" for LRU hits, cache="dedup"
+// for requests that joined an identical in-flight computation.
 func (s *Server) cached(r *http.Request, dims runDims, key string, compute func(sp *obs.Span) (any, error)) ([]byte, error) {
 	info := requestInfo(r)
 	start := time.Now()
@@ -343,43 +342,45 @@ func (s *Server) cached(r *http.Request, dims runDims, key string, compute func(
 			Cache: cache, DurationMS: msSince(start),
 		}
 	}
-	if b, ok := s.cache.Get(key); ok {
-		s.metrics.cacheHits.Inc()
-		s.metrics.logRun(event("hit"))
-		return b, nil
-	}
-	s.metrics.cacheMisses.Inc()
-	b, err, shared := s.group.Do(key, func() ([]byte, error) {
-		admit := time.Now()
-		s.budget.Acquire() // request-level admission: one token per computation
-		queueWait := time.Since(admit)
-		defer s.budget.Release()
-		s.metrics.computations.Inc()
-		root := s.tracer.StartRun(key)
-		v, err := compute(root)
-		root.End()
-		ev := event("miss")
-		ev.RunID = root.RunID()
-		ev.QueueWaitMS = float64(queueWait) / float64(time.Millisecond)
-		if err != nil {
-			ev.Err = err.Error()
-		}
-		s.metrics.completeRun(root.Data(), ev)
+	b, outcome, err := s.cache.Do(key, func() ([]byte, error) {
+		v, err := s.execute(key, event("miss"), compute)
 		if err != nil {
 			return nil, err
 		}
-		b, err := report.JSONBytes(v)
-		if err != nil {
-			return nil, err
-		}
-		s.cache.Add(key, b)
-		return b, nil
+		return report.JSONBytes(v)
 	})
-	if shared {
-		s.metrics.deduped.Inc()
+	switch outcome {
+	case workcache.Hit:
+		s.metrics.logRun(event("hit"))
+	case workcache.Shared:
 		s.metrics.logRun(event("dedup"))
 	}
 	return b, err
+}
+
+// execute runs one computation under a request-level worker token and a
+// root span named name (compute receives it to hand down to the
+// pipeline), then passes the finished run through completeRun with ev's
+// run ID, queue wait, duration and error filled in. Cached requests,
+// uploads and design jobs all compute here. The token is released by
+// defer, so a panicking computation cannot leak it.
+func (s *Server) execute(name string, ev obs.RunEvent, compute func(sp *obs.Span) (any, error)) (any, error) {
+	start := time.Now()
+	s.budget.Acquire()
+	defer s.budget.Release()
+	queueWait := time.Since(start)
+	s.metrics.computations.Inc()
+	root := s.tracer.StartRun(name)
+	v, err := compute(root)
+	root.End()
+	ev.RunID = root.RunID()
+	ev.QueueWaitMS = float64(queueWait) / float64(time.Millisecond)
+	ev.DurationMS = msSince(start)
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	s.metrics.completeRun(root.Data(), ev)
+	return v, err
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -394,7 +395,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, s.metrics.snapshot(s.cache.Len(), s.cache.Evictions(), s.budget.Stats()))
+	writeJSON(w, s.metrics.snapshot(s.budget.Stats()))
 }
 
 // wantsPrometheus selects the text exposition format: explicitly via
@@ -823,29 +824,16 @@ func (s *Server) handleTraceAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := requestInfo(r)
-	start := time.Now()
-	s.budget.Acquire()
-	queueWait := time.Since(start)
-	s.metrics.computations.Inc()
-	root := s.tracer.StartRun(fmt.Sprintf("trace/%s/%d", t.Meta.App, t.Meta.Ranks))
-	opts.Span = root
-	a, err := core.AnalyzeTrace(t, opts)
-	root.End()
-	ev := obs.RunEvent{
-		RunID: root.RunID(), RequestID: info.id, Endpoint: info.endpoint,
-		App: t.Meta.App, Ranks: t.Meta.Ranks, Cache: "none",
-		QueueWaitMS: float64(queueWait) / float64(time.Millisecond),
-		DurationMS:  msSince(start),
-	}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	s.metrics.completeRun(root.Data(), ev)
-	s.budget.Release()
+	ev := obs.RunEvent{RequestID: info.id, Endpoint: info.endpoint, App: t.Meta.App, Ranks: t.Meta.Ranks, Cache: "none"}
+	v, err := s.execute(fmt.Sprintf("trace/%s/%d", t.Meta.App, t.Meta.Ranks), ev, func(sp *obs.Span) (any, error) {
+		opts.Span = sp
+		return core.AnalyzeTrace(t, opts)
+	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	a := v.(*core.Analysis)
 	a.Acc = nil
 	writeJSON(w, &harness.Result{Experiment: "trace", Rows: []*core.Analysis{a}})
 }

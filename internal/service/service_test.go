@@ -172,7 +172,7 @@ func TestCacheHitFasterAndCounted(t *testing.T) {
 }
 
 // TestConcurrentRequestsDeduplicated fires many parallel identical and
-// distinct requests (exercising the cache and singleflight paths under
+// distinct requests (exercising the result LRU's hit and shared paths under
 // -race) and verifies each distinct result was computed exactly once.
 func TestConcurrentRequestsDeduplicated(t *testing.T) {
 	ts := newTestServer(t, Options{})
@@ -419,146 +419,40 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
-func TestLRUCacheEvicts(t *testing.T) {
-	c := newLRUCache(2)
-	c.Add("a", []byte("1"))
-	c.Add("b", []byte("2"))
-	if _, ok := c.Get("a"); !ok { // refresh a; b becomes the oldest
-		t.Fatal("a missing")
-	}
-	c.Add("c", []byte("3"))
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a should have survived (recently used)")
-	}
-	if c.Len() != 2 || c.Evictions() != 1 {
-		t.Errorf("len = %d evictions = %d", c.Len(), c.Evictions())
-	}
-	c.Add("c", []byte("33")) // refresh existing key keeps len stable
-	if v, _ := c.Get("c"); string(v) != "33" {
-		t.Errorf("c = %q", v)
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d after refresh", c.Len())
-	}
-}
-
-func TestSingleflightSharesResult(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	started := make(chan struct{})
-	executions := 0
-	var wg sync.WaitGroup
-	results := make([][]byte, 2)
-	shareds := make([]bool, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i == 1 {
-				<-started // ensure goroutine 0 is the leader
+// TestExecutePanicReleasesToken: a computation that panics inside
+// execute gives its worker token back, so a one-worker server still
+// answers the next computing request.
+func TestExecutePanicReleasesToken(t *testing.T) {
+	s := New(Options{Workers: 1})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("execute swallowed the computation's panic")
 			}
-			v, err, shared := g.Do("k", func() ([]byte, error) {
-				executions++
-				close(started)
-				<-release
-				return []byte("v"), nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i], shareds[i] = v, shared
-		}(i)
-	}
-	go func() {
-		<-started
-		time.Sleep(10 * time.Millisecond) // let the follower block on the leader
-		close(release)
+		}()
+		s.execute("boom", obs.RunEvent{}, func(*obs.Span) (any, error) { panic("kaboom") })
 	}()
-	wg.Wait()
-	if executions != 1 {
-		t.Errorf("executions = %d, want 1", executions)
+	if n := s.budget.InUse(); n != 0 {
+		t.Fatalf("tokens in use after a panicking computation = %d, want 0", n)
 	}
-	if string(results[0]) != "v" || string(results[1]) != "v" {
-		t.Errorf("results = %q, %q", results[0], results[1])
-	}
-	if !shareds[0] && !shareds[1] {
-		t.Error("neither caller saw a shared result")
-	}
-}
-
-func TestSingleflightPanicReleasesWaiters(t *testing.T) {
-	// Regression: a panicking fn used to leave the in-flight entry
-	// registered with its WaitGroup never done, so every later caller
-	// for the key blocked forever. The panic must surface as an error
-	// and the key must become computable again.
-	var g flightGroup
-	v, err, shared := g.Do("k", func() ([]byte, error) {
-		panic("kaboom")
-	})
-	if v != nil || shared {
-		t.Fatalf("panicking call returned v=%q shared=%v", v, shared)
-	}
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("err = %v, want panic converted to error", err)
-	}
-
-	// The key must not be poisoned: a fresh call runs and succeeds
-	// without blocking.
-	done := make(chan struct{})
+	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		defer close(done)
-		v, err, _ := g.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
-		if err != nil || string(v) != "ok" {
-			t.Errorf("post-panic Do = %q, %v", v, err)
-		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/topologies?ranks=8", nil))
+		done <- rec
 	}()
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Do blocked after a panicking computation")
-	}
-}
-
-func TestSingleflightPanicSharedByWaiters(t *testing.T) {
-	var g flightGroup
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var followerErr error
-	go func() {
-		defer wg.Done()
-		<-started
-		_, followerErr, _ = g.Do("k", func() ([]byte, error) { return nil, nil })
-	}()
-	go func() {
-		<-started
-		time.Sleep(10 * time.Millisecond) // let the follower join the flight
-		close(release)
-	}()
-	_, leaderErr, _ := g.Do("k", func() ([]byte, error) {
-		close(started)
-		<-release
-		panic("shared kaboom")
-	})
-	wg.Wait()
-	if leaderErr == nil {
-		t.Fatal("leader saw no error")
-	}
-	// The follower either joined the panicking flight (shares its
-	// error) or arrived after cleanup and computed fresh (nil error);
-	// both are fine — what it must never do is hang, which wg.Wait
-	// above would have exposed as a test timeout.
-	if followerErr != nil && !strings.Contains(followerErr.Error(), "kaboom") {
-		t.Errorf("follower err = %v", followerErr)
+	case rec := <-done:
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request after the panic: status %d: %s", rec.Code, rec.Body)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("one-worker server stopped computing after a panicking computation")
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	m := newMetricsRegistry([]string{"x"})
+	m := newMetricsRegistry([]string{"x"}, nil)
 	em := m.endpoints["x"]
 	em.observeLatency(200 * time.Microsecond)
 	em.observeLatency(3 * time.Millisecond)

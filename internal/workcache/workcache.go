@@ -18,19 +18,17 @@
 // scheduling-dependent Accumulated.Shards field is the one exception and
 // is deliberately excluded from every report.
 //
-// Concurrency: lookups are mutex-guarded, misses are deduplicated with a
-// singleflight group (a cold-start storm on one key runs one generation;
-// the waiters share the result), and the store is a bounded LRU. A nil
-// *Cache is valid and disables caching — every accessor just runs its
-// generator.
+// Concurrency: every accessor goes through one LRU (lru.go), the same
+// deduplicating store that holds the analysis service's marshaled
+// responses. Its one mutex guards the store and the in-flight
+// generations, so a cold-start storm on one key runs one generation and
+// the waiters share the result. A nil *Cache is valid and disables
+// caching — every accessor just runs its generator.
 package workcache
 
 import (
-	"container/list"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"netloc/internal/comm"
 	"netloc/internal/mpi"
@@ -88,6 +86,8 @@ func (k AccKey) id() string {
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
+// Hits counts resident values and callers that shared another caller's
+// generation; Misses counts generations run.
 type Stats struct {
 	Hits      int64
 	Misses    int64
@@ -98,21 +98,7 @@ type Stats struct {
 // Cache is the bounded artifact store. The zero value is not usable; use
 // New. A nil *Cache disables caching.
 type Cache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-
-	flight flightGroup
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-type cacheEntry struct {
-	key string
-	val any
+	lru *LRU[any]
 }
 
 // New creates a cache bounded to max artifacts (DefaultMaxEntries when
@@ -121,11 +107,7 @@ func New(max int) *Cache {
 	if max <= 0 {
 		max = DefaultMaxEntries
 	}
-	return &Cache{
-		max:   max,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, max),
-	}
+	return &Cache{lru: NewLRU[any](max)}
 }
 
 // Trace returns the cached trace for k, running gen exactly once across
@@ -133,22 +115,14 @@ func New(max int) *Cache {
 // waiter but are not stored: a later call retries. A nil cache calls gen
 // directly.
 func (c *Cache) Trace(k TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
-	v, err := c.do(k.id(), func() (any, error) { return gen() })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trace.Trace), nil
+	return get(c, k.id(), gen)
 }
 
 // Accumulated returns the cached matrix pair for k, running gen exactly
 // once across concurrent callers on a miss. A nil cache calls gen
 // directly.
 func (c *Cache) Accumulated(k AccKey, gen func() (*comm.Accumulated, error)) (*comm.Accumulated, error) {
-	v, err := c.do(k.id(), func() (any, error) { return gen() })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*comm.Accumulated), nil
+	return get(c, k.id(), gen)
 }
 
 // topoID keys a built topology by its structural parameters only: Build
@@ -165,11 +139,7 @@ func topoID(cfg topology.Config) string {
 // safe to share across concurrent analysis cells. A nil cache builds
 // directly.
 func (c *Cache) Topology(cfg topology.Config, gen func() (topology.Topology, error)) (topology.Topology, error) {
-	v, err := c.do(topoID(cfg), func() (any, error) { return gen() })
-	if err != nil {
-		return nil, err
-	}
-	return v.(topology.Topology), nil
+	return get(c, topoID(cfg), gen)
 }
 
 // Stats returns the current effectiveness counters.
@@ -177,121 +147,19 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	entries := 0
-	if c.ll != nil {
-		entries = c.ll.Len()
-	}
-	c.mu.Unlock()
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
-	}
+	s := c.lru.Stats()
+	return Stats{Hits: s.Hits + s.Shared, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
 }
 
-func (c *Cache) do(id string, gen func() (any, error)) (any, error) {
+// get is the typed lookup behind every accessor.
+func get[T any](c *Cache, id string, gen func() (T, error)) (T, error) {
 	if c == nil {
 		return gen()
 	}
-	if v, ok := c.get(id); ok {
-		c.hits.Add(1)
-		return v, nil
+	v, _, err := c.lru.Do(id, func() (any, error) { return gen() })
+	if err != nil {
+		var zero T
+		return zero, err
 	}
-	// The flight closure re-checks the store so that callers which queued
-	// behind a winner arriving after its insert still hit; only the
-	// winner runs gen. Waiters sharing the winner's result count as hits
-	// of the dedup layer, not misses.
-	v, err, shared := c.flight.do(id, func() (any, error) {
-		if v, ok := c.get(id); ok {
-			return v, nil
-		}
-		c.misses.Add(1)
-		v, err := gen()
-		if err != nil {
-			return nil, err
-		}
-		c.add(id, v)
-		return v, nil
-	})
-	if shared && err == nil {
-		c.hits.Add(1)
-	}
-	return v, err
-}
-
-func (c *Cache) get(id string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[id]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-func (c *Cache) add(id string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[id]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = v
-		return
-	}
-	c.items[id] = c.ll.PushFront(&cacheEntry{key: id, val: v})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
-// flightGroup is the in-tree singleflight (see internal/service for the
-// byte-specialized original): one generation per key among concurrent
-// callers, panic converted to a shared error, the in-flight slot always
-// cleared so a poisoned key never wedges later callers.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	wg  sync.WaitGroup
-	val any
-	err error
-}
-
-func (g *flightGroup) do(key string, fn func() (any, error)) (val any, err error, shared bool) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		c.wg.Wait()
-		return c.val, c.err, true
-	}
-	c := new(flightCall)
-	c.wg.Add(1)
-	g.m[key] = c
-	g.mu.Unlock()
-
-	defer func() {
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
-	}()
-	func() {
-		defer c.wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				c.val, c.err = nil, fmt.Errorf("workcache: panic in generator: %v", r)
-			}
-		}()
-		c.val, c.err = fn()
-	}()
-	return c.val, c.err, false
+	return v.(T), nil
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full CI gate: static checks, build, the race-enabled test suite (which
-# exercises the analysis service's concurrent cache/singleflight paths
-# via internal/service's parallel-request tests), the benchmark module's
-# vet and tests, and the example smoke tests.
+# exercises the deduplicating cache behind both the artifact store and
+# the service's result cache through internal/workcache's LRU storm
+# tests), the benchmark module's vet and tests, and the example smoke
+# tests.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -32,11 +33,12 @@ go test -race -timeout 30m ./...
 # with explicit worker counts > 1 so the race detector always sees the
 # concurrent paths.
 echo "=== go test -race (parallel engine, forced workers) ==="
+# LRU selects the workcache LRU's sharing, panic and counting storms;
 # Jellyfish|SlimFly|HyperX pull in the new-family determinism and
 # regularity regressions alongside the engine suites;
 # Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun add the telemetry
 # sampler goroutine, trace exporter, and run-event/slow-run plumbing.
-go test -race -timeout 30m -run 'Parallel|Determin|Budget|ForEach|Singleflight|Concurrent|Span|Registry|Job|Jellyfish|SlimFly|HyperX|Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun' \
+go test -race -timeout 30m -run 'Parallel|Determin|Budget|ForEach|Singleflight|LRU|Concurrent|Span|Registry|Job|Jellyfish|SlimFly|HyperX|Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun' \
     ./internal/parallel ./internal/comm ./internal/metrics ./internal/core ./internal/service ./internal/obs ./internal/design ./internal/workcache ./internal/congest ./internal/topology .
 
 # Golden Chrome-trace shape gate: the exported trace must stay a valid
