@@ -9,12 +9,23 @@
 // build-up, and the persistence of congestion over time become
 // observable.
 //
+// The event core is a binary heap of (time, seq) head events that holds
+// only the messages in flight; messages not yet injected are read
+// through a cursor over the release-sorted Wire. Each Simulate or
+// LatencyTolerance call routes every message once, into one flat arena
+// of link indices, before the clock starts: minimal, ECMP and Valiant
+// paths never depend on the clock or on link state, and UGAL keeps both
+// of its candidate paths there and picks one at injection. Tolerance
+// probes read only the makespan, so they replay that arena without the
+// per-message and per-link bookkeeping a full run keeps, and allocate
+// nothing per message.
+//
 // Routing is pluggable (see Policies): deterministic shortest paths for
 // baseline parity with simnet, ECMP hashing over the equal-cost
 // shortest-path DAG of topology.Graph, Valiant random-intermediate
 // detours (the dragonfly reuses topology/valiant.go's pivot machinery),
 // and a UGAL-style adaptive choice that picks minimal or Valiant per
-// message from the queue backlog at decision time.
+// message from the queue backlog at injection.
 //
 // Everything is deterministic: event ties break on message sequence
 // numbers, hashes are seeded splitmix mixes, and no wall clock or
@@ -24,9 +35,9 @@
 package congest
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -160,39 +171,6 @@ type Stats struct {
 	HotspotPersistence float64
 }
 
-// inflight is one message moving through the network.
-type inflight struct {
-	seq      int
-	src, dst int // node vertices
-	route    []int
-	serial   float64
-	release  float64
-	hop      int
-	delayed  bool
-	detour   bool
-}
-
-// event is one head-of-message link request in the global clock.
-type event struct {
-	time float64
-	seq  int // message sequence: the deterministic tie-break
-	msg  *inflight
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
-
 // reservation records one link occupancy interval for the hotspot pass.
 type reservation struct {
 	link  int32
@@ -232,115 +210,333 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	if err != nil {
 		return nil, fmt.Errorf("congest: %w", err)
 	}
-	return simulate(w, topo, opts)
-}
-
-// simulate replays a prepared Wire under normalized options.
-func simulate(w *simnet.Wire, topo topology.Topology, opts Options) (*Stats, error) {
-	bw := opts.BandwidthBytesPerSec
-	hopLat := float64(opts.PacketBytes)/bw + opts.ExtraHopLatency
-
-	// Only inter-node messages enter the network. Their sequence numbers
-	// follow Wire (release) order so event ties resolve the way a FIFO
-	// injection queue would.
-	msgs := make([]inflight, 0, len(w.Messages))
-	for _, m := range w.Messages {
-		if m.SrcNode != m.DstNode {
-			msgs = append(msgs, inflight{
-				seq: len(msgs), src: int(m.SrcNode), dst: int(m.DstNode),
-				serial:  float64(m.Bytes) / bw,
-				release: m.Release,
-			})
-		}
-	}
-
-	st := &simState{
-		busyUntil: make([]float64, len(topo.Links())),
-		busyTime:  make([]float64, len(topo.Links())),
-		queues:    make([]linkQueue, len(topo.Links())),
-	}
-	rt, err := newRouter(opts.Policy, topo, hashSeed, st, hopLat)
+	r, err := newReplay(w, topo, opts)
 	if err != nil {
 		return nil, err
 	}
+	return r.stats(opts.ExtraHopLatency), nil
+}
 
-	events := make(eventHeap, 0, len(msgs))
-	for i := range msgs {
-		m := &msgs[i]
-		events = append(events, event{time: m.release + opts.ExtraHopLatency, seq: m.seq, msg: m})
+// span is one routed path: replay.arena[lo:hi].
+type span struct{ lo, hi int32 }
+
+// message is one inter-node message, routed.
+type message struct {
+	release, serial float64
+	// path is the policy's path, UGAL's minimal candidate.
+	path span
+	// alt is UGAL's Valiant candidate; empty under the other policies
+	// and when it is the minimal path itself.
+	alt span
+	// detour reports that path is non-minimal (the Valiant policy).
+	detour bool
+}
+
+// replay is one Wire routed under one policy on one topology: what every
+// run needs and no run changes, plus the buffers runs reuse. Any number
+// of runs, at any extra hop latency, replay the same arena. A replay is
+// not safe for concurrent use; each Simulate or LatencyTolerance call
+// builds its own.
+type replay struct {
+	policy    string
+	packetLat float64   // head latency per hop: PacketBytes / bandwidth
+	msgs      []message // inter-node messages in Wire order; index = seq
+	arena     []int32   // every routed path, back to back
+	// Reused by every run.
+	busyUntil []float64 // per link: when its current service ends
+	queue     eventQueue
+}
+
+// newReplay routes every inter-node message of w once under the
+// options' policy. Sequence numbers follow Wire (release) order, so
+// event ties resolve the way a FIFO injection queue would.
+func newReplay(w *simnet.Wire, topo topology.Topology, opts Options) (*replay, error) {
+	ugal := opts.Policy == PolicyUGAL
+	policy := opts.Policy
+	if ugal {
+		policy = PolicyMinimal
 	}
-	heap.Init(&events)
-
-	latencies := make([]float64, 0, len(msgs))
-	var idealSum float64
-	var delayed, detoured int
-	var hopsTraversed uint64
-	firstRelease := msgs[0].release
-	var lastArrival float64
-	maxQueueDepth := 0
-
-	for events.Len() > 0 {
-		ev := heap.Pop(&events).(event)
-		m := ev.msg
-		now := ev.time
-		if m.route == nil {
-			// Routing decision at injection time: UGAL reads the queue
-			// backlog of this exact instant.
-			m.route, m.detour, err = rt.route(m.src, m.dst, m.seq, now)
-			if err != nil {
-				return nil, err
-			}
-			if len(m.route) == 0 {
-				return nil, fmt.Errorf("congest: empty route for %d->%d on %s", m.src, m.dst, topo.Name())
-			}
-			hopsTraversed += uint64(len(m.route))
-			if m.detour {
-				detoured++
-			}
+	rt, err := newRouter(policy, topo, hashSeed)
+	if err != nil {
+		return nil, err
+	}
+	var val router
+	if ugal {
+		if val, err = newRouter(PolicyValiant, topo, hashSeed); err != nil {
+			return nil, err
 		}
-		li := m.route[m.hop]
-		start := now
-		if st.busyUntil[li] > start {
-			start = st.busyUntil[li]
-			m.delayed = true
-		}
-		q := &st.queues[li]
-		depth := q.depthAt(now)
-		if start > now {
-			q.push(start)
-			depth++
-		}
-		if depth > maxQueueDepth {
-			maxQueueDepth = depth
-		}
-		st.busyUntil[li] = start + m.serial
-		st.busyTime[li] += m.serial
-		st.reservations = append(st.reservations, reservation{link: int32(li), start: start, dur: m.serial})
-
-		if m.hop++; m.hop < len(m.route) {
-			events.pushEvent(event{time: start + hopLat, seq: m.seq, msg: m})
+	}
+	bw := opts.BandwidthBytesPerSec
+	r := &replay{
+		policy:    opts.Policy,
+		packetLat: float64(opts.PacketBytes) / bw,
+		msgs:      make([]message, 0, len(w.Messages)),
+		busyUntil: make([]float64, len(topo.Links())),
+	}
+	var path, alt []int
+	for _, wm := range w.Messages {
+		if wm.SrcNode == wm.DstNode {
 			continue
 		}
-		arrival := start + m.serial
-		lat := arrival - m.release
-		latencies = append(latencies, lat)
-		idealSum += float64(len(m.route)-1)*hopLat + opts.ExtraHopLatency + m.serial
-		if m.delayed {
-			delayed++
+		src, dst := int(wm.SrcNode), int(wm.DstNode)
+		m := message{release: wm.Release, serial: float64(wm.Bytes) / bw}
+		if path, m.detour, err = rt.route(src, dst, path); err != nil {
+			return nil, err
 		}
+		if ugal {
+			if alt, _, err = val.route(src, dst, alt); err != nil {
+				return nil, err
+			}
+		}
+		if len(path) == 0 || ugal && len(alt) == 0 {
+			return nil, fmt.Errorf("congest: empty route for %d->%d on %s", src, dst, topo.Name())
+		}
+		if len(r.arena)+len(path)+len(alt) > math.MaxInt32 {
+			return nil, fmt.Errorf("congest: routed paths exceed %d links", math.MaxInt32)
+		}
+		m.path = r.add(path)
+		// The Valiant alternative can share the minimal path's length
+		// yet use different links, so it stays a candidate whenever the
+		// paths differ.
+		if ugal && !slices.Equal(path, alt) {
+			m.alt = r.add(alt)
+		}
+		r.msgs = append(r.msgs, m)
+	}
+	return r, nil
+}
+
+// add appends a path to the arena.
+func (r *replay) add(path []int) span {
+	lo := len(r.arena)
+	for _, li := range path {
+		r.arena = append(r.arena, int32(li))
+	}
+	return span{int32(lo), int32(len(r.arena))}
+}
+
+// event is a message's head requesting its next link at time. A message
+// in flight has exactly one pending event, so the event carries all of
+// its state.
+type event struct {
+	time      float64
+	seq       int32 // index into replay.msgs: the deterministic tie-break
+	next, end int32 // the links still to cross: arena[next:end]
+	delayed   bool  // the message has waited at some link
+}
+
+// before orders events by (time, seq): seq is unique among pending
+// events, so the order is total and the pop sequence does not depend on
+// the heap's shape.
+func (e event) before(o event) bool {
+	return e.time < o.time || e.time == o.time && e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of events under before.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+}
+
+// pop removes the earliest event.
+func (q *eventQueue) pop() {
+	h := *q
+	n := len(h) - 1
+	h[0] = h[n]
+	*q = h[:n]
+	q.down()
+}
+
+// down restores heap order after the earliest event was replaced.
+func (q eventQueue) down() {
+	n := len(q)
+	if n == 0 {
+		return
+	}
+	e := q[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
+}
+
+// tally is the bookkeeping a full run keeps for Stats and a makespan
+// probe skips.
+type tally struct {
+	busyTime      []float64
+	queues        []linkQueue
+	reservations  []reservation
+	latencies     []float64 // in arrival order
+	idealSum      float64
+	delayed       int
+	detoured      int
+	hops          uint64
+	maxQueueDepth int
+}
+
+// occupy records that a head arriving at link li at time now is served
+// from start for dur seconds.
+func (t *tally) occupy(li int32, now, start, dur float64) {
+	q := &t.queues[li]
+	depth := q.depthAt(now)
+	if start > now {
+		q.push(start)
+		depth++
+	}
+	if depth > t.maxQueueDepth {
+		t.maxQueueDepth = depth
+	}
+	t.busyTime[li] += dur
+	t.reservations = append(t.reservations, reservation{link: li, start: start, dur: dur})
+}
+
+// pathAt is the path m takes when injected at now. UGAL decides here,
+// from the backlog of this exact instant: the Valiant candidate wins
+// only when strictly cheaper, so ties go to minimal (hardware UGAL's
+// bias).
+func (r *replay) pathAt(m *message, now, hopLat float64) (p span, detour bool) {
+	if m.alt.hi > m.alt.lo && r.cost(m.alt, now, hopLat) < r.cost(m.path, now, hopLat) {
+		return m.alt, true
+	}
+	return m.path, m.detour
+}
+
+// cost is UGAL's delivery estimate for a path at time now: one head
+// latency per hop plus the backlog each of its links still has to serve.
+func (r *replay) cost(p span, now, hopLat float64) float64 {
+	c := float64(p.hi-p.lo) * hopLat
+	for _, li := range r.arena[p.lo:p.hi] {
+		if b := r.busyUntil[li] - now; b > 0 {
+			c += b
+		}
+	}
+	return c
+}
+
+// run replays every message with extra seconds added to each link
+// traversal and returns the last arrival. t, when not nil, collects
+// what Stats reports beyond the makespan.
+func (r *replay) run(extra float64, t *tally) float64 {
+	hopLat := r.packetLat + extra
+	msgs, arena, busyUntil := r.msgs, r.arena, r.busyUntil
+	clear(busyUntil)
+	q := r.queue[:0]
+	var lastArrival float64
+	for cursor := 0; cursor < len(msgs) || len(q) > 0; {
+		// Every pending seq is below the cursor, so a time tie goes to
+		// the heap: the order one heap over all messages would give.
+		var e event
+		pending := len(q) > 0 && (cursor == len(msgs) || q[0].time <= msgs[cursor].release+extra)
+		if pending {
+			e = q[0]
+		} else {
+			m := &msgs[cursor]
+			now := m.release + extra
+			p, detour := r.pathAt(m, now, hopLat)
+			e = event{time: now, seq: int32(cursor), next: p.lo, end: p.hi}
+			cursor++
+			if t != nil {
+				t.hops += uint64(e.end - e.next)
+				if detour {
+					t.detoured++
+				}
+			}
+		}
+		m := &msgs[e.seq]
+		now := e.time
+		li := arena[e.next]
+		start := now
+		if busyUntil[li] > start {
+			start = busyUntil[li]
+			e.delayed = true
+		}
+		busyUntil[li] = start + m.serial
+		if t != nil {
+			t.occupy(li, now, start, m.serial)
+		}
+		if e.next++; e.next < e.end {
+			e.time = start + hopLat
+			if pending {
+				q[0] = e
+				q.down()
+			} else {
+				q.push(e)
+			}
+			continue
+		}
+		if pending {
+			q.pop()
+		}
+		arrival := start + m.serial
 		if arrival > lastArrival {
 			lastArrival = arrival
 		}
+		if t != nil {
+			p := m.path
+			if e.end != p.hi {
+				p = m.alt // UGAL took the Valiant candidate
+			}
+			t.latencies = append(t.latencies, arrival-m.release)
+			t.idealSum += float64(p.hi-p.lo-1)*hopLat + extra + m.serial
+			if e.delayed {
+				t.delayed++
+			}
+		}
 	}
+	r.queue = q
+	return lastArrival
+}
 
+// makespan replays without bookkeeping: the tolerance probe.
+func (r *replay) makespan(extra float64) float64 {
+	return r.run(extra, nil) - r.msgs[0].release
+}
+
+// stats replays with full bookkeeping and summarizes the run.
+func (r *replay) stats(extra float64) *Stats {
+	links := len(r.busyUntil)
+	t := &tally{
+		busyTime:     make([]float64, links),
+		queues:       make([]linkQueue, links),
+		reservations: make([]reservation, 0, len(r.arena)),
+		latencies:    make([]float64, 0, len(r.msgs)),
+	}
+	firstRelease := r.msgs[0].release
+	lastArrival := r.run(extra, t)
+	latencies := t.latencies
+	n := float64(len(latencies))
 	stats := &Stats{
-		Policy:        opts.Policy,
+		Policy:        r.policy,
 		Messages:      len(latencies),
-		HopsTraversed: hopsTraversed,
-		AvgHops:       float64(hopsTraversed) / float64(len(latencies)),
-		DelayedShare:  float64(delayed) / float64(len(latencies)),
-		DetourShare:   float64(detoured) / float64(len(latencies)),
-		MaxQueueDepth: maxQueueDepth,
+		HopsTraversed: t.hops,
+		AvgHops:       float64(t.hops) / n,
+		DelayedShare:  float64(t.delayed) / n,
+		DetourShare:   float64(t.detoured) / n,
+		MaxQueueDepth: t.maxQueueDepth,
 		Makespan:      lastArrival - firstRelease,
 	}
 	sort.Float64s(latencies)
@@ -348,33 +544,16 @@ func simulate(w *simnet.Wire, topo topology.Topology, opts Options) (*Stats, err
 	for _, l := range latencies {
 		sum += l
 	}
-	stats.MeanLatency = sum / float64(len(latencies))
+	stats.MeanLatency = sum / n
 	stats.P99Latency = simnet.Quantile(latencies, 0.99)
 	stats.MaxLatency = latencies[len(latencies)-1]
-	stats.MeanQueueDelay = stats.MeanLatency - idealSum/float64(len(latencies))
+	stats.MeanQueueDelay = stats.MeanLatency - t.idealSum/n
 	if stats.MeanQueueDelay < 0 {
 		stats.MeanQueueDelay = 0 // float accumulation noise when nothing queued
 	}
-	linkBusyStats(stats, st.busyTime)
-	hotspotStats(stats, st, firstRelease)
-	return stats, nil
-}
-
-// simState is the mutable per-run network state; it doubles as the
-// linkLoad view the UGAL router consults at decision time.
-type simState struct {
-	busyUntil    []float64
-	busyTime     []float64
-	queues       []linkQueue
-	reservations []reservation
-}
-
-// backlog implements linkLoad: how long a head arriving now would wait.
-func (s *simState) backlog(link int, now float64) float64 {
-	if b := s.busyUntil[link] - now; b > 0 {
-		return b
-	}
-	return 0
+	linkBusyStats(stats, t.busyTime)
+	hotspotStats(stats, t.busyTime, t.reservations, firstRelease)
+	return stats
 }
 
 // linkBusyStats fills the busy-share distribution over used links.
@@ -408,14 +587,14 @@ func linkBusyStats(stats *Stats, busyTime []float64) {
 // (window, link), and persistence is the share of busy windows whose
 // busiest link is the overall hottest one. Ties break toward the lower
 // link index so the measure is deterministic.
-func hotspotStats(stats *Stats, st *simState, t0 float64) {
+func hotspotStats(stats *Stats, busyTime []float64, reservations []reservation, t0 float64) {
 	if stats.Makespan <= 0 || stats.UsedLinks == 0 {
 		return
 	}
 	width := stats.Makespan / float64(hotspotBuckets)
-	nLinks := len(st.busyTime)
+	nLinks := len(busyTime)
 	busy := make([]float64, hotspotBuckets*nLinks)
-	for _, r := range st.reservations {
+	for _, r := range reservations {
 		lo := r.start - t0
 		hi := lo + r.dur
 		b0 := int(lo / width)

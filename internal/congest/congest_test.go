@@ -238,3 +238,32 @@ func TestExtraHopLatencyShiftsLatency(t *testing.T) {
 		t.Errorf("latency with extra = %.12g, want %.12g", probed.MeanLatency, want)
 	}
 }
+
+// Invariant (tie-break): events at the same instant resolve in message
+// order, whether the later message is in flight or not yet injected.
+// Message 0's second hop and message 1's injection both request link
+// 1-2 of a ring at exactly 1 ns, so message 0 crosses first and only
+// message 1 waits, for message 0's 1 ns serialization (not the other way
+// round, for 1.024 µs).
+func TestEventTieGoesToEarlierMessage(t *testing.T) {
+	topo := torus(t, 4, 1, 1)
+	mp := consecutive(t, 4, 4)
+	// 4096 B per packet at 4.096e12 B/s: head latency and message 0's
+	// serialization are both exactly the double nearest 1 ns, as is
+	// message 1's release.
+	opts := Options{Options: simnet.Options{BandwidthBytesPerSec: 4.096e12, PacketBytes: 4096}}
+	tr := sendTrace(4, []send{
+		{src: 0, dst: 2, bytes: 4096, start: 0},
+		{src: 1, dst: 2, bytes: 4 << 20, start: 1},
+	})
+	stats, err := Simulate(tr, topo, mp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DelayedShare != 0.5 {
+		t.Fatalf("delayed share = %g, want one of two messages", stats.DelayedShare)
+	}
+	if want := 0.5e-9; math.Abs(stats.MeanQueueDelay-want) > 1e-15 {
+		t.Errorf("mean queue delay = %.6g s, want %.6g s: message 1 must wait behind message 0", stats.MeanQueueDelay, want)
+	}
+}

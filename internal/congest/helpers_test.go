@@ -41,6 +41,20 @@ func consecutive(t *testing.T, ranks, nodes int) *mapping.Mapping {
 	return mp
 }
 
+// studyTorus is the torus the congestion study sizes for ranks.
+func studyTorus(t *testing.T, ranks int) topology.Topology {
+	t.Helper()
+	cfg, err := topology.TorusConfig(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 func fattree(t *testing.T, ranks int) topology.Topology {
 	t.Helper()
 	cfg, err := topology.FatTreeConfig(ranks)

@@ -6,25 +6,23 @@ import (
 	"netloc/internal/topology"
 )
 
-// router computes one message's link path. Implementations must be
-// deterministic: the same (src, dst, seq, now) with the same simulator
-// state always yields the same path.
+// router computes one message's link path. Paths depend only on the
+// endpoints, never on the clock or on link state, so a replay routes
+// each message once, before its first run. Implementations are
+// deterministic; they may keep reusable buffers, so each replay builds
+// its own.
 type router interface {
-	// route returns the link path for message seq from node src to node
-	// dst, deciding at simulation time now. detour reports a
-	// non-minimal (Valiant) path. The returned slice is owned by the
-	// caller for the message's lifetime, so implementations allocate.
-	route(src, dst, seq int, now float64) (path []int, detour bool, err error)
+	// route returns the link path from node src to node dst, appended
+	// to buf[:0] as topology.Route does, so a caller that copies the
+	// path out can pass one buffer for every message. detour reports a
+	// non-minimal (Valiant) path.
+	route(src, dst int, buf []int) (path []int, detour bool, err error)
 }
 
-// linkLoad is the congestion view adaptive routing consults: the time a
-// head arriving at the link now would wait before service.
-type linkLoad interface {
-	backlog(link int, now float64) float64
-}
-
-// newRouter builds the policy's router for one simulation run.
-func newRouter(policy string, topo topology.Topology, seed uint64, loads linkLoad, hopLat float64) (router, error) {
+// newRouter builds the router of a fixed-path policy. UGAL is not one:
+// a replay routes its minimal and Valiant candidates and picks one at
+// injection.
+func newRouter(policy string, topo topology.Topology, seed uint64) (router, error) {
 	switch policy {
 	case PolicyMinimal:
 		return &minimalRouter{topo: topo}, nil
@@ -32,19 +30,8 @@ func newRouter(policy string, topo topology.Topology, seed uint64, loads linkLoa
 		return newECMPRouter(topo, seed)
 	case PolicyValiant:
 		return newValiantRouter(topo, seed)
-	case PolicyUGAL:
-		val, err := newValiantRouter(topo, seed)
-		if err != nil {
-			return nil, err
-		}
-		return &ugalRouter{
-			min:    &minimalRouter{topo: topo},
-			val:    val,
-			loads:  loads,
-			hopLat: hopLat,
-		}, nil
 	}
-	return nil, fmt.Errorf("congest: unknown policy %q (known: %v)", policy, Policies())
+	return nil, fmt.Errorf("congest: no fixed-path router for policy %q", policy)
 }
 
 // minimalRouter replays the topology's own deterministic shortest path.
@@ -52,8 +39,8 @@ type minimalRouter struct {
 	topo topology.Topology
 }
 
-func (r *minimalRouter) route(src, dst, seq int, now float64) ([]int, bool, error) {
-	path, err := r.topo.Route(src, dst, nil)
+func (r *minimalRouter) route(src, dst int, buf []int) ([]int, bool, error) {
+	path, err := r.topo.Route(src, dst, buf)
 	return path, false, err
 }
 
@@ -113,7 +100,7 @@ func (r *ecmpRouter) distTo(dst int) ([]int, error) {
 	return d, nil
 }
 
-func (r *ecmpRouter) route(src, dst, seq int, now float64) ([]int, bool, error) {
+func (r *ecmpRouter) route(src, dst int, buf []int) ([]int, bool, error) {
 	dist, err := r.distTo(dst)
 	if err != nil {
 		return nil, false, err
@@ -125,7 +112,7 @@ func (r *ecmpRouter) route(src, dst, seq int, now float64) ([]int, bool, error) 
 	// same path, load spreads across flows — classic ECMP, as opposed
 	// to UGAL's per-message adaptivity.
 	flow := mix64(uint64(src)<<32 ^ uint64(dst) ^ r.seed)
-	path := make([]int, 0, dist[src])
+	path := buf[:0]
 	cur := src
 	for cur != dst {
 		want := dist[cur] - 1
@@ -164,6 +151,7 @@ type valiantRouter struct {
 	minimal topology.Topology // shortest-path reference for detour detection
 	nodes   int
 	seed    uint64
+	leg     []int // reused buffer for the pivot-to-destination leg
 }
 
 func newValiantRouter(topo topology.Topology, seed uint64) (*valiantRouter, error) {
@@ -192,81 +180,32 @@ func (r *valiantRouter) pivot(src, dst int) int {
 	return p
 }
 
-func (r *valiantRouter) route(src, dst, seq int, now float64) ([]int, bool, error) {
+func (r *valiantRouter) route(src, dst int, buf []int) ([]int, bool, error) {
 	if r.via != nil {
-		path, err := r.via.Route(src, dst, nil)
+		path, err := r.via.Route(src, dst, buf)
 		// The dragonfly wrapper detours only inter-group traffic; a
 		// longer-than-minimal path is the observable detour signal.
 		return path, err == nil && len(path) > r.minimal.HopCount(src, dst), err
 	}
 	if r.nodes < 3 {
-		path, err := r.topo.Route(src, dst, nil)
+		path, err := r.topo.Route(src, dst, buf)
 		return path, false, err
 	}
 	p := r.pivot(src, dst)
-	leg1, err := r.topo.Route(src, p, nil)
+	path, err := r.topo.Route(src, p, buf)
 	if err != nil {
 		return nil, false, err
 	}
-	leg2, err := r.topo.Route(p, dst, nil)
-	if err != nil {
+	if r.leg, err = r.topo.Route(p, dst, r.leg); err != nil {
 		return nil, false, err
 	}
+	leg := r.leg
 	// On indirect topologies both legs touch the pivot over its
 	// terminal link; dropping the repeated pair turns around at the
 	// pivot's switch instead of re-injecting through the node.
-	if len(leg1) > 0 && len(leg2) > 0 && leg1[len(leg1)-1] == leg2[0] {
-		leg1 = leg1[:len(leg1)-1]
-		leg2 = leg2[1:]
+	if len(path) > 0 && len(leg) > 0 && path[len(path)-1] == leg[0] {
+		path = path[:len(path)-1]
+		leg = leg[1:]
 	}
-	return append(leg1, leg2...), true, nil
-}
-
-// ugalRouter is the UGAL-style adaptive choice: per message, estimate
-// the delivery time of the minimal and the Valiant path from the queue
-// backlog along each at decision time, and take the cheaper one. The
-// detour flag reports the Valiant alternative was taken.
-type ugalRouter struct {
-	min    router
-	val    router
-	loads  linkLoad
-	hopLat float64
-}
-
-func (r *ugalRouter) cost(path []int, now float64) float64 {
-	c := float64(len(path)) * r.hopLat
-	for _, li := range path {
-		c += r.loads.backlog(li, now)
-	}
-	return c
-}
-
-func (r *ugalRouter) route(src, dst, seq int, now float64) ([]int, bool, error) {
-	minPath, _, err := r.min.route(src, dst, seq, now)
-	if err != nil {
-		return nil, false, err
-	}
-	valPath, _, err := r.val.route(src, dst, seq, now)
-	if err != nil {
-		return nil, false, err
-	}
-	// The Valiant alternative can share the minimal path's length yet use
-	// different links, so it stays a candidate whenever the paths differ;
-	// ties go to minimal (hardware UGAL's bias).
-	if samePath(minPath, valPath) || r.cost(minPath, now) <= r.cost(valPath, now) {
-		return minPath, false, nil
-	}
-	return valPath, true, nil
-}
-
-func samePath(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return append(path, leg...), true, nil
 }

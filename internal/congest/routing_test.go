@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"netloc/internal/simnet"
 	"netloc/internal/topology"
 )
 
@@ -22,27 +23,65 @@ func testTopos(t *testing.T) map[string]topology.Topology {
 	}
 }
 
-// Every policy must produce a contiguous walk from source to
-// destination on every topology family, for every node pair.
+// pairsWire is one message for every ordered pair of distinct nodes.
+func pairsWire(nodes int) *simnet.Wire {
+	w := &simnet.Wire{}
+	for src := 0; src < nodes; src++ {
+		for dst := 0; dst < nodes; dst++ {
+			if src != dst {
+				w.Messages = append(w.Messages, simnet.Message{SrcNode: int32(src), DstNode: int32(dst), Bytes: 1})
+			}
+		}
+	}
+	return w
+}
+
+// routed builds a replay of w under policy.
+func routed(t *testing.T, w *simnet.Wire, topo topology.Topology, policy string) *replay {
+	t.Helper()
+	opts, err := Options{Policy: policy}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newReplay(w, topo, opts)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", topo.Kind(), policy, err)
+	}
+	return r
+}
+
+// links copies a routed path out of the replay's arena.
+func (r *replay) links(p span) []int {
+	path := make([]int, 0, p.hi-p.lo)
+	for _, li := range r.arena[p.lo:p.hi] {
+		path = append(path, int(li))
+	}
+	return path
+}
+
+// Every policy must route a contiguous walk from source to destination
+// on every topology family, for every node pair: UGAL both of its
+// candidates. Minimal and ECMP paths are shortest, so their length is
+// HopCount.
 func TestRoutesAreValidWalks(t *testing.T) {
 	for kind, topo := range testTopos(t) {
-		st := &simState{busyUntil: make([]float64, len(topo.Links()))}
+		w := pairsWire(topo.Nodes())
 		for _, policy := range Policies() {
-			rt, err := newRouter(policy, topo, hashSeed, st, 1e-7)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, policy, err)
+			r := routed(t, w, topo, policy)
+			if len(r.msgs) != len(w.Messages) {
+				t.Fatalf("%s/%s: routed %d of %d messages", kind, policy, len(r.msgs), len(w.Messages))
 			}
-			n := topo.Nodes()
-			for src := 0; src < n; src++ {
-				for dst := 0; dst < n; dst++ {
-					if src == dst {
-						continue
-					}
-					path, _, err := rt.route(src, dst, src*n+dst, 0)
-					if err != nil {
-						t.Fatalf("%s/%s %d->%d: %v", kind, policy, src, dst, err)
-					}
-					checkPath(t, topo, src, dst, path)
+			for i, m := range r.msgs {
+				src, dst := int(w.Messages[i].SrcNode), int(w.Messages[i].DstNode)
+				checkPath(t, topo, src, dst, r.links(m.path))
+				if m.alt.hi > m.alt.lo {
+					checkPath(t, topo, src, dst, r.links(m.alt))
+				}
+				if policy != PolicyMinimal && policy != PolicyECMP {
+					continue
+				}
+				if n, want := int(m.path.hi-m.path.lo), topo.HopCount(src, dst); n != want {
+					t.Fatalf("%s/%s %d->%d: path length %d, want HopCount %d", kind, policy, src, dst, n, want)
 				}
 			}
 		}
@@ -57,46 +96,41 @@ func TestECMPFlowStickinessAndSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same flow, different messages: identical path.
-	first, _, err := rt.route(0, 5, 0, 0)
+	first, _, err := rt.route(0, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := 1; seq < 8; seq++ {
-		p, _, err := rt.route(0, 5, seq, float64(seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(first, p) {
-			t.Fatalf("flow 0->5 path changed between messages: %v vs %v", first, p)
-		}
-	}
-	// ECMP paths are shortest.
-	if len(first) != topo.HopCount(0, 5) {
-		t.Errorf("ecmp path length %d, want minimal %d", len(first), topo.HopCount(0, 5))
-	}
 	// Across the whole pair set, at least one flow must leave the
 	// deterministic-minimal path (otherwise the hash spreads nothing).
-	min := &minimalRouter{topo: topo}
+	// Routing every other flow through one reused buffer must not
+	// disturb flow 0->5's path.
+	var buf []int
 	diverged := false
-	for src := 0; src < topo.Nodes() && !diverged; src++ {
+	for src := 0; src < topo.Nodes(); src++ {
 		for dst := 0; dst < topo.Nodes(); dst++ {
 			if src == dst {
 				continue
 			}
-			mp, _, err1 := min.route(src, dst, 0, 0)
-			ep, _, err2 := rt.route(src, dst, 0, 0)
+			mp, err1 := topo.Route(src, dst, nil)
+			var err2 error
+			buf, _, err2 = rt.route(src, dst, buf)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
-			if !reflect.DeepEqual(mp, ep) {
+			if !reflect.DeepEqual(mp, buf) {
 				diverged = true
-				break
 			}
 		}
 	}
 	if !diverged {
 		t.Error("ecmp never diverged from the deterministic minimal path on a multipath torus")
+	}
+	again, _, err := rt.route(0, 5, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("flow 0->5 path changed between messages: %v vs %v", first, again)
 	}
 }
 
@@ -120,8 +154,8 @@ func TestValiantGenericPivotDeterministic(t *testing.T) {
 			if p := a.pivot(src, dst); p == src || p == dst {
 				t.Fatalf("pivot(%d,%d) = endpoint %d", src, dst, p)
 			}
-			pa, da, err1 := a.route(src, dst, 0, 0)
-			pb, db, err2 := b.route(src, dst, 0, 0)
+			pa, da, err1 := a.route(src, dst, nil)
+			pb, db, err2 := b.route(src, dst, nil)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -132,39 +166,34 @@ func TestValiantGenericPivotDeterministic(t *testing.T) {
 	}
 }
 
-// UGAL prefers minimal paths on an idle network and detours once the
-// minimal path's links are backlogged.
+// UGAL decides at injection: on an idle network it takes the minimal
+// path, and once the minimal path's links are backlogged it detours.
 func TestUGALAdaptsToBacklog(t *testing.T) {
 	topo := dragonfly(t, 64)
-	st := &simState{busyUntil: make([]float64, len(topo.Links()))}
-	rt, err := newRouter(PolicyUGAL, topo, hashSeed, st, 1e-7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// An inter-group pair, so the Valiant path actually detours.
 	src, dst := 0, topo.Nodes()-1
-	min := &minimalRouter{topo: topo}
-	minPath, _, err := min.route(src, dst, 0, 0)
+	w := &simnet.Wire{Messages: []simnet.Message{{SrcNode: int32(src), DstNode: int32(dst), Bytes: 4096}}}
+	r := routed(t, w, topo, PolicyUGAL)
+	m := &r.msgs[0]
+	minPath, err := topo.Route(src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := r.links(m.path); !reflect.DeepEqual(got, minPath) {
+		t.Fatalf("ugal minimal candidate %v, want %v", got, minPath)
+	}
+	if m.alt.hi == m.alt.lo {
+		t.Fatal("ugal has no Valiant candidate for an inter-group pair")
 	}
 	// Idle network: minimal wins.
-	idle, detour, err := rt.route(src, dst, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if detour || !reflect.DeepEqual(idle, minPath) {
-		t.Fatalf("idle ugal chose detour=%v path=%v, want minimal %v", detour, idle, minPath)
+	if p, detour := r.pathAt(m, 0, 1e-7); detour || p != m.path {
+		t.Fatalf("idle ugal chose detour=%v path=%v, want minimal %v", detour, r.links(p), minPath)
 	}
 	// Backlog every minimal link heavily: the Valiant path must win.
-	for _, li := range minPath {
-		st.busyUntil[li] = 1.0 // one full second of backlog each
+	for _, li := range r.arena[m.path.lo:m.path.hi] {
+		r.busyUntil[li] = 1.0 // one full second of backlog each
 	}
-	_, detour, err = rt.route(src, dst, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !detour {
+	if p, detour := r.pathAt(m, 0, 1e-7); !detour || p != m.alt {
 		t.Error("ugal stayed minimal with every minimal link backlogged")
 	}
 }

@@ -49,8 +49,20 @@ type Tolerance struct {
 // before the makespan grows more than growthPct percent (zero means
 // DefaultGrowthPct; negative, NaN and infinite thresholds are
 // rejected). The search is deterministic: exponential bracketing from
-// one head-packet latency, then bounded bisection, every probe
-// replaying one prepared Wire.
+// one head-packet latency, then bounded bisection. The messages are
+// prepared and routed once, and every probe is a makespan-only replay.
+//
+// The bisection assumes the makespan grows monotonically with the added
+// latency. It does not: FIFO contention reorders messages, and on
+// BigFFT/100 the makespan drops as latency grows on every family, under
+// every policy but ECMP on the dragonfly. Callers rely on a weaker
+// property: every latency up to PerHopSeconds keeps the makespan within
+// the threshold. It is tested for the minimal policy, the only one the
+// congestion study sweeps. Under UGAL it fails on BigFFT/100: on the
+// dragonfly, 3.1% of the reported per-hop latency already grows the
+// makespan by 5.47%, and on the torus 96.4% of it grows the makespan by
+// 5.01%. A UGAL result is therefore where the search crossed the
+// threshold, not a bound below which the threshold holds.
 func LatencyTolerance(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options, growthPct float64) (*Tolerance, error) {
 	if growthPct == 0 {
 		growthPct = DefaultGrowthPct
@@ -63,25 +75,22 @@ func LatencyTolerance(t *trace.Trace, topo topology.Topology, mp *mapping.Mappin
 	if err != nil {
 		return nil, err
 	}
-	// Every probe replays the same messages; only the hop latency moves.
+	// Every probe replays the same routed messages; only the hop latency
+	// moves, and a probe reads nothing but the makespan.
 	w, err := simnet.Prepare(t, topo, mp)
 	if err != nil {
 		return nil, fmt.Errorf("congest: %w", err)
 	}
-	tol := &Tolerance{GrowthPct: growthPct}
-	makespan := func(extra float64) (float64, error) {
-		o := opts
-		o.ExtraHopLatency = extra
-		s, err := simulate(w, topo, o)
-		if err != nil {
-			return 0, err
-		}
-		tol.Probes++
-		return s.Makespan, nil
-	}
-	if tol.BaseMakespan, err = makespan(0); err != nil {
+	r, err := newReplay(w, topo, opts)
+	if err != nil {
 		return nil, err
 	}
+	tol := &Tolerance{GrowthPct: growthPct}
+	makespan := func(extra float64) float64 {
+		tol.Probes++
+		return r.makespan(extra)
+	}
+	tol.BaseMakespan = makespan(0)
 	threshold := tol.BaseMakespan * (1 + growthPct/100)
 
 	// Bracket: double from one head-packet latency until the threshold
@@ -90,11 +99,7 @@ func LatencyTolerance(t *trace.Trace, topo topology.Topology, mp *mapping.Mappin
 	hi := float64(opts.PacketBytes) / opts.BandwidthBytesPerSec
 	broke := false
 	for i := 0; i < toleranceMaxDoublings; i++ {
-		m, err := makespan(hi)
-		if err != nil {
-			return nil, err
-		}
-		if m > threshold {
+		if makespan(hi) > threshold {
 			broke = true
 			break
 		}
@@ -109,11 +114,7 @@ func LatencyTolerance(t *trace.Trace, topo topology.Topology, mp *mapping.Mappin
 	// Refine: bisect [lo, hi) — lo absorbed, hi broke.
 	for i := 0; i < toleranceBisections; i++ {
 		mid := lo + (hi-lo)/2
-		m, err := makespan(mid)
-		if err != nil {
-			return nil, err
-		}
-		if m > threshold {
+		if makespan(mid) > threshold {
 			hi = mid
 		} else {
 			lo = mid

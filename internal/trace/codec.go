@@ -208,6 +208,11 @@ func (r *Reader) Read() (Event, error) {
 	return e, nil
 }
 
+// maxPrealloc caps the events ReadTrace makes room for on the header's
+// word alone: a 26-byte upload can declare 2^24 events. Longer traces
+// grow past it as their records arrive.
+const maxPrealloc = 1 << 16
+
 // ReadTrace reads a whole binary trace into memory.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	tr, err := NewReader(r)
@@ -215,9 +220,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	t := &Trace{Meta: tr.Meta()}
-	if tr.Remaining() < 1<<24 { // avoid huge speculative allocs on hostile input
-		t.Events = make([]Event, 0, tr.Remaining())
-	}
+	t.Events = make([]Event, 0, min(tr.Remaining(), maxPrealloc))
 	for {
 		e, err := tr.Read()
 		if err == io.EOF {

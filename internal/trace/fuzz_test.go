@@ -2,7 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -102,4 +107,61 @@ func TestHeaderLengthFieldAbuse(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(raw)); err == nil {
 		t.Fatal("huge declared event count with empty body accepted")
 	}
+}
+
+// hostileHeader is a complete 26-byte header (empty app name, 2 ranks,
+// 1 s) that declares 2^24-1 events and carries none of them.
+func hostileHeader() []byte {
+	b := append([]byte(binaryMagic), 0, 0) // app name length 0
+	b = binary.LittleEndian.AppendUint32(b, 2)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+	return binary.LittleEndian.AppendUint64(b, 1<<24-1)
+}
+
+// The reader must fail on the missing records without first making room
+// for the declared ones: 2^24 64-byte events would be 1 GiB, from an
+// upload well under the service's body cap.
+func TestReadTraceBoundsPreallocation(t *testing.T) {
+	data := hostileHeader()
+	if len(data) != 26 {
+		t.Fatalf("header is %d bytes, want 26", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadTrace(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("reading a %d-byte body allocated %d MiB", len(data), got>>20)
+	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the binary reader. The input
+// must be rejected or decode to a trace that validates and survives a
+// write/read round trip; the reader must never panic. The committed
+// seeds (testdata/fuzz/FuzzReadTrace) are hostileHeader and the encoded
+// sampleTrace.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("reader returned an invalid trace: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, tr); err != nil {
+			t.Fatalf("re-encoding a decoded trace: %v", err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-reading a re-encoded trace: %v", err)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatalf("round trip changed the trace:\n%+v\nvs\n%+v", tr, back)
+		}
+	})
 }

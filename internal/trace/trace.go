@@ -12,6 +12,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Op identifies an MPI operation recorded in a trace.
@@ -157,8 +158,9 @@ func (m Meta) Validate() error {
 	if m.Ranks <= 0 {
 		return fmt.Errorf("trace: non-positive rank count %d", m.Ranks)
 	}
-	if m.WallTime < 0 {
-		return fmt.Errorf("trace: negative wall time %v", m.WallTime)
+	// !(x >= 0) also catches NaN, which compares false to everything.
+	if !(m.WallTime >= 0) || math.IsInf(m.WallTime, 1) {
+		return fmt.Errorf("trace: wall time %v s (need finite, >= 0)", m.WallTime)
 	}
 	return nil
 }

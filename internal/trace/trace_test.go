@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -107,6 +108,12 @@ func TestMetaValidate(t *testing.T) {
 	}
 	if err := (Meta{Ranks: 2, WallTime: -1}).Validate(); err == nil {
 		t.Fatal("negative wall time should fail")
+	}
+	for _, wall := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := (Meta{Ranks: 2, WallTime: wall}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "need finite") {
+			t.Errorf("wall time %v: err = %v, want a non-finite rejection", wall, err)
+		}
 	}
 }
 

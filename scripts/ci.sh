@@ -51,7 +51,14 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 # (seeds only — no fuzzing engine) so a corpus entry that starts
 # crashing fails CI before any long fuzz run would find it.
 echo "=== go test (fuzz seed corpora) ==="
-go test -run 'Fuzz' ./internal/topology ./internal/service
+go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace
+
+# Allocation pins are built only without -race (the race runtime
+# allocates on its own), so the -race runs above never reach them: run
+# them here without it. They pin that a workcache hit allocates only its
+# key and that a congest tolerance probe allocates nothing per message.
+echo "=== go test (allocation pins, no -race) ==="
+go test -run 'Alloc' ./internal/workcache ./internal/congest
 
 # bench/ is a module of its own, so the root ./... above never builds
 # it: vet and test it here, or a change to the packages it drives could
