@@ -204,6 +204,17 @@ func (m *Matrix) EachDst(src int, fn func(dst int, e Entry)) {
 	}
 }
 
+// DenseRow returns src's row indexed by destination rank when the row is
+// stored densely, and nil when it is sparse; EachDst visits either. A
+// destination without traffic has a zero Entry. The slice is the
+// matrix's own; do not modify it.
+func (m *Matrix) DenseRow(src int) []Entry {
+	if src < 0 || src >= m.ranks {
+		return nil
+	}
+	return m.dense[src]
+}
+
 // RowLen returns the number of destinations with recorded traffic for the
 // given source rank — the pre-sizing hint for per-row scratch buffers.
 func (m *Matrix) RowLen(src int) int {

@@ -45,8 +45,9 @@ type Options struct {
 	// global-link share stay zero) for faster hop-only runs.
 	SkipLinkTracking bool
 	// MaxRanks caps the configuration grid: experiment drivers skip
-	// configurations (and topology sizes) above it. Zero means no cap.
-	// Used by tests and the analysis service to bound run time.
+	// configurations (and topology sizes) above it, and AnalyzeTrace
+	// refuses traces declaring more ranks. Zero means no cap. Used by
+	// tests and the analysis service to bound run time and memory.
 	MaxRanks int
 	// Parallelism caps the worker goroutines one analysis may use for
 	// the experiment-grid fan-out, the per-topology model runs, the
@@ -190,14 +191,36 @@ type Analysis struct {
 // budget and merged; the matrices are exact sums either way. The trace
 // is treated as caller-supplied: it is never read from or written to
 // Options.Cache, so an uploaded trace claiming a registry app's name
-// cannot poison later registry analyses.
+// cannot poison later registry analyses. Its declared rank count is
+// checked (see checkRanks) before anything is sized by it.
 func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
 	opts = opts.withEngine()
+	if err := opts.checkRanks(t.Meta.Ranks); err != nil {
+		return nil, err
+	}
 	acc, err := accumulate(t, opts)
 	if err != nil {
 		return nil, err
 	}
 	return AnalyzeAccumulated(acc, opts)
+}
+
+// checkRanks refuses a trace's declared rank count before anything is
+// sized by it: the matrices take memory in proportion to it, so a few
+// bytes declaring millions of ranks would otherwise allocate hundreds of
+// megabytes before failing. The count must be within MaxRanks when that
+// is set and, unless topologies are skipped, one topology.Configs can
+// size.
+func (o Options) checkRanks(ranks int) error {
+	if !o.withinCap(ranks) {
+		return fmt.Errorf("core: trace declares %d ranks, outside [1, %d] (MaxRanks)", ranks, o.MaxRanks)
+	}
+	if !o.SkipTopologies {
+		if _, _, _, err := topology.Configs(ranks); err != nil {
+			return fmt.Errorf("core: trace declares %d ranks: %w", ranks, err)
+		}
+	}
+	return nil
 }
 
 // accumulate expands and packetizes a trace into the communication

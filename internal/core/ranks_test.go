@@ -1,0 +1,54 @@
+package core
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+
+	"netloc/internal/trace"
+)
+
+// hugeTrace declares 4,194,304 ranks and carries one message: a few
+// dozen bytes of upload, and 453 MB of matrices had they been sized
+// before the rank count was checked.
+func hugeTrace() *trace.Trace {
+	return &trace.Trace{
+		Meta:   trace.Meta{App: "huge", Ranks: 1 << 22, WallTime: 1},
+		Events: []trace.Event{{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 8}},
+	}
+}
+
+func TestAnalyzeTraceRefusesRanksBeforeSizing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := AnalyzeTrace(hugeTrace(), Options{Parallelism: 1})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "trace declares 4194304 ranks") {
+		t.Fatalf("err = %v, want the declared rank count refused", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing the trace allocated %d KiB, want under 1 MiB", got>>10)
+	}
+}
+
+func TestAnalyzeTraceRanksCaps(t *testing.T) {
+	tr := hugeTrace()
+	tr.Meta.Ranks = 100
+	// MaxRanks is a ceiling for uploads too.
+	_, err := AnalyzeTrace(tr, Options{Parallelism: 1, MaxRanks: 64})
+	if err == nil || !strings.Contains(err.Error(), "outside [1, 64]") {
+		t.Fatalf("MaxRanks 64: err = %v, want 100 ranks refused", err)
+	}
+	if _, err := AnalyzeTrace(tr, Options{Parallelism: 1, MaxRanks: 100}); err != nil {
+		t.Fatalf("MaxRanks 100: %v", err)
+	}
+	// Above what topology.Configs can size (13,824 ranks), only a
+	// topology-free analysis can run.
+	tr.Meta.Ranks = 13825
+	if _, err := AnalyzeTrace(tr, Options{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), "13824") {
+		t.Fatalf("13,825 ranks: err = %v, want the fat-tree limit named", err)
+	}
+	if _, err := AnalyzeTrace(tr, Options{Parallelism: 1, SkipTopologies: true}); err != nil {
+		t.Fatalf("13,825 ranks without topologies: %v", err)
+	}
+}

@@ -105,6 +105,10 @@ func (m *Mapping) NodeOf(rank int) (int, error) {
 // Table returns a copy of the rank→node table.
 func (m *Mapping) Table() []int { return append([]int(nil), m.nodeOf...) }
 
+// NodeTable returns the rank→node table itself, for hot loops that only
+// read it. The slice is shared; do not modify.
+func (m *Mapping) NodeTable() []int { return m.nodeOf }
+
 // UsedNodes returns the number of distinct nodes hosting at least one rank.
 func (m *Mapping) UsedNodes() int {
 	seen := make(map[int]struct{}, len(m.nodeOf))

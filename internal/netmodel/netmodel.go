@@ -31,7 +31,9 @@ type Options struct {
 	WallTime float64
 	// TrackLinks enables per-link traffic accounting (needed for
 	// utilization, used-link counts, and the global-link share). When
-	// false only hop counts are computed, which is much faster.
+	// false the same flow path runs without link counters and only the
+	// hop totals are kept; it saves the counters' memory and a little
+	// time, not an asymptotic factor.
 	TrackLinks bool
 }
 
@@ -108,113 +110,60 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 	}
 
 	res := &Result{Topology: topo.Name()}
-	var classes []topology.LinkClass
 	if opts.TrackLinks {
 		res.LinkBytes = make([]uint64, len(topo.Links()))
-		classes = topo.LinkClasses()
 	}
-	// Resolve the rank→node table once instead of twice per matrix pair.
-	nodeOf := make([]int, m.Ranks())
-	for r := range nodeOf {
-		n, err := mp.NodeOf(r)
-		if err != nil {
-			return nil, err
-		}
-		nodeOf[r] = n
-	}
-	var globalMsgs uint64
-	var iterErr error
-	if torus, ok := topo.(*topology.Torus); ok && opts.TrackLinks {
-		// Torus fast path: hop counts are O(1) and the per-link loads of
-		// one source's routes are tree-accumulated in O(nodes) instead of
-		// walking every pair's route. A torus has no global links, so
-		// GlobalMsgShare stays zero exactly as the route walk would leave
-		// it. Flows from different sources are independent integer sums,
-		// so accumulating rank by rank is exact even when several ranks
-		// share a node.
-		dstBytes := make([]uint64, topo.Nodes())
-		var sc topology.FlowScratch
-		for src := 0; src < m.Ranks() && iterErr == nil; src++ {
+	// Sources go in rank order, so a consecutive mapping hands the
+	// topology its flows grouped by source node and source switch. Dense
+	// rows, which hold almost every pair of the large configurations,
+	// are read in place rather than through EachDst's callback.
+	nodeOf := mp.NodeTable()
+	load, err := topo.AccumulateFlows(func(visit func(src, dst int, bytes, packets, messages uint64)) {
+		var inter, intra, msgs, pkts uint64
+		for src := 0; src < m.Ranks(); src++ {
 			ns := nodeOf[src]
-			any := false
-			m.EachDst(src, func(dst int, e comm.Entry) {
-				nd := nodeOf[dst]
-				if ns == nd {
-					res.IntraNodeBytes += e.Bytes
-					return
-				}
-				res.InterNodeBytes += e.Bytes
-				res.Messages += e.Messages
-				res.Packets += e.Packets
-				hops := uint64(torus.HopCount(ns, nd))
-				res.PacketHops += e.Packets * hops
-				res.ByteHops += e.Bytes * hops
-				if e.Bytes > 0 {
-					dstBytes[nd] += e.Bytes
-					any = true
-				}
-			})
-			if !any {
-				continue
-			}
-			iterErr = torus.AccumulateFlows(ns, dstBytes, res.LinkBytes, &sc)
-			for i := range dstBytes {
-				dstBytes[i] = 0
-			}
-		}
-	} else {
-		var buf []int
-		m.Each(func(k comm.Key, e comm.Entry) {
-			if iterErr != nil {
-				return
-			}
-			ns, nd := nodeOf[k.Src], nodeOf[k.Dst]
-			if ns == nd {
-				res.IntraNodeBytes += e.Bytes
-				return
-			}
-			res.InterNodeBytes += e.Bytes
-			res.Messages += e.Messages
-			res.Packets += e.Packets
-			var hops int
-			if opts.TrackLinks {
-				// The routed path is minimal (property-tested against BFS
-				// for every topology), so its length doubles as the hop
-				// count — one traversal instead of HopCount plus Route.
-				var err error
-				buf, err = topo.Route(ns, nd, buf)
-				if err != nil {
-					iterErr = err
-					return
-				}
-				hops = len(buf)
-				crossesGlobal := false
-				for _, li := range buf {
-					res.LinkBytes[li] += e.Bytes
-					if classes[li] == topology.ClassGlobal {
-						crossesGlobal = true
+			if row := m.DenseRow(src); row != nil {
+				for dst := range row {
+					e := &row[dst]
+					if e.Messages == 0 {
+						continue
+					}
+					if nd := nodeOf[dst]; nd != ns {
+						inter += e.Bytes
+						msgs += e.Messages
+						pkts += e.Packets
+						visit(ns, nd, e.Bytes, e.Packets, e.Messages)
+					} else {
+						intra += e.Bytes
 					}
 				}
-				if crossesGlobal {
-					globalMsgs += e.Messages
-				}
-			} else {
-				hops = topo.HopCount(ns, nd)
+				continue
 			}
-			res.PacketHops += e.Packets * uint64(hops)
-			res.ByteHops += e.Bytes * uint64(hops)
-		})
+			m.EachDst(src, func(dst int, e comm.Entry) {
+				if nd := nodeOf[dst]; nd != ns {
+					inter += e.Bytes
+					msgs += e.Messages
+					pkts += e.Packets
+					visit(ns, nd, e.Bytes, e.Packets, e.Messages)
+				} else {
+					intra += e.Bytes
+				}
+			})
+		}
+		res.InterNodeBytes, res.IntraNodeBytes, res.Messages, res.Packets = inter, intra, msgs, pkts
+	}, res.LinkBytes)
+	if err != nil {
+		return nil, err
 	}
-	if iterErr != nil {
-		return nil, iterErr
-	}
+	res.PacketHops, res.ByteHops = load.PacketHops, load.ByteHops
 
 	if res.Packets > 0 {
 		res.AvgHops = float64(res.PacketHops) / float64(res.Packets)
 	}
 	if opts.TrackLinks {
-		classBytes := map[topology.LinkClass]uint64{}
-		classUsed := map[topology.LinkClass]int{}
+		classes := topo.LinkClasses()
+		var classBytes [topology.ClassGlobal + 1]uint64
+		var classUsed [topology.ClassGlobal + 1]int
 		for li, b := range res.LinkBytes {
 			if b > 0 {
 				res.UsedLinks++
@@ -229,17 +178,26 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 			}
 		}
 		if res.Messages > 0 {
-			res.GlobalMsgShare = float64(globalMsgs) / float64(res.Messages)
+			res.GlobalMsgShare = float64(load.GlobalMessages) / float64(res.Messages)
 		}
 		if res.UsedLinks > 0 && opts.WallTime > 0 {
 			res.UtilizationValid = true
 			res.UtilizationPct = 100 * float64(res.InterNodeBytes) /
 				(bw * opts.WallTime * float64(res.UsedLinks))
-			res.ClassUtilizationPct = make(map[topology.LinkClass]float64, len(classBytes))
+			used := 0
+			for _, n := range classUsed {
+				if n > 0 {
+					used++
+				}
+			}
+			res.ClassUtilizationPct = make(map[topology.LinkClass]float64, used)
 			for class, bytes := range classBytes {
+				if classUsed[class] == 0 {
+					continue
+				}
 				// Per-class utilization is the mean busy share of that
 				// class's used links.
-				res.ClassUtilizationPct[class] = 100 * float64(bytes) /
+				res.ClassUtilizationPct[topology.LinkClass(class)] = 100 * float64(bytes) /
 					(bw * opts.WallTime * float64(classUsed[class]))
 			}
 		}

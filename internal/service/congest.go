@@ -28,7 +28,8 @@ type CongestionRequest struct {
 	Families  []string             `json:"families,omitempty"`
 	Policies  []string             `json:"policies,omitempty"`
 	GrowthPct float64              `json:"growth_pct,omitempty"`
-	// MaxRanks caps the grid below the server's default when positive.
+	// MaxRanks caps the grid when positive. It can lower the server's
+	// cap but not lift it.
 	MaxRanks int `json:"max_ranks,omitempty"`
 }
 
@@ -145,9 +146,8 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 	opts.Parallelism = s.opts.Workers
 	opts.Budget = s.budget
 	opts.Cache = s.work
-	if req.MaxRanks > 0 {
-		opts.MaxRanks = req.MaxRanks
-	}
+	req.MaxRanks = capRanks(opts.MaxRanks, req.MaxRanks)
+	opts.MaxRanks = req.MaxRanks
 	refs := make([]core.WorkloadRef, len(req.Workloads))
 	for i, wl := range req.Workloads {
 		refs[i] = core.WorkloadRef{App: wl.App, Ranks: wl.Ranks}

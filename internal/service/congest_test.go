@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -186,5 +187,29 @@ func TestCongestionRequestErrors(t *testing.T) {
 	status, _ := get(t, ts, "/v1/congestion")
 	if status != http.StatusMethodNotAllowed {
 		t.Errorf("GET status %d, want 405", status)
+	}
+}
+
+// max_ranks lowers the server's cap but cannot lift it.
+func TestCongestionMaxRanksCannotLiftServerCap(t *testing.T) {
+	ts := newTestServer(t, Options{Analysis: core.Options{MaxRanks: 10}})
+	const grid = `"workloads":[{"app":"Crystal Router","ranks":10},{"app":"LULESH","ranks":64}],` +
+		`"families":["torus"],"policies":["minimal"],"growth_pct":-1`
+	for maxRanks, want := range map[int]int{0: 10, 1000: 10, 9: 0} {
+		status, body := postJSON(t, ts, "/v1/congestion", fmt.Sprintf(`{%s,"max_ranks":%d}`, grid, maxRanks))
+		if status != http.StatusOK {
+			t.Fatalf("max_ranks %d: status %d: %s", maxRanks, status, body)
+		}
+		var res CongestionResult
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		largest := 0
+		for _, r := range res.Rows {
+			largest = max(largest, r.Ranks)
+		}
+		if largest != want {
+			t.Errorf("max_ranks %d on a 10-rank server: largest row %d ranks, want %d", maxRanks, largest, want)
+		}
 	}
 }

@@ -536,9 +536,18 @@ func queryFloat(q url.Values, name string, def float64) (float64, error) {
 	return f, nil
 }
 
+// capRanks combines the operator's rank cap with a request's: a request
+// may lower the cap but never lift it. Zero means no cap.
+func capRanks(server, requested int) int {
+	if server > 0 && (requested == 0 || requested > server) {
+		return server
+	}
+	return requested
+}
+
 // analysisOptions builds the per-request core.Options: the server's
-// defaults with coverage, strategy, and maxranks overridden from the
-// query. The returned values are canonicalized (defaults filled in) so
+// defaults with coverage and strategy overridden from the query, and
+// maxranks lowering the server's rank cap. The returned values are canonicalized (defaults filled in) so
 // equivalent requests share one cache key.
 func (s *Server) analysisOptions(q url.Values) (core.Options, error) {
 	opts := s.opts.Analysis
@@ -558,11 +567,11 @@ func (s *Server) analysisOptions(q url.Values) (core.Options, error) {
 		return opts, err
 	}
 	opts.Strategy = strat
-	maxRanks, err := queryNonNegInt(q, "maxranks", opts.MaxRanks)
+	maxRanks, err := queryNonNegInt(q, "maxranks", 0)
 	if err != nil {
 		return opts, err
 	}
-	opts.MaxRanks = maxRanks
+	opts.MaxRanks = capRanks(opts.MaxRanks, maxRanks)
 	// Intra-request parallelism draws from the same budget that admits
 	// requests, so the two levels compose instead of oversubscribing.
 	// Parallelism never changes results, so it stays out of cache keys —

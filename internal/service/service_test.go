@@ -650,3 +650,57 @@ func TestWorkcacheMetricsExposed(t *testing.T) {
 		}
 	}
 }
+
+// The operator's rank cap is a ceiling: ?maxranks= can lower it, but
+// neither maxranks=0 nor a larger value lifts it.
+func TestMaxRanksQueryCannotLiftServerCap(t *testing.T) {
+	ts := newTestServer(t, Options{Analysis: core.Options{MaxRanks: 64}})
+	for q, want := range map[string]int{"": 64, "?maxranks=0": 64, "?maxranks=1728": 64, "?maxranks=27": 27} {
+		var env struct {
+			Rows []struct{ Size int } `json:"rows"`
+		}
+		if err := json.Unmarshal(getOK(t, ts, "/v1/experiments/table2"+q), &env); err != nil {
+			t.Fatal(err)
+		}
+		largest := 0
+		for _, r := range env.Rows {
+			largest = max(largest, r.Size)
+		}
+		if largest != want {
+			t.Errorf("table2%s on a 64-rank server: largest row %d, want %d", q, largest, want)
+		}
+	}
+}
+
+// Uploads respect the server's cap and the largest sizable topology.
+func TestTraceUploadRankLimits(t *testing.T) {
+	upload := func(ts *httptest.Server, ranks int) (int, string) {
+		t.Helper()
+		tr := &trace.Trace{
+			Meta:   trace.Meta{App: "uploaded", Ranks: ranks, WallTime: 1},
+			Events: []trace.Event{{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 5000}},
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteTrace(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/traces/analyze", "application/octet-stream", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	capped := newTestServer(t, Options{Analysis: core.Options{MaxRanks: 4}})
+	if status, body := upload(capped, 8); status != http.StatusBadRequest || !strings.Contains(body, "outside [1, 4]") {
+		t.Errorf("8 ranks on a 4-rank server: status %d: %s", status, body)
+	}
+	if status, body := upload(capped, 4); status != http.StatusOK {
+		t.Errorf("4 ranks on a 4-rank server: status %d: %s", status, body)
+	}
+	open := newTestServer(t, Options{})
+	if status, body := upload(open, 1<<22); status != http.StatusBadRequest || !strings.Contains(body, "13824") {
+		t.Errorf("4,194,304 ranks: status %d: %s", status, body)
+	}
+}

@@ -244,14 +244,19 @@ func (d *Dragonfly) Route(src, dst int, buf []int) ([]int, error) {
 	if src == dst {
 		return buf, nil
 	}
-	gs, gd := d.groupOf(src), d.groupOf(dst)
-	rs, rd := d.routerOf(src), d.routerOf(dst)
 	buf = append(buf, d.termLink[src])
+	buf = d.routerPath(d.groupOf(src), d.routerOf(src), d.groupOf(dst), d.routerOf(dst), buf)
+	return append(buf, d.termLink[dst]), nil
+}
+
+// routerPath appends the router-to-router links of the minimal route
+// from router rs of group gs to router rd of group gd.
+func (d *Dragonfly) routerPath(gs, rs, gd, rd int, buf []int) []int {
 	if gs == gd {
 		if rs != rd {
 			buf = append(buf, d.localLink[gs][rs*d.a+rd])
 		}
-		return append(buf, d.termLink[dst]), nil
+		return buf
 	}
 	k := d.gatewayPort(gs, gd)
 	srcGW := int(d.portRouter[k])
@@ -261,7 +266,7 @@ func (d *Dragonfly) Route(src, dst int, buf []int) ([]int, error) {
 		// The canonical route needs two local hops; prefer an aligned
 		// 4-hop double-global shortcut when one exists.
 		if k1, k2, ok := d.twoGlobalShortcut(rs, rd, gs, gd); ok {
-			return append(buf, d.globalOf[k1], d.globalOf[k2], d.termLink[dst]), nil
+			return append(buf, d.globalOf[k1], d.globalOf[k2])
 		}
 	}
 	if rs != srcGW {
@@ -271,7 +276,24 @@ func (d *Dragonfly) Route(src, dst int, buf []int) ([]int, error) {
 	if dstGW != rd {
 		buf = append(buf, d.localLink[gd][dstGW*d.a+rd])
 	}
-	return append(buf, d.termLink[dst]), nil
+	return buf
+}
+
+// switchPath appends the links between the terminal links of a route
+// from router ss to router ds, numbered group-major.
+func (d *Dragonfly) switchPath(ss, ds int, buf []int) ([]int, error) {
+	return d.routerPath(ss/d.a, ss%d.a, ds/d.a, ds%d.a, buf), nil
+}
+
+// AccumulateFlows implements Topology. Node v hangs off router v/p
+// (group-major), and everything between a route's terminal links
+// depends only on the router pair, so each source router's flows are
+// routed once per destination router.
+func (d *Dragonfly) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
+	if err := checkLinkBytes(d, linkBytes); err != nil {
+		return FlowLoad{}, err
+	}
+	return accumulateSwitched(d, d.a*d.groups, d.p, d.termLink, d.classes, flows, linkBytes)
 }
 
 var _ Topology = (*Dragonfly)(nil)

@@ -128,9 +128,18 @@ func (f *fabric) route(t Topology, src, dst int, buf []int) ([]int, error) {
 		return buf, nil
 	}
 	buf = append(buf, f.termLink[src])
-	ds := f.switchOf(dst)
+	buf, err := f.switchPath(f.switchOf(src), f.switchOf(dst), buf)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, f.termLink[dst]), nil
+}
+
+// switchPath appends the switch-to-switch links of the route from switch
+// ss to switch ds.
+func (f *fabric) switchPath(ss, ds int, buf []int) ([]int, error) {
 	d := f.dist[ds]
-	cur := f.switchOf(src)
+	cur := ss
 	for cur != ds {
 		want := d[cur] - 1
 		found := false
@@ -146,7 +155,16 @@ func (f *fabric) route(t Topology, src, dst int, buf []int) ([]int, error) {
 			return nil, fmt.Errorf("topology: BFS dead end at switch %d toward %d", cur, ds)
 		}
 	}
-	return append(buf, f.termLink[dst]), nil
+	return buf, nil
+}
+
+// accumulateFlows is the shared AccumulateFlows: a route depends only on
+// the switch pair between its terminal links.
+func (f *fabric) accumulateFlows(t Topology, flows Flows, linkBytes []uint64) (FlowLoad, error) {
+	if err := checkLinkBytes(t, linkBytes); err != nil {
+		return FlowLoad{}, err
+	}
+	return accumulateSwitched(f, f.switches, f.perSwitch, f.termLink, f.classes, flows, linkBytes)
 }
 
 // switchDiameter returns the largest switch-graph distance (the network

@@ -30,10 +30,17 @@ type FatTree struct {
 	// Link-index lookup tables for deterministic routing. Parallel links
 	// (two links between the same leaf/top or mid/top pair) are distinct
 	// entries, so routing uses these tables rather than a pair index.
-	termLink []int      // node -> terminal link
-	leafMid  [][]int    // stages>=2: leaf -> per-upper-switch link (one each)
-	midTop   [][][2]int // stages==3 (or leaf->top for stages==2): lower switch -> per-top parallel pair
+	termLink []int // node -> terminal link
+	leafMid  []int // stages==3: upLink(leaf, j), the link to mid j of the leaf's pod
+	midTop   []int // stages>=2: topLink(lower, k, par), parallel link par to top k
 }
+
+// upLink returns the link from leaf l to mid j of its pod (stages == 3).
+func (f *FatTree) upLink(l, j int) int { return f.leafMid[l*f.d+j] }
+
+// topLink returns parallel link par from lower switch s — a mid when
+// stages == 3, a leaf when stages == 2 — to top k of its group.
+func (f *FatTree) topLink(s, k, par int) int { return f.midTop[(s*(f.d/2)+k)*2+par] }
 
 // NewFatTree constructs a fat tree with the given switch radix and stage
 // count. The radix must be even and at least 4; stages must be 1..3 (the
@@ -93,14 +100,12 @@ func (f *FatTree) build() {
 		}
 		// Each leaf spreads its d uplinks over the d/2 tops: two
 		// parallel links per (leaf, top) pair.
-		f.midTop = make([][][2]int, leaves)
+		f.midTop = make([]int, 0, leaves*tops*2)
 		for l := 0; l < leaves; l++ {
-			f.midTop[l] = make([][2]int, tops)
 			for t := 0; t < tops; t++ {
-				f.midTop[l][t] = [2]int{
+				f.midTop = append(f.midTop,
 					addLink(leafBase+l, topBase+t, ClassGlobal),
-					addLink(leafBase+l, topBase+t, ClassGlobal),
-				}
+					addLink(leafBase+l, topBase+t, ClassGlobal))
 			}
 		}
 
@@ -117,25 +122,22 @@ func (f *FatTree) build() {
 			f.termLink[v] = addLink(v, leafBase+v/d, ClassTerminal)
 		}
 		// Leaf l of pod P connects one link to each mid (P, j).
-		f.leafMid = make([][]int, leaves)
+		f.leafMid = make([]int, 0, leaves*d)
 		for l := 0; l < leaves; l++ {
 			pod := l / d
-			f.leafMid[l] = make([]int, d)
 			for j := 0; j < d; j++ {
-				f.leafMid[l][j] = addLink(leafBase+l, midBase+pod*d+j, ClassLocal)
+				f.leafMid = append(f.leafMid, addLink(leafBase+l, midBase+pod*d+j, ClassLocal))
 			}
 		}
 		// Mid (P, j) connects two parallel links to each top (j, k).
-		f.midTop = make([][][2]int, mids)
+		f.midTop = make([]int, 0, mids*topsPerGroup*2)
 		for m := 0; m < mids; m++ {
 			j := m % d
-			f.midTop[m] = make([][2]int, topsPerGroup)
 			for k := 0; k < topsPerGroup; k++ {
 				top := topBase + j*topsPerGroup + k
-				f.midTop[m][k] = [2]int{
+				f.midTop = append(f.midTop,
 					addLink(midBase+m, top, ClassGlobal),
-					addLink(midBase+m, top, ClassGlobal),
-				}
+					addLink(midBase+m, top, ClassGlobal))
 			}
 		}
 		_ = pods
@@ -229,12 +231,12 @@ func (f *FatTree) Route(src, dst int, buf []int) ([]int, error) {
 		if ls == ld {
 			return append(buf, f.termLink[src], f.termLink[dst]), nil
 		}
-		top := dst % (len(f.midTop[ls])) // destination-modular top choice
+		top := dst % (d / 2) // destination-modular top choice
 		par := (src + dst) & 1
 		return append(buf,
 			f.termLink[src],
-			f.midTop[ls][top][par],
-			f.midTop[ld][top][par],
+			f.topLink(ls, top, par),
+			f.topLink(ld, top, par),
 			f.termLink[dst]), nil
 
 	default: // 3
@@ -246,8 +248,8 @@ func (f *FatTree) Route(src, dst int, buf []int) ([]int, error) {
 		if f.podOf(src) == f.podOf(dst) {
 			return append(buf,
 				f.termLink[src],
-				f.leafMid[ls][j],
-				f.leafMid[ld][j],
+				f.upLink(ls, j),
+				f.upLink(ld, j),
 				f.termLink[dst]), nil
 		}
 		ms := f.podOf(src)*d + j // global mid index (pod, j)
@@ -256,12 +258,94 @@ func (f *FatTree) Route(src, dst int, buf []int) ([]int, error) {
 		par := (src + dst) & 1
 		return append(buf,
 			f.termLink[src],
-			f.leafMid[ls][j],
-			f.midTop[ms][k][par],
-			f.midTop[md][k][par],
-			f.leafMid[ld][j],
+			f.upLink(ls, j),
+			f.topLink(ms, k, par),
+			f.topLink(md, k, par),
+			f.upLink(ld, j),
 			f.termLink[dst]), nil
 	}
+}
+
+// AccumulateFlows implements Topology. A route's length (2, 4 or 6) and
+// whether it reaches the top stage's global links follow from leaf and
+// pod comparisons, so no route is walked: each flow's bytes go straight
+// onto the links of its d-mod route. Those links depend on the
+// destination node itself, so summing flows per key would need a
+// counter per node; this keeps the scratch at none.
+func (f *FatTree) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
+	if err := checkLinkBytes(f, linkBytes); err != nil {
+		return FlowLoad{}, err
+	}
+	a := &fatTreeFlows{f: f, links: linkBytes, src: -1, perLeaf: newDivider(f.d), half: newDivider(f.d / 2)}
+	flows(a.visit)
+	a.flushSource()
+	return a.load, nil
+}
+
+// fatTreeFlows is the state of one FatTree.AccumulateFlows call.
+type fatTreeFlows struct {
+	f             *FatTree
+	links         []uint64
+	load          FlowLoad
+	perLeaf, half divider // by d (nodes per leaf, leaves per pod) and d/2
+	src, ls, pod  int     // current source node, its leaf and its pod
+	srcBytes      uint64  // bytes src has sent, not yet on its terminal link
+}
+
+func (a *fatTreeFlows) visit(src, dst int, b, packets, messages uint64) {
+	f, d, links := a.f, a.f.d, a.links
+	if src != a.src {
+		a.flushSource()
+		a.src, a.ls = src, a.perLeaf.div(src)
+		a.pod = a.perLeaf.div(a.ls)
+	}
+	a.srcBytes += b
+	ld := a.perLeaf.div(dst)
+	if f.stages == 1 || ld == a.ls {
+		a.load.add(b, packets, messages, 2, false)
+		if links != nil {
+			links[f.termLink[dst]] += b
+		}
+		return
+	}
+	par := (src + dst) & 1
+	if f.stages == 2 {
+		a.load.add(b, packets, messages, 4, true)
+		if links != nil {
+			top := dst - a.half.div(dst)*(d/2) // dst mod d/2, the top switch
+			links[f.topLink(a.ls, top, par)] += b
+			links[f.topLink(ld, top, par)] += b
+			links[f.termLink[dst]] += b
+		}
+		return
+	}
+	j, podD := dst-ld*d, a.perLeaf.div(ld)
+	if podD == a.pod {
+		a.load.add(b, packets, messages, 4, false)
+		if links != nil {
+			links[f.upLink(a.ls, j)] += b
+			links[f.upLink(ld, j)] += b
+			links[f.termLink[dst]] += b
+		}
+		return
+	}
+	a.load.add(b, packets, messages, 6, true)
+	if links != nil {
+		k := ld - a.half.div(ld)*(d/2) // ld mod d/2, the top within group j
+		links[f.upLink(a.ls, j)] += b
+		links[f.topLink(a.pod*d+j, k, par)] += b
+		links[f.topLink(podD*d+j, k, par)] += b
+		links[f.upLink(ld, j)] += b
+		links[f.termLink[dst]] += b
+	}
+}
+
+// flushSource charges the current source's bytes to its terminal link.
+func (a *fatTreeFlows) flushSource() {
+	if a.links != nil && a.src >= 0 {
+		a.links[a.f.termLink[a.src]] += a.srcBytes
+	}
+	a.srcBytes = 0
 }
 
 var _ Topology = (*FatTree)(nil)

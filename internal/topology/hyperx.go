@@ -107,8 +107,10 @@ func (h *HyperX) switchIndex(x, y, z int) int { return (z*h.s2+y)*h.s1 + x }
 func (h *HyperX) switchVertex(x, y, z int) int { return h.nodes + h.switchIndex(x, y, z) }
 
 // coords recovers the lattice coordinates of a node's switch.
-func (h *HyperX) coords(v int) (x, y, z int) {
-	s := v / h.t
+func (h *HyperX) coords(v int) (x, y, z int) { return h.switchCoords(v / h.t) }
+
+// switchCoords recovers the lattice coordinates of a switch.
+func (h *HyperX) switchCoords(s int) (x, y, z int) {
 	x = s % h.s1
 	s /= h.s1
 	return x, s % h.s2, s / h.s2
@@ -165,9 +167,16 @@ func (h *HyperX) Route(src, dst int, buf []int) ([]int, error) {
 	if src == dst {
 		return buf, nil
 	}
-	sx, sy, sz := h.coords(src)
-	dx, dy, dz := h.coords(dst)
 	buf = append(buf, h.termLink[src])
+	buf, _ = h.switchPath(src/h.t, dst/h.t, buf)
+	return append(buf, h.termLink[dst]), nil
+}
+
+// switchPath appends the switch-to-switch links of the route from switch
+// ss to switch ds.
+func (h *HyperX) switchPath(ss, ds int, buf []int) ([]int, error) {
+	sx, sy, sz := h.switchCoords(ss)
+	dx, dy, dz := h.switchCoords(ds)
 	if sx != dx {
 		line := sz*h.s2 + sy
 		buf = append(buf, int(h.dimLink[0][(line*h.s1+sx)*h.s1+dx]))
@@ -180,7 +189,16 @@ func (h *HyperX) Route(src, dst int, buf []int) ([]int, error) {
 		line := dy*h.s1 + dx
 		buf = append(buf, int(h.dimLink[2][(line*h.s3+sz)*h.s3+dz]))
 	}
-	return append(buf, h.termLink[dst]), nil
+	return buf, nil
+}
+
+// AccumulateFlows implements Topology: a route depends only on the
+// switch pair between its terminal links.
+func (h *HyperX) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
+	if err := checkLinkBytes(h, linkBytes); err != nil {
+		return FlowLoad{}, err
+	}
+	return accumulateSwitched(h, h.s1*h.s2*h.s3, h.t, h.termLink, h.classes, flows, linkBytes)
 }
 
 var _ Topology = (*HyperX)(nil)

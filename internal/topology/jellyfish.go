@@ -242,4 +242,9 @@ func (j *Jellyfish) HopCount(src, dst int) int { return j.hopCount(src, dst) }
 // Route implements Topology.
 func (j *Jellyfish) Route(src, dst int, buf []int) ([]int, error) { return j.route(j, src, dst, buf) }
 
+// AccumulateFlows implements Topology.
+func (j *Jellyfish) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
+	return j.accumulateFlows(j, flows, linkBytes)
+}
+
 var _ Topology = (*Jellyfish)(nil)

@@ -113,4 +113,9 @@ func (s *SlimFly) HopCount(src, dst int) int { return s.hopCount(src, dst) }
 // Route implements Topology.
 func (s *SlimFly) Route(src, dst int, buf []int) ([]int, error) { return s.route(s, src, dst, buf) }
 
+// AccumulateFlows implements Topology.
+func (s *SlimFly) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
+	return s.accumulateFlows(s, flows, linkBytes)
+}
+
 var _ Topology = (*SlimFly)(nil)

@@ -1,13 +1,19 @@
-// Package topology models the three interconnection topologies of the
-// study — 3D torus, fat tree, and dragonfly — as explicit switch/link
-// graphs with deterministic minimal (shortest-path) routing.
+// Package topology models interconnection networks as explicit
+// switch/link graphs with deterministic minimal (shortest-path) routing:
+// the study's 3D torus, fat tree and dragonfly, and beyond the paper the
+// 3D mesh, Slim Fly, Jellyfish and HyperX, plus Valiant routing over a
+// dragonfly.
 //
 // Each Topology exposes compute nodes 0..Nodes()-1 (the entities ranks are
 // mapped onto), an undirected link list over an internal vertex space
 // (compute nodes plus switches), an analytic HopCount for fast aggregate
-// metrics, and a Route that returns the concrete link path used for
-// link-level traffic accounting. Analytic hop counts are validated against
-// breadth-first search over the explicit graph in the package tests.
+// metrics, a Route that returns the concrete link path of one node pair,
+// and AccumulateFlows, which routes a whole traffic matrix's flows at
+// once for the non-temporal network model: each family routes the flows
+// that share a route (one source's tree on a torus, one switch pair
+// elsewhere) once. Analytic hop counts are validated against
+// breadth-first search over the explicit graph in the package tests, and
+// AccumulateFlows against per-pair Route walks in package netmodel's.
 //
 // Following the paper, routing is shortest-path for all topologies: the
 // model is non-temporal, so no load balancing or adaptivity is needed, and
@@ -57,7 +63,9 @@ func (c LinkClass) String() string {
 type Topology interface {
 	// Name identifies the topology instance, e.g. "torus(4,4,4)".
 	Name() string
-	// Kind is the topology family: "torus", "fattree", or "dragonfly".
+	// Kind is the topology family: one of Kinds() ("torus", "mesh",
+	// "fattree", "dragonfly", "slimfly", "jellyfish", "hyperx") or
+	// "valiant-dragonfly".
 	Kind() string
 	// Nodes returns the number of compute nodes (rank mapping targets).
 	Nodes() int
@@ -77,6 +85,12 @@ type Topology interface {
 	// The returned slice is owned by the caller; buf may be passed to
 	// avoid allocation (Route appends to buf[:0]).
 	Route(src, dst int, buf []int) ([]int, error)
+	// AccumulateFlows routes every flow that flows visits. It adds each
+	// flow's bytes onto every link of its route in linkBytes, which is
+	// parallel to Links() (nil skips link accounting), and returns the
+	// flows' hop totals. The result equals walking Route for every flow;
+	// flows that share a route are routed once.
+	AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error)
 }
 
 // checkEndpoints validates a node pair against the topology size.

@@ -218,110 +218,135 @@ func (t *Torus) Route(src, dst int, buf []int) ([]int, error) {
 	return buf, nil
 }
 
-// FlowScratch holds the reusable buffers of AccumulateFlows so a caller
-// sweeping many sources allocates them once.
-type FlowScratch struct {
-	order  []int32
-	bucket []int32
+// AccumulateFlows implements Topology. Hop counts come from the
+// source's ring distances per coordinate. The dimension-ordered routes
+// from one source form a tree, so its link loads need no route walks:
+// the bytes bound for each node are gathered in a node vector and, when
+// the source changes, drained toward the source by three ring sweeps
+// (see sweep). The sweeps leave the vector zero, so it is never cleared.
+func (t *Torus) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
+	if err := checkLinkBytes(t, linkBytes); err != nil {
+		return FlowLoad{}, err
+	}
+	n, dims := t.Nodes(), t.x+t.y+t.z
+	a := &torusFlows{t: t, links: linkBytes, src: -1}
+	if linkBytes != nil {
+		scratch := make([]uint64, n+dims)
+		a.vec, a.dist = scratch[:n], scratch[n:]
+	} else {
+		a.dist = make([]uint64, dims)
+	}
+	flows(a.visit)
+	a.sweep()
+	return a.load, nil
 }
 
-// AccumulateFlows adds, onto linkBytes, the per-link byte loads of the
-// dimension-ordered routes from src to every destination node, where
-// dstBytes[v] is the volume bound for node v. It is exactly equivalent to
-// routing each (src, v) pair and adding dstBytes[v] along the route, but
-// runs in O(nodes) instead of O(nodes · hops): the routes from one source
-// form a tree (stepping one hop back along the arrival dimension never
-// flips the shorter-ring-way choice, so every route is a prefix of its
-// children's), and subtree volumes are accumulated leaf-to-root.
-//
-// dstBytes is used as the accumulation workspace and is left holding
-// partial subtree sums; callers must re-zero it before reuse. dstBytes and
-// linkBytes must be sized Nodes() and len(Links()) respectively.
-func (t *Torus) AccumulateFlows(src int, dstBytes, linkBytes []uint64, sc *FlowScratch) error {
-	n := t.Nodes()
-	if len(dstBytes) != n || len(linkBytes) != len(t.links) {
-		return fmt.Errorf("topology: AccumulateFlows buffer sizes %d/%d, want %d/%d",
-			len(dstBytes), len(linkBytes), n, len(t.links))
+// torusFlows is the state of one Torus.AccumulateFlows call.
+type torusFlows struct {
+	t     *Torus
+	links []uint64
+	load  FlowLoad
+	src   int      // current source node, -1 before the first flow
+	vec   []uint64 // bytes bound for each node from src; nil without links
+	// dist holds src's ring distances to every X coordinate, then every
+	// Y, then every Z, so a hop count is three lookups.
+	dist []uint64
+}
+
+func (a *torusFlows) visit(src, dst int, bytes, packets, messages uint64) {
+	t := a.t
+	if src != a.src {
+		a.sweep()
+		a.src = src
+		sx, sy, sz := t.coords(src)
+		t.ringDistances(a.dist[:t.x], sx, t.x)
+		t.ringDistances(a.dist[t.x:t.x+t.y], sy, t.y)
+		t.ringDistances(a.dist[t.x+t.y:], sz, t.z)
 	}
-	if src < 0 || src >= n {
-		return fmt.Errorf("topology: source %d out of range [0,%d)", src, n)
+	c := t.coordTab[dst*3 : dst*3+3]
+	h := a.dist[c[0]] + a.dist[t.x+int(c[1])] + a.dist[t.x+t.y+int(c[2])]
+	a.load.add(bytes, packets, messages, h, false) // a torus has no global links
+	if a.vec != nil {
+		a.vec[dst] += bytes
 	}
-	// Counting-sort nodes by hop count so children (hops h+1) are drained
-	// before their parents (hops h).
-	maxH := t.x + t.y + t.z
-	if cap(sc.bucket) < maxH+1 {
-		sc.bucket = make([]int32, maxH+1)
-	}
-	bucket := sc.bucket[:maxH+1]
-	for i := range bucket {
-		bucket[i] = 0
-	}
-	if cap(sc.order) < n {
-		sc.order = make([]int32, n)
-	}
-	order := sc.order[:n]
-	for v := 0; v < n; v++ {
-		bucket[t.HopCount(src, v)]++
-	}
-	// Offsets for descending hop count.
-	pos := int32(0)
-	for h := maxH; h >= 0; h-- {
-		c := bucket[h]
-		bucket[h] = pos
-		pos += c
-	}
-	for v := 0; v < n; v++ {
-		h := t.HopCount(src, v)
-		order[bucket[h]] = int32(v)
-		bucket[h]++
-	}
-	sx, sy, sz := t.coords(src)
-	for _, v32 := range order {
-		v := int(v32)
-		if v == src {
-			break // hops 0 sorts last; nothing beyond it
-		}
-		b := dstBytes[v]
-		if b == 0 {
-			continue
-		}
-		// The arrival hop is in the last dimension (X, then Y, then Z
-		// walk order) where v differs from src; step one back toward the
-		// source coordinate along the chosen ring way.
-		vx, vy, vz := t.coords(v)
-		var from, to, size, dim, stride int
-		switch {
-		case vz != sz:
-			from, to, size, dim, stride = vz, sz, t.z, 2, t.x*t.y
-		case vy != sy:
-			from, to, size, dim, stride = vy, sy, t.y, 1, t.x
-		default:
-			from, to, size, dim, stride = vx, sx, t.x, 0, 1
-		}
-		step, dir := 1, dim*2 // direction of the prev -> v hop
+}
+
+// ringDistances fills dist[c] with the hop distance from coordinate s to
+// c in a dimension of the given size.
+func (t *Torus) ringDistances(dist []uint64, s, size int) {
+	for c := range dist {
 		if t.wrap {
-			fwd := (from - to + size) % size // steps walked in +direction
-			if fwd > size-fwd {
-				step, dir = -1, dim*2+1
-			}
-		} else if from < to {
-			step, dir = -1, dim*2+1
+			dist[c] = uint64(ringDist(s, c, size))
+		} else {
+			dist[c] = uint64(absDiff(s, c))
 		}
-		prevC := from - step
-		if prevC < 0 {
-			prevC = size - 1
-		} else if prevC == size {
-			prevC = 0
-		}
-		prev := v + (prevC-from)*stride
-		li := t.dirLink[prev*6+dir]
-		if li < 0 {
-			return fmt.Errorf("topology: torus missing link at node %d dir %d", prev, dir)
-		}
-		linkBytes[li] += b
-		dstBytes[prev] += b
 	}
-	return nil
+}
+
+// sweep drains the current source's node vector onto the links of its
+// routes. Routes run X, then Y, then Z, so the bytes bound for a node
+// travel the Z column above it from the source's plane, those reaching
+// the plane travel its Y line from the source's X line, and those
+// reaching that line travel it from the source: the Z columns are swept
+// into the source's plane, the plane's Y lines into the source's X line,
+// and that line into the source.
+func (a *torusFlows) sweep() {
+	if a.vec == nil || a.src < 0 {
+		return
+	}
+	t := a.t
+	sx, sy, sz := t.coords(a.src)
+	plane := t.x * t.y
+	for col := 0; col < plane; col++ {
+		a.sweepRing(col, plane, t.z, sz, 4)
+	}
+	for x := 0; x < t.x; x++ {
+		a.sweepRing(sz*plane+x, t.x, t.y, sy, 2)
+	}
+	a.sweepRing(sz*plane+sy*t.x, 1, t.x, sx, 0)
+	a.vec[a.src] = 0
+}
+
+// sweepRing drains the ring of the size nodes first + i·stride onto its
+// node at position s. dirPlus is the ring's positive direction index
+// (see dirLink). Each side is walked from its far end inward, carrying
+// the bytes bound beyond each node onto the link toward s; routes take
+// the shorter way round, and the positive one on a tie.
+func (a *torusFlows) sweepRing(first, stride, size, s, dirPlus int) {
+	if size == 1 {
+		return
+	}
+	t, vec, links := a.t, a.vec, a.links
+	fwd, back := size-1-s, s // mesh: everything above s, everything below
+	if t.wrap {
+		fwd = size / 2
+		back = size - 1 - fwd
+	}
+	var carried uint64
+	for i := fwd; i >= 1; i-- { // reached from s in the positive direction
+		p := s + i
+		if p >= size {
+			p -= size
+		}
+		v := first + p*stride
+		carried += vec[v]
+		vec[v] = 0
+		links[t.dirLink[v*6+dirPlus+1]] += carried // the link back toward s
+	}
+	home := first + s*stride
+	vec[home] += carried
+	carried = 0
+	for i := back; i >= 1; i-- { // reached in the negative direction
+		p := s - i
+		if p < 0 {
+			p += size
+		}
+		v := first + p*stride
+		carried += vec[v]
+		vec[v] = 0
+		links[t.dirLink[v*6+dirPlus]] += carried
+	}
+	vec[home] += carried
 }
 
 var _ Topology = (*Torus)(nil)

@@ -284,65 +284,3 @@ func TestRouteWalkMatchesRingDist(t *testing.T) {
 		}
 	}
 }
-
-// TestAccumulateFlowsMatchesPerPairRouting pins the tree-accumulation fast
-// path against the definitionally-correct per-pair route walk, over random
-// traffic on torus and mesh shapes including size-1 and size-2 dimensions.
-func TestAccumulateFlowsMatchesPerPairRouting(t *testing.T) {
-	shapes := []struct {
-		x, y, z int
-		wrap    bool
-	}{
-		{4, 4, 4, true}, {5, 3, 2, true}, {2, 2, 2, true}, {6, 1, 1, true},
-		{4, 4, 4, false}, {5, 3, 2, false}, {1, 7, 2, false},
-	}
-	for _, s := range shapes {
-		var tor *Torus
-		var err error
-		if s.wrap {
-			tor, err = NewTorus(s.x, s.y, s.z)
-		} else {
-			tor, err = NewMesh(s.x, s.y, s.z)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := tor.Nodes()
-		rng := rand.New(rand.NewSource(int64(n)))
-		dstBytes := make([]uint64, n)
-		want := make([]uint64, len(tor.Links()))
-		got := make([]uint64, len(tor.Links()))
-		var sc FlowScratch
-		var buf []int
-		for src := 0; src < n; src++ {
-			for i := range dstBytes {
-				dstBytes[i] = 0
-			}
-			for v := 0; v < n; v++ {
-				if v != src && rng.Intn(3) > 0 {
-					dstBytes[v] = uint64(rng.Intn(1000))
-				}
-			}
-			for v := 0; v < n; v++ {
-				if dstBytes[v] == 0 {
-					continue
-				}
-				buf, err = tor.Route(src, v, buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, li := range buf {
-					want[li] += dstBytes[v]
-				}
-			}
-			if err := tor.AccumulateFlows(src, dstBytes, got, &sc); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for li := range want {
-			if want[li] != got[li] {
-				t.Fatalf("%s: link %d bytes %d (fast) != %d (per-pair)", tor.Name(), li, got[li], want[li])
-			}
-		}
-	}
-}

@@ -118,4 +118,14 @@ func (v *Valiant) HopCount(src, dst int) int {
 	return hops
 }
 
+// AccumulateFlows implements Topology. The pivot is hashed per node
+// pair, so no two pairs are known to share a route: each flow walks its
+// own (the embedded dragonfly's method would route minimally).
+func (v *Valiant) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
+	if err := checkLinkBytes(v, linkBytes); err != nil {
+		return FlowLoad{}, err
+	}
+	return accumulateRoutes(v, flows, linkBytes)
+}
+
 var _ Topology = (*Valiant)(nil)

@@ -89,6 +89,14 @@ func (w *Writer) Write(e Event) error {
 	if err := e.Validate(w.ranks); err != nil {
 		return err
 	}
+	// Validate leaves the peer of a collective and the root of an
+	// unrooted op unchecked; they must still fit their int32 fields.
+	if e.Peer != int(int32(e.Peer)) {
+		return fmt.Errorf("trace: peer %d outside [%d, %d]", e.Peer, math.MinInt32, math.MaxInt32)
+	}
+	if e.Root != int(int32(e.Root)) {
+		return fmt.Errorf("trace: root %d outside [%d, %d]", e.Root, math.MinInt32, math.MaxInt32)
+	}
 	var rec [recordSize]byte
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(e.Rank))
 	rec[4] = byte(e.Op)
@@ -292,7 +300,9 @@ func ReadText(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Meta: meta}
+	// Events is never nil, as from ReadTrace, so a trace reads back the
+	// same from either codec.
+	t := &Trace{Meta: meta, Events: []Event{}}
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++

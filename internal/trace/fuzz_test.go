@@ -165,3 +165,34 @@ func FuzzReadTrace(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadText feeds arbitrary text to the text reader. Whatever it
+// accepts must either be refused by the binary writer or survive a
+// binary round trip unchanged: the writer may not narrow a field the
+// text format holds wider. The committed seeds
+// (testdata/fuzz/FuzzReadText) are the sample trace as text, a header
+// declaring 2^32+2 ranks whose binary form read back as a 2-rank trace
+// with rank 4294967297 turned into rank 1, and a collective whose peer
+// does not fit int32.
+func FuzzReadText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadText(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("text reader returned an invalid trace: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, tr); err != nil {
+			return // refused, not narrowed
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-reading the binary form: %v", err)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatalf("binary round trip changed the trace:\n%+v\nvs\n%+v", tr, back)
+		}
+	})
+}

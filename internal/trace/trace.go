@@ -153,10 +153,14 @@ type Meta struct {
 	WallTime float64
 }
 
+// maxRanks is the largest rank count a trace can declare: the binary
+// codec stores peer and root ranks as int32.
+const maxRanks = math.MaxInt32
+
 // Validate checks the metadata.
 func (m Meta) Validate() error {
-	if m.Ranks <= 0 {
-		return fmt.Errorf("trace: non-positive rank count %d", m.Ranks)
+	if m.Ranks <= 0 || m.Ranks > maxRanks {
+		return fmt.Errorf("trace: rank count %d outside [1, %d]", m.Ranks, maxRanks)
 	}
 	// !(x >= 0) also catches NaN, which compares false to everything.
 	if !(m.WallTime >= 0) || math.IsInf(m.WallTime, 1) {

@@ -56,9 +56,10 @@ go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace
 # Allocation pins are built only without -race (the race runtime
 # allocates on its own), so the -race runs above never reach them: run
 # them here without it. They pin that a workcache hit allocates only its
-# key and that a congest tolerance probe allocates nothing per message.
+# key, that a congest tolerance probe allocates nothing per message, and
+# that a netmodel run allocates no more than its pinned ceilings.
 echo "=== go test (allocation pins, no -race) ==="
-go test -run 'Alloc' ./internal/workcache ./internal/congest
+go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/netmodel
 
 # bench/ is a module of its own, so the root ./... above never builds
 # it: vet and test it here, or a change to the packages it drives could
