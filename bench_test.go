@@ -276,7 +276,7 @@ func BenchmarkAblationMappingOptimizer(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(100*oc/cc, "%of-consecutive")
+			b.ReportMetric(100*float64(oc)/float64(cc), "%of-consecutive")
 		}
 	}
 }

@@ -11,6 +11,7 @@ package comm
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"netloc/internal/mpi"
 	"netloc/internal/parallel"
@@ -19,6 +20,24 @@ import (
 
 // DefaultPacketSize is the maximum packet payload the paper assumes (4 kB).
 const DefaultPacketSize = 4096
+
+// MaxVolume is the ceiling on the bytes a matrix, or a caller-side
+// total of an accumulation, may sum to: 2^48 B (256 TiB), about 2,000
+// times the largest registry workload (SNAP at 168 ranks, 1.3·10^11 B).
+// Recording past it fails instead of wrapping.
+//
+// The ceiling keeps every byte × route-length sum exact in uint64:
+// netmodel's byte-hops and the mapping costs that Greedy, Refine and
+// Bisection compare. Such a sum is at most the volume times the longest
+// route, so it cannot wrap while routes are shorter than 2^16 links, and
+// they are on every topology the program builds. Fat-tree, dragonfly,
+// Slim Fly and HyperX routes have at most six links (Valiant's two
+// dragonfly legs ten), Jellyfish routes at most two more than its int16
+// switch tables hold, and a torus or mesh route fewer than the grid's
+// nodes: below 2^15 for topology.Configs (at most 13,824 ranks), and at
+// most twice the ranks for design candidates, so 2^16 for a search over
+// 32,768 ranks.
+const MaxVolume = 1 << 48
 
 // Key identifies an ordered rank pair.
 type Key struct {
@@ -116,6 +135,10 @@ func (m *Matrix) AddN(src, dst int, bytes uint64, n uint64) error {
 	}
 	if n == 0 {
 		return nil
+	}
+	if hi, vol := bits.Mul64(bytes, n); hi != 0 || vol > MaxVolume-m.totalBytes {
+		return fmt.Errorf("comm: %d messages of %d B from rank %d to %d take the matrix past %d B (MaxVolume)",
+			n, bytes, src, dst, uint64(MaxVolume))
 	}
 	pkts := m.PacketsFor(bytes) * n
 	if d := m.dense[src]; d != nil {
@@ -286,6 +309,9 @@ func (m *Matrix) Merge(other *Matrix) error {
 	}
 	if other.packetSize != m.packetSize {
 		return fmt.Errorf("comm: merge packet-size mismatch: %d vs %d", other.packetSize, m.packetSize)
+	}
+	if other.totalBytes > MaxVolume-m.totalBytes {
+		return fmt.Errorf("comm: merging %d B into %d B passes %d B (MaxVolume)", other.totalBytes, m.totalBytes, uint64(MaxVolume))
 	}
 	for src := 0; src < m.ranks; src++ {
 		if od := other.dense[src]; od != nil {
@@ -472,8 +498,12 @@ func (a *Accumulated) merge(o *Accumulated) error {
 	if err := a.Wire.Merge(o.Wire); err != nil {
 		return err
 	}
-	a.CallerP2PBytes += o.CallerP2PBytes
-	a.CallerCollBytes += o.CallerCollBytes
+	if err := addVolume(&a.CallerP2PBytes, o.CallerP2PBytes, "point-to-point"); err != nil {
+		return err
+	}
+	if err := addVolume(&a.CallerCollBytes, o.CallerCollBytes, "collective"); err != nil {
+		return err
+	}
 	for k, n := range o.collCounts {
 		a.collCounts[k] += n
 	}
@@ -540,9 +570,13 @@ type collKey struct {
 func (a *Accumulated) addEvent(e trace.Event, world *mpi.Comm, buf *[]mpi.Message) error {
 	switch {
 	case e.Op == trace.OpSend:
-		a.CallerP2PBytes += e.Bytes
+		if err := addVolume(&a.CallerP2PBytes, e.Bytes, "point-to-point"); err != nil {
+			return err
+		}
 	case e.Op.IsCollective():
-		a.CallerCollBytes += e.Bytes
+		if err := addVolume(&a.CallerCollBytes, e.Bytes, "collective"); err != nil {
+			return err
+		}
 		if err := e.Validate(world.Size()); err != nil {
 			return err
 		}
@@ -564,6 +598,15 @@ func (a *Accumulated) addEvent(e trace.Event, world *mpi.Comm, buf *[]mpi.Messag
 			}
 		}
 	}
+	return nil
+}
+
+// addVolume adds bytes to a caller-side total, failing past MaxVolume.
+func addVolume(total *uint64, bytes uint64, kind string) error {
+	if bytes > MaxVolume-*total {
+		return fmt.Errorf("comm: %s caller bytes %d + %d pass %d B (MaxVolume)", kind, *total, bytes, uint64(MaxVolume))
+	}
+	*total += bytes
 	return nil
 }
 

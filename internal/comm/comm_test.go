@@ -466,3 +466,77 @@ func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 		}
 	}
 }
+
+// Byte sums stop at MaxVolume: a message that would carry a matrix past
+// it, by its own size or by wrapping bytes × count, fails and leaves the
+// matrix untouched.
+func TestAddNRejectsVolumePastCeiling(t *testing.T) {
+	m := mustMatrix(t, 4, 0)
+	if err := m.AddN(0, 1, MaxVolume/4, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Add(1, 2, MaxVolume/4); err != nil {
+		t.Fatalf("volume exactly at the ceiling refused: %v", err)
+	}
+	for _, c := range []struct {
+		bytes, n uint64
+	}{
+		{1, 1},
+		{1 << 63, 2}, // the product wraps to 0
+		{1 << 32, 1 << 32},
+	} {
+		if err := m.AddN(2, 3, c.bytes, c.n); err == nil {
+			t.Fatalf("AddN(%d B × %d) past the ceiling accepted", c.bytes, c.n)
+		}
+	}
+	if m.TotalBytes() != MaxVolume || m.Pairs() != 2 || m.Lookup(2, 3) != (Entry{}) {
+		t.Fatalf("refused AddN changed the matrix: total %d, pairs %d", m.TotalBytes(), m.Pairs())
+	}
+}
+
+func TestMergeRejectsVolumePastCeiling(t *testing.T) {
+	a, b := mustMatrix(t, 4, 0), mustMatrix(t, 4, 0)
+	if err := a.Add(0, 1, MaxVolume/2+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(0, 1, MaxVolume/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Merge(b); err == nil {
+		t.Fatal("merge past the ceiling accepted")
+	}
+	if a.TotalBytes() != MaxVolume/2+1 || a.Lookup(0, 1).Bytes != MaxVolume/2+1 {
+		t.Fatalf("refused merge changed the matrix: total %d", a.TotalBytes())
+	}
+}
+
+// Two 2^63-byte sends used to wrap the wire volume to the third send's
+// 1,000 bytes, and two 2^63-byte barriers (which put nothing on the
+// wire) the caller-side collective total to 0; both must fail, in the
+// sequential and the sharded pass alike.
+func TestAccumulateRejectsWrappingVolume(t *testing.T) {
+	meta := trace.Meta{App: "t", Ranks: 2, WallTime: 1}
+	sends := &trace.Trace{Meta: meta, Events: []trace.Event{
+		{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 1 << 63},
+		{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 1 << 63},
+		{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 1000},
+	}}
+	barriers := &trace.Trace{Meta: meta, Events: []trace.Event{
+		{Rank: 0, Op: trace.OpBarrier, Peer: -1, Root: -1, Bytes: 1 << 63},
+		{Rank: 1, Op: trace.OpBarrier, Peer: -1, Root: -1, Bytes: 1 << 63},
+	}}
+	for name, tr := range map[string]*trace.Trace{"sends": sends, "barriers": barriers} {
+		if acc, err := Accumulate(tr, AccumulateOptions{}); err == nil {
+			t.Fatalf("%s: accepted with wire volume %d B, caller totals %d/%d B",
+				name, acc.Wire.TotalBytes(), acc.CallerP2PBytes, acc.CallerCollBytes)
+		}
+	}
+	// The sharded pass merges caller totals; split the barriers across
+	// shards so the merge, not one shard, meets the ceiling.
+	big := bigTrace(4, 2*minShardEvents)
+	big.Events[0] = trace.Event{Rank: 0, Op: trace.OpBarrier, Peer: -1, Root: -1, Bytes: MaxVolume/2 + 1}
+	big.Events[len(big.Events)-1] = trace.Event{Rank: 1, Op: trace.OpBarrier, Peer: -1, Root: -1, Bytes: MaxVolume / 2}
+	if _, err := AccumulateParallel(big, AccumulateOptions{}, parallel.New(2)); err == nil {
+		t.Fatal("sharded caller totals past the ceiling accepted")
+	}
+}

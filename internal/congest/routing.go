@@ -27,7 +27,7 @@ func newRouter(policy string, topo topology.Topology, seed uint64) (router, erro
 	case PolicyMinimal:
 		return &minimalRouter{topo: topo}, nil
 	case PolicyECMP:
-		return newECMPRouter(topo, seed)
+		return newECMPRouter(topo, seed), nil
 	case PolicyValiant:
 		return newValiantRouter(topo, seed)
 	}
@@ -56,54 +56,32 @@ func mix64(x uint64) uint64 {
 }
 
 // ecmpRouter spreads flows over the equal-cost shortest paths of the
-// topology's reference graph: at every vertex, the next hop among the
+// topology's link graph: at every vertex, the next hop among the
 // distance-decreasing neighbors is picked by a per-(flow, vertex) hash —
-// the stateless, deterministic spreading of flow-hashing switches. BFS
-// distance tables toward each destination are built lazily and reused
-// across the run.
+// the stateless, deterministic spreading of flow-hashing switches. The
+// BFS distance row toward each destination is filled on first use and
+// reused across the run. Endpoints are nodes of a prepared Wire, which
+// simnet.Prepare keeps inside the topology.
 type ecmpRouter struct {
-	graph *topology.Graph
+	adj   topology.Adjacency
 	seed  uint64
-	// adjacency with link identities, in link order (BFS ties and
-	// candidate order stay deterministic).
-	adj  [][]edge
-	dist map[int][]int // dst vertex -> distance table
+	dist  [][]int16 // destination node -> hop distance of every vertex
+	queue []int32   // BFS scratch
 }
 
-type edge struct {
-	to   int
-	link int
-}
-
-func newECMPRouter(topo topology.Topology, seed uint64) (*ecmpRouter, error) {
-	g, err := topology.GraphOf(topo)
-	if err != nil {
-		return nil, err
-	}
-	adj := make([][]edge, topo.NumVertices())
-	for li, l := range topo.Links() {
-		adj[l.A] = append(adj[l.A], edge{to: l.B, link: li})
-		adj[l.B] = append(adj[l.B], edge{to: l.A, link: li})
-	}
-	return &ecmpRouter{graph: g, seed: seed, adj: adj, dist: make(map[int][]int)}, nil
-}
-
-func (r *ecmpRouter) distTo(dst int) ([]int, error) {
-	if d, ok := r.dist[dst]; ok {
-		return d, nil
-	}
-	d, err := r.graph.BFSFrom(dst)
-	if err != nil {
-		return nil, err
-	}
-	r.dist[dst] = d
-	return d, nil
+func newECMPRouter(topo topology.Topology, seed uint64) *ecmpRouter {
+	return &ecmpRouter{adj: topology.AdjacencyOf(topo), seed: seed, dist: make([][]int16, topo.Nodes())}
 }
 
 func (r *ecmpRouter) route(src, dst int, buf []int) ([]int, bool, error) {
-	dist, err := r.distTo(dst)
-	if err != nil {
-		return nil, false, err
+	dist := r.dist[dst]
+	if dist == nil {
+		dist = make([]int16, len(r.adj))
+		var err error
+		if r.queue, err = r.adj.BFS(dst, dist, r.queue); err != nil {
+			return nil, false, err
+		}
+		r.dist[dst] = dist
 	}
 	if dist[src] < 0 {
 		return nil, false, fmt.Errorf("congest: no path %d->%d", src, dst)
@@ -118,7 +96,7 @@ func (r *ecmpRouter) route(src, dst int, buf []int) ([]int, bool, error) {
 		want := dist[cur] - 1
 		n := 0
 		for _, e := range r.adj[cur] {
-			if dist[e.to] == want {
+			if dist[e.To] == want {
 				n++
 			}
 		}
@@ -127,12 +105,12 @@ func (r *ecmpRouter) route(src, dst int, buf []int) ([]int, bool, error) {
 		}
 		pick := int(mix64(flow^uint64(cur)) % uint64(n))
 		for _, e := range r.adj[cur] {
-			if dist[e.to] != want {
+			if dist[e.To] != want {
 				continue
 			}
 			if pick == 0 {
-				path = append(path, e.link)
-				cur = e.to
+				path = append(path, int(e.Link))
+				cur = int(e.To)
 				break
 			}
 			pick--

@@ -92,10 +92,7 @@ func TestRoutesAreValidWalks(t *testing.T) {
 // flows spread over the equal-cost set.
 func TestECMPFlowStickinessAndSpread(t *testing.T) {
 	topo := torus(t, 4, 4, 1)
-	rt, err := newECMPRouter(topo, hashSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newECMPRouter(topo, hashSeed)
 	first, _, err := rt.route(0, 5, nil)
 	if err != nil {
 		t.Fatal(err)

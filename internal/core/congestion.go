@@ -49,7 +49,7 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 	if math.IsNaN(growthPct) || math.IsInf(growthPct, 0) {
 		return nil, fmt.Errorf("core: invalid congestion options: growth threshold %g%% (need finite; negative disables the sweep)", growthPct)
 	}
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	if len(refs) == 0 {
 		refs = CongestionWorkloads
 	}
@@ -65,7 +65,7 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 			capped = append(capped, ref)
 		}
 	}
-	perRef, err := runGrid(opts.runner(), len(capped), func(i int) ([]CongestionRow, error) {
+	perRef, err := runGrid(opts.Runner(), len(capped), func(i int) ([]CongestionRow, error) {
 		ref := capped[i]
 		cell := opts.Span.Start("cell")
 		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))

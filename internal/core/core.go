@@ -90,11 +90,12 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// withEngine installs a private worker budget when none was supplied,
+// WithEngine installs a private worker budget when none was supplied,
 // so the nested fan-out levels of one analysis (grid × topologies ×
-// per-rank loops) share a single token pool. Every public entry point
-// calls it; repeated application is a no-op.
-func (o Options) withEngine() Options {
+// per-rank loops) share a single token pool. Every public entry point,
+// here and in package design, calls it; repeated application is a
+// no-op.
+func (o Options) WithEngine() Options {
 	if o.Budget == nil && o.workers() > 1 {
 		// The calling goroutine holds no token, so the extras' budget
 		// is one less than the worker cap.
@@ -103,8 +104,9 @@ func (o Options) withEngine() Options {
 	return o
 }
 
-// runner returns the scheduler one fan-out level should use.
-func (o Options) runner() parallel.Runner {
+// Runner returns the scheduler one fan-out level should use: sequential
+// at one worker or without a budget, else one sharing the budget.
+func (o Options) Runner() parallel.Runner {
 	if o.workers() <= 1 || o.Budget == nil {
 		return parallel.Seq()
 	}
@@ -113,7 +115,7 @@ func (o Options) runner() parallel.Runner {
 
 // engine returns the metrics engine bound to the options' runner.
 func (o Options) engine() metrics.Engine {
-	return metrics.Engine{Run: o.runner()}
+	return metrics.Engine{Run: o.Runner()}
 }
 
 // withinCap reports whether a rank count passes the MaxRanks cap.
@@ -194,7 +196,7 @@ type Analysis struct {
 // cannot poison later registry analyses. Its declared rank count is
 // checked (see checkRanks) before anything is sized by it.
 func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	if err := opts.checkRanks(t.Meta.Ranks); err != nil {
 		return nil, err
 	}
@@ -234,7 +236,7 @@ func accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 	sp.SetLabel(fmt.Sprintf("%s/%d", t.Meta.App, t.Meta.Ranks))
 	sp.Add("events", int64(len(t.Events)))
 	acc, err := comm.AccumulateParallel(t,
-		comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, opts.runner())
+		comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, opts.Runner())
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +246,7 @@ func accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 
 // AnalyzeAccumulated runs the pipeline on pre-accumulated matrices.
 func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	q := opts.coverage()
 	a := &Analysis{
 		App:      acc.Meta.App,
@@ -289,7 +291,7 @@ func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) 
 			return nil, err
 		}
 		cfgs := []topology.Config{torCfg, ftCfg, dfCfg}
-		results, err := runGrid(opts.runner(), len(cfgs), func(i int) (*TopoResult, error) {
+		results, err := runGrid(opts.Runner(), len(cfgs), func(i int) (*TopoResult, error) {
 			res, err := runTopology(acc, cfgs[i], MappingConsecutive, opts, opts.Span)
 			if err != nil {
 				return nil, fmt.Errorf("core: %s on %s%s: %w", a.App, cfgs[i].Kind, cfgs[i], err)
@@ -440,7 +442,7 @@ func runTopology(acc *comm.Accumulated, cfg topology.Config, mappingName string,
 // consecutive). It backs the service's /v1/analyze endpoint. The returned
 // Analysis carries only the selected topology block(s); Acc is released.
 func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Options) (*Analysis, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	o := opts
 	o.SkipTopologies = true
 	a, err := AnalyzeApp(name, ranks, o)
@@ -451,7 +453,7 @@ func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Opt
 	if topoKind != "" && topoKind != "all" {
 		kinds = []string{topoKind}
 	}
-	results, err := runGrid(opts.runner(), len(kinds), func(i int) (*TopoResult, error) {
+	results, err := runGrid(opts.Runner(), len(kinds), func(i int) (*TopoResult, error) {
 		cfg, err := ConfigFor(kinds[i], ranks)
 		if err != nil {
 			return nil, err
@@ -494,7 +496,7 @@ func AnalyzeApp(name string, ranks int, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	acc, err := opts.Cache.Accumulated(opts.accKey(app.Name, ranks), func() (*comm.Accumulated, error) {
 		t, err := generateTrace(app, ranks, opts)
 		if err != nil {

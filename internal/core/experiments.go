@@ -45,7 +45,7 @@ type Table1Row struct {
 // Options.Parallelism fans the configurations out over the worker
 // budget (rows keep table order).
 func Table1(opts Options) ([]Table1Row, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	type cfg struct {
 		app   *workloads.App
 		ranks int
@@ -58,7 +58,7 @@ func Table1(opts Options) ([]Table1Row, error) {
 			}
 		}
 	}
-	return runGrid(opts.runner(), len(cfgs), func(i int) (Table1Row, error) {
+	return runGrid(opts.Runner(), len(cfgs), func(i int) (Table1Row, error) {
 		app, ranks := cfgs[i].app, cfgs[i].ranks
 		cell := opts.Span.Start("cell")
 		cell.SetLabel(fmt.Sprintf("%s/%d", app.Name, ranks))
@@ -118,14 +118,14 @@ func Table2(opts Options) ([]Table2Row, error) {
 // topologies) for every configuration. The grid fans out over the
 // worker budget; rows stay in table order regardless of Parallelism.
 func Table3(opts Options) ([]*Analysis, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	var refs []WorkloadRef
 	for _, ref := range AllConfigurations() {
 		if opts.withinCap(ref.Ranks) {
 			refs = append(refs, ref)
 		}
 	}
-	return runGrid(opts.runner(), len(refs), func(i int) (*Analysis, error) {
+	return runGrid(opts.Runner(), len(refs), func(i int) (*Analysis, error) {
 		ref := refs[i]
 		cell := opts.Span.Start("cell")
 		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
@@ -171,7 +171,7 @@ type Table4Row struct {
 // over the worker budget; within one configuration the candidate-grid
 // sweep of each folding is parallelized too.
 func Table4(opts Options) ([]Table4Row, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	q := opts.coverage()
 	var refs []WorkloadRef
 	for _, ref := range Table4Workloads {
@@ -180,7 +180,7 @@ func Table4(opts Options) ([]Table4Row, error) {
 		}
 	}
 	eng := opts.engine()
-	return runGrid(opts.runner(), len(refs), func(i int) (Table4Row, error) {
+	return runGrid(opts.Runner(), len(refs), func(i int) (Table4Row, error) {
 		ref := refs[i]
 		cell := opts.Span.Start("cell")
 		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
@@ -248,7 +248,7 @@ type Figure3Curve struct {
 // the call fails with an error listing the smallest admissible cap
 // instead of returning a silently empty figure.
 func Figure3(opts Options) ([]Figure3Curve, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	o := opts
 	o.SkipTopologies = true
 	var refs []WorkloadRef
@@ -271,7 +271,7 @@ func Figure3(opts Options) ([]Figure3Curve, error) {
 		return nil, fmt.Errorf("core: MaxRanks %d excludes every workload configuration (smallest configured scale: %d ranks)",
 			opts.MaxRanks, smallest)
 	}
-	curves, err := runGrid(opts.runner(), len(refs), func(i int) (*Figure3Curve, error) {
+	curves, err := runGrid(opts.Runner(), len(refs), func(i int) (*Figure3Curve, error) {
 		ref := refs[i]
 		cell := opts.Span.Start("cell")
 		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
@@ -315,7 +315,7 @@ func Figure4(appName string, opts Options) ([]Figure3Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	o := opts
 	o.SkipTopologies = true
 	var rankList []int
@@ -328,7 +328,7 @@ func Figure4(appName string, opts Options) ([]Figure3Curve, error) {
 		return nil, fmt.Errorf("core: MaxRanks %d excludes every %s configuration (configured: %v)",
 			opts.MaxRanks, app.Name, app.RankCounts())
 	}
-	curves, err := runGrid(opts.runner(), len(rankList), func(i int) (*Figure3Curve, error) {
+	curves, err := runGrid(opts.Runner(), len(rankList), func(i int) (*Figure3Curve, error) {
 		ranks := rankList[i]
 		cell := opts.Span.Start("cell")
 		cell.SetLabel(fmt.Sprintf("%s/%d", appName, ranks))
@@ -379,7 +379,7 @@ type Figure5Series struct {
 // of cores would sophisticate scaling effects"). Traffic includes both
 // point-to-point and collective messages.
 func Figure5(minRanks int, opts Options) ([]Figure5Series, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	o := opts
 	o.SkipTopologies = true
 	var refs []WorkloadRef
@@ -388,7 +388,7 @@ func Figure5(minRanks int, opts Options) ([]Figure5Series, error) {
 			refs = append(refs, ref)
 		}
 	}
-	return runGrid(opts.runner(), len(refs), func(i int) (Figure5Series, error) {
+	return runGrid(opts.Runner(), len(refs), func(i int) (Figure5Series, error) {
 		ref := refs[i]
 		cell := opts.Span.Start("cell")
 		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))

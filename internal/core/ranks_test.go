@@ -52,3 +52,31 @@ func TestAnalyzeTraceRanksCaps(t *testing.T) {
 		t.Fatalf("13,825 ranks without topologies: %v", err)
 	}
 }
+
+// wrappingTrace carries two 2^63-byte sends 0→1 and a 1,000-byte one:
+// their sum wraps uint64 to 1,000 bytes.
+func wrappingTrace() *trace.Trace {
+	send := trace.Event{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 1 << 63}
+	small := send
+	small.Bytes = 1000
+	return &trace.Trace{
+		Meta:   trace.Meta{App: "wrap", Ranks: 2, WallTime: 1},
+		Events: []trace.Event{send, send, small},
+	}
+}
+
+// The trace passes trace.Validate, and used to be analyzed as 0.001 MB
+// next to 4.5·10^15 torus packet hops; its byte sum must fail instead.
+func TestAnalyzeTraceRefusesWrappingVolume(t *testing.T) {
+	tr := wrappingTrace()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeTrace(tr, Options{Parallelism: 1})
+	if err == nil {
+		t.Fatalf("analyzed: VolMB %v, torus packet hops %v", a.VolMB, a.Torus.PacketHops)
+	}
+	if !strings.Contains(err.Error(), "MaxVolume") {
+		t.Fatalf("err = %v, want the volume ceiling named", err)
+	}
+}

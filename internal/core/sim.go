@@ -38,7 +38,7 @@ var SimWorkloads = []WorkloadRef{
 // one generates its trace once and replays it on the three topologies
 // in order); rows stay in table order regardless of Parallelism.
 func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	if len(refs) == 0 {
 		refs = SimWorkloads
 	}
@@ -48,7 +48,7 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 			capped = append(capped, ref)
 		}
 	}
-	perRef, err := runGrid(opts.runner(), len(capped), func(i int) ([]SimRow, error) {
+	perRef, err := runGrid(opts.Runner(), len(capped), func(i int) ([]SimRow, error) {
 		ref := capped[i]
 		cell := opts.Span.Start("cell")
 		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -33,7 +32,6 @@ import (
 	"netloc/internal/comm"
 	"netloc/internal/core"
 	"netloc/internal/netmodel"
-	"netloc/internal/parallel"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
@@ -605,30 +603,6 @@ func hyperxConfigs(ranks int, c Constraints) []topology.Config {
 	return out
 }
 
-// Engine plumbing mirroring core.Options' unexported helpers: one shared
-// token budget across the config fan-out, sequential when Parallelism=1.
-
-func optWorkers(o core.Options) int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func withEngine(o core.Options) core.Options {
-	if o.Budget == nil && optWorkers(o) > 1 {
-		o.Budget = parallel.NewBudget(optWorkers(o) - 1)
-	}
-	return o
-}
-
-func optRunner(o core.Options) parallel.Runner {
-	if optWorkers(o) <= 1 || o.Budget == nil {
-		return parallel.Seq()
-	}
-	return parallel.Shared(o.Budget, optWorkers(o))
-}
-
 // accumulateCached memoizes the accumulated matrices of generated
 // traces in the shared artifact cache, so repeated sweeps over the same
 // workload (and core experiments over the same exact scale) reuse them.
@@ -640,7 +614,7 @@ func accumulateCached(t *trace.Trace, source string, opts core.Options) (*comm.A
 		defer sp.End()
 		sp.Add("events", int64(len(t.Events)))
 		return comm.AccumulateParallel(t,
-			comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, optRunner(opts))
+			comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, opts.Runner())
 	}
 	if source == "" {
 		return gen()
@@ -672,7 +646,7 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	opts = withEngine(opts)
+	opts = opts.WithEngine()
 
 	t, source, err := resolveTrace(req, opts)
 	if err != nil {
@@ -695,7 +669,7 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 	total := len(cfgs)
 	outcomes := make([]configOutcome, total)
 	var done atomic.Int64
-	err = optRunner(opts).ForEachErr(total, func(i int) error {
+	err = opts.Runner().ForEachErr(total, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -26,6 +26,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -102,7 +104,7 @@ func ParseRank(r io.Reader, rank int) ([]trace.Event, float64, error) {
 				return nil, 0, fmt.Errorf("dumpi: line %d: %w", lineNo, err)
 			}
 			if !baseSet {
-				baseWall, baseSet = wall, true
+				baseWall, maxWall, baseSet = wall, wall, true
 			}
 			cur = &record{name: name, enterWall: wall, params: map[string]int64{}}
 
@@ -117,10 +119,12 @@ func ParseRank(r io.Reader, rank int) ([]trace.Event, float64, error) {
 				continue
 			}
 			cur.leaveWall = wall
-			if wall > maxWall {
-				maxWall = wall
+			maxWall = max(maxWall, cur.enterWall, wall)
+			ev, ok, err := convert(cur, rank, baseWall)
+			if err != nil {
+				return nil, 0, fmt.Errorf("dumpi: line %d: %w", lineNo, err)
 			}
-			if ev, ok := convert(cur, rank, baseWall); ok {
+			if ok {
 				events = append(events, ev)
 			}
 			cur = nil
@@ -152,6 +156,9 @@ func parseEnterLeave(line, marker string) (string, float64, error) {
 	wall, err := strconv.ParseFloat(rest, 64)
 	if err != nil {
 		return "", 0, fmt.Errorf("bad walltime in %q: %w", line, err)
+	}
+	if math.IsNaN(wall) || math.IsInf(wall, 0) {
+		return "", 0, fmt.Errorf("walltime %v in %q is not finite", wall, line)
 	}
 	return name, wall, nil
 }
@@ -231,11 +238,11 @@ func parseVector(line string) []int64 {
 
 // convert turns a completed record into a trace event; ok is false for
 // calls the model skips (waits, administrative calls, recvs are kept for
-// completeness).
-func convert(rec *record, rank int, baseWall float64) (trace.Event, bool) {
+// completeness). It fails where a byte count or a timestamp would wrap.
+func convert(rec *record, rank int, baseWall float64) (ev trace.Event, ok bool, err error) {
 	op, known := callOps[rec.name]
 	if !known {
-		return trace.Event{}, false
+		return trace.Event{}, false, nil
 	}
 	elemSize := uint64(1)
 	if s, ok := datatypeSizes[rec.datatype]; ok {
@@ -244,6 +251,9 @@ func convert(rec *record, rank int, baseWall float64) (trace.Event, bool) {
 	var elems int64
 	if len(rec.counts) > 0 {
 		for _, c := range rec.counts {
+			if (c > 0 && elems > math.MaxInt64-c) || (c < 0 && elems < math.MinInt64-c) {
+				return trace.Event{}, false, fmt.Errorf("%s: vector counts overflow int64", rec.name)
+			}
 			elems += c
 		}
 	} else {
@@ -252,14 +262,16 @@ func convert(rec *record, rank int, baseWall float64) (trace.Event, bool) {
 	if elems < 0 {
 		elems = 0
 	}
-	ev := trace.Event{
-		Rank:  rank,
-		Op:    op,
-		Peer:  -1,
-		Root:  -1,
-		Bytes: uint64(elems) * elemSize,
-		Start: wallToNanos(rec.enterWall, baseWall),
-		End:   wallToNanos(rec.leaveWall, baseWall),
+	hi, nbytes := bits.Mul64(uint64(elems), elemSize)
+	if hi != 0 {
+		return trace.Event{}, false, fmt.Errorf("%s: %d elements of %d bytes overflow uint64", rec.name, elems, elemSize)
+	}
+	ev = trace.Event{Rank: rank, Op: op, Peer: -1, Root: -1, Bytes: nbytes}
+	if ev.Start, err = wallToNanos(rec.enterWall, baseWall); err != nil {
+		return trace.Event{}, false, err
+	}
+	if ev.End, err = wallToNanos(rec.leaveWall, baseWall); err != nil {
+		return trace.Event{}, false, err
 	}
 	if ev.End < ev.Start {
 		ev.End = ev.Start
@@ -273,15 +285,20 @@ func convert(rec *record, rank int, baseWall float64) (trace.Event, bool) {
 		trace.OpScatter, trace.OpScatterv:
 		ev.Root = int(rec.params["root"])
 	}
-	return ev, true
+	return ev, true, nil
 }
 
-func wallToNanos(wall, base float64) uint64 {
-	d := wall - base
+// wallToNanos converts a walltime to nanoseconds after the first call's,
+// clamping earlier times to 0 and failing past uint64's range.
+func wallToNanos(wall, base float64) (uint64, error) {
+	d := (wall - base) * 1e9
 	if d < 0 {
 		d = 0
 	}
-	return uint64(d * 1e9)
+	if !(d < math.MaxUint64) {
+		return 0, fmt.Errorf("walltime %v s is %v s after the first call, past the nanosecond range", wall, wall-base)
+	}
+	return uint64(d), nil
 }
 
 // LoadTrace assembles a full trace from per-rank dumpi2ascii streams
@@ -291,7 +308,7 @@ func LoadTrace(app string, rankStreams []io.Reader) (*trace.Trace, error) {
 	if len(rankStreams) == 0 {
 		return nil, fmt.Errorf("dumpi: no rank streams")
 	}
-	t := &trace.Trace{Meta: trace.Meta{App: app, Ranks: len(rankStreams)}}
+	t := &trace.Trace{Meta: trace.Meta{App: app, Ranks: len(rankStreams)}, Events: []trace.Event{}}
 	for rank, r := range rankStreams {
 		events, span, err := ParseRank(r, rank)
 		if err != nil {

@@ -1,7 +1,9 @@
 package dumpi
 
 import (
+	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -230,4 +232,81 @@ MPI_Sendrecv returning at walltime 3.2, cputime 0 seconds in thread 0.
 	if e.Op != trace.OpSend || e.Peer != 1 || e.Bytes != 400 {
 		t.Fatalf("sendrecv = %+v", e)
 	}
+}
+
+// nanDump stamps a send with NaN walltimes, which strconv.ParseFloat
+// accepts: it used to load as an event at 2^63 ns in a trace of wall
+// time 0.
+const nanDump = `MPI_Send entering at walltime NaN, cputime 0.1 seconds in thread 0.
+int count=8
+datatype datatype=10 (MPI_DOUBLE)
+int dest=1
+MPI_Send returning at walltime NaN, cputime 0.2 seconds in thread 0.
+`
+
+// wrapDump sends 2^61 doubles, 2^64 bytes: it used to load as a 0-byte
+// send.
+const wrapDump = `MPI_Send entering at walltime 1.0, cputime 0.1 seconds in thread 0.
+int count=2305843009213693952
+datatype datatype=10 (MPI_DOUBLE)
+int dest=1
+MPI_Send returning at walltime 1.5, cputime 0.2 seconds in thread 0.
+`
+
+func TestParseRankRejectsWrappingValues(t *testing.T) {
+	cases := map[string]struct{ dump, line string }{
+		"NaN walltime":  {nanDump, "line 1:"},
+		"+Inf walltime": {strings.Replace(sampleSend, "walltime 100.000200", "walltime +Inf", 1), "line 7:"},
+		"byte product":  {wrapDump, "line 5:"},
+		"vector sum": {`MPI_Alltoallv entering at walltime 1.0, cputime 0.0 seconds in thread 0.
+int sendcounts=[2](9223372036854775807, 1)
+datatype sendtype=1 (MPI_CHAR)
+MPI_Alltoallv returning at walltime 1.5, cputime 0.0 seconds in thread 0.
+`, "line 4:"},
+		"nanosecond range": {strings.Replace(sampleSend, "walltime 100.000200", "walltime 1e300", 1), "line 7:"},
+	}
+	for name, c := range cases {
+		_, _, err := ParseRank(strings.NewReader(c.dump), 0)
+		if err == nil || !strings.Contains(err.Error(), c.line) {
+			t.Errorf("%s: err = %v, want an error at %s", name, err, c.line)
+		}
+	}
+}
+
+// FuzzLoadTrace feeds arbitrary text to LoadTrace, one rank stream per
+// form-feed-separated part. Whatever it accepts must validate, end every
+// event within the trace's wall time, and survive a binary round trip
+// unchanged. The committed seeds (testdata/fuzz/FuzzLoadTrace) are a
+// two-rank exchange and nanDump and wrapDump, each followed by an empty
+// second rank.
+func FuzzLoadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		parts := strings.Split(string(data), "\f")
+		if len(parts) > 64 {
+			return
+		}
+		tr, err := LoadTrace("fuzz", readers(parts...))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("loaded an invalid trace: %v", err)
+		}
+		for i, e := range tr.Events {
+			if float64(e.End) > tr.Meta.WallTime*1e9 {
+				t.Fatalf("event %d ends at %d ns, past the %v s wall time", i, e.End, tr.Meta.WallTime)
+			}
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteTrace(&buf, tr); err != nil {
+			t.Fatalf("encoding a loaded trace: %v", err)
+		}
+		back, err := trace.ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-reading the binary form: %v", err)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatalf("binary round trip changed the trace:\n%+v\nvs\n%+v", tr, back)
+		}
+	})
 }

@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
 
 	"netloc/internal/comm"
 	"netloc/internal/topology"
@@ -27,16 +26,7 @@ func Bisection(m *comm.Matrix, topo *topology.Torus) (*Mapping, error) {
 	}
 	x, y, z := topo.Dims()
 
-	// Symmetric adjacency.
-	type edge struct {
-		peer int
-		w    float64
-	}
-	adj := make([][]edge, ranks)
-	m.Each(func(k comm.Key, e comm.Entry) {
-		adj[k.Src] = append(adj[k.Src], edge{k.Dst, float64(e.Bytes)})
-		adj[k.Dst] = append(adj[k.Dst], edge{k.Src, float64(e.Bytes)})
-	})
+	graph := rankGraph(m)
 
 	nodeOf := make([]int, ranks)
 	for i := range nodeOf {
@@ -60,8 +50,11 @@ func Bisection(m *comm.Matrix, topo *topology.Torus) (*Mapping, error) {
 		return out
 	}
 
-	// partition splits the rank set into a part of size k with small cut:
-	// grow from the rank with the heaviest internal attachment.
+	// partition splits the (ascending) rank set into a part of size k with
+	// small cut: grow from the rank with the heaviest internal attachment.
+	// Calls share the rank-indexed scratch, set up over the set on entry.
+	inSet, taken := make([]bool, ranks), make([]bool, ranks)
+	totals, attach := make([]uint64, ranks), make([]uint64, ranks)
 	partition := func(set []int, k int) (first, second []int) {
 		if k <= 0 {
 			return nil, append([]int(nil), set...)
@@ -69,16 +62,14 @@ func Bisection(m *comm.Matrix, topo *topology.Torus) (*Mapping, error) {
 		if k >= len(set) {
 			return append([]int(nil), set...), nil
 		}
-		inSet := make(map[int]bool, len(set))
 		for _, r := range set {
-			inSet[r] = true
+			inSet[r], taken[r], totals[r], attach[r] = true, false, 0, 0
 		}
 		// Seed: rank with the largest traffic inside the set.
-		totals := make(map[int]float64, len(set))
 		for _, r := range set {
-			for _, e := range adj[r] {
-				if inSet[e.peer] {
-					totals[r] += e.w
+			for _, p := range graph[r] {
+				if inSet[p.rank] {
+					totals[r] += p.bytes
 				}
 			}
 		}
@@ -88,46 +79,36 @@ func Bisection(m *comm.Matrix, topo *topology.Torus) (*Mapping, error) {
 				seed = r
 			}
 		}
-		taken := map[int]bool{seed: true}
-		attach := map[int]float64{}
-		for _, e := range adj[seed] {
-			if inSet[e.peer] {
-				attach[e.peer] += e.w
+		take := func(r int) {
+			taken[r] = true
+			for _, p := range graph[r] {
+				if inSet[p.rank] && !taken[p.rank] {
+					attach[p.rank] += p.bytes
+				}
 			}
 		}
-		order := append([]int(nil), set...)
-		sort.Ints(order) // deterministic tie-breaking
-		for len(taken) < k {
-			best, bestW := -1, -1.0
-			for _, r := range order {
-				if taken[r] || !inSet[r] {
-					continue
-				}
-				if attach[r] > bestW {
-					best, bestW = r, attach[r]
+		take(seed)
+		for n := 1; n < k; n++ {
+			best := -1
+			for _, r := range set {
+				if !taken[r] && (best == -1 || attach[r] > attach[best]) {
+					best = r
 				}
 			}
-			if bestW <= 0 {
+			if attach[best] == 0 {
 				// The frontier dried up (disconnected cluster): re-seed
 				// at the heaviest remaining rank so whole clusters move
 				// together instead of falling back to index order.
-				for _, r := range order {
-					if taken[r] || !inSet[r] {
-						continue
-					}
-					if best == -1 || totals[r] > totals[best] {
+				for _, r := range set {
+					if !taken[r] && totals[r] > totals[best] {
 						best = r
 					}
 				}
 			}
-			taken[best] = true
-			for _, e := range adj[best] {
-				if inSet[e.peer] && !taken[e.peer] {
-					attach[e.peer] += e.w
-				}
-			}
+			take(best)
 		}
-		for _, r := range order {
+		for _, r := range set {
+			inSet[r] = false
 			if taken[r] {
 				first = append(first, r)
 			} else {

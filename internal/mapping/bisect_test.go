@@ -130,7 +130,7 @@ func TestBisectionFewerRanksThanNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost > 1000*float64(10*3) { // avg > 3 hops per 1000-byte edge would be poor
+	if cost > 1000*10*3 { // avg > 3 hops per 1000-byte edge would be poor
 		t.Fatalf("bisection cost %v too high for a 10-ring", cost)
 	}
 }

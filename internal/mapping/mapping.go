@@ -3,14 +3,22 @@
 // The study uses a simple consecutive mapping (rank i on node i, or blocks
 // of c consecutive ranks per node in the multi-core analysis). Its
 // discussion argues that "a smart mapping could dramatically reduce network
-// traffic" by co-locating heavily communicating ranks; the Greedy mapper
-// implements that idea as an extension and is exercised by the ablation
-// benchmarks.
+// traffic" by co-locating heavily communicating ranks; the Greedy,
+// Refine and Bisection mappers implement that idea as an extension and
+// are exercised by the ablation benchmarks and the design search.
+//
+// All three search one rank graph: each rank's partners in ascending rank
+// order, both directions of a pair summed into one uint64 byte weight.
+// Their costs are uint64 sums of bytes × hops, exact because comm caps a
+// matrix at comm.MaxVolume bytes, so a mapping depends only on the
+// traffic, never on the order it was recorded or summed in. Ties go to
+// the lowest rank and node.
 package mapping
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"netloc/internal/comm"
 	"netloc/internal/topology"
@@ -118,114 +126,132 @@ func (m *Mapping) UsedNodes() int {
 	return len(seen)
 }
 
+// partner is one entry of a rank's row in the rank graph.
+type partner struct {
+	rank  int
+	bytes uint64
+}
+
+// rankGraph returns the symmetric traffic graph every mapper searches:
+// row r lists r's partners (zero-byte ones too) in ascending rank order,
+// each with the bytes of both directions of the pair summed. The rows
+// share one backing array sized by a degree count, so the graph costs a
+// few allocations at any rank count.
+func rankGraph(m *comm.Matrix) [][]partner {
+	ranks := m.Ranks()
+	start := make([]int, ranks+1)
+	for src := 0; src < ranks; src++ {
+		m.EachDst(src, func(dst int, _ comm.Entry) {
+			start[src+1]++
+			start[dst+1]++
+		})
+	}
+	for r := 0; r < ranks; r++ {
+		start[r+1] += start[r]
+	}
+	all := make([]partner, start[ranks])
+	rows := make([][]partner, ranks)
+	for r := range rows {
+		rows[r] = all[start[r]:start[r]:start[r+1]]
+	}
+	for src := 0; src < ranks; src++ {
+		m.EachDst(src, func(dst int, e comm.Entry) {
+			rows[src] = append(rows[src], partner{rank: dst, bytes: e.Bytes})
+			rows[dst] = append(rows[dst], partner{rank: src, bytes: e.Bytes})
+		})
+	}
+	for r, row := range rows {
+		slices.SortFunc(row, func(a, b partner) int { return a.rank - b.rank })
+		n := 0
+		for _, p := range row {
+			if n > 0 && row[n-1].rank == p.rank {
+				row[n-1].bytes += p.bytes // the pair's other direction
+				continue
+			}
+			row[n] = p
+			n++
+		}
+		rows[r] = row[:n]
+	}
+	return rows
+}
+
 // Greedy builds a communication-aware one-rank-per-node mapping: ranks are
 // placed in order of their traffic attachment to already-placed ranks, each
 // onto the free node minimizing the volume-weighted hop distance to its
 // placed partners. This is the classic greedy topology-mapping heuristic
 // the paper's discussion motivates ("assign groups of heavily communicating
-// ranks to nearby physical entities").
+// ranks to nearby physical entities"). Ties go to the lowest rank and the
+// lowest node.
 func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
-	ranks := m.Ranks()
-	if topo.Nodes() < ranks {
-		return nil, fmt.Errorf("mapping: topology %s has %d nodes for %d ranks", topo.Name(), topo.Nodes(), ranks)
+	ranks, nodes := m.Ranks(), topo.Nodes()
+	if nodes < ranks {
+		return nil, fmt.Errorf("mapping: topology %s has %d nodes for %d ranks", topo.Name(), nodes, ranks)
 	}
-	// Symmetric traffic between rank pairs.
-	traffic := make(map[comm.Key]float64, m.Pairs())
-	m.Each(func(k comm.Key, e comm.Entry) {
-		a, b := k.Src, k.Dst
-		if a > b {
-			a, b = b, a
-		}
-		traffic[comm.Key{Src: a, Dst: b}] += float64(e.Bytes)
-	})
-	neighbors := make([][]int, ranks)
-	weight := func(a, b int) float64 {
-		if a > b {
-			a, b = b, a
-		}
-		return traffic[comm.Key{Src: a, Dst: b}]
-	}
-	for k := range traffic {
-		neighbors[k.Src] = append(neighbors[k.Src], k.Dst)
-		neighbors[k.Dst] = append(neighbors[k.Dst], k.Src)
-	}
+	graph := rankGraph(m)
 
 	nodeOf := make([]int, ranks)
-	for i := range nodeOf {
-		nodeOf[i] = -1
-	}
-	nodeFree := make([]bool, topo.Nodes())
-	for i := range nodeFree {
-		nodeFree[i] = true
-	}
+	nodeUsed := make([]bool, nodes)
 	placed := make([]bool, ranks)
-	attach := make([]float64, ranks) // traffic to already-placed ranks
-
-	// Start from the rank with the largest total traffic.
-	totals := make([]float64, ranks)
-	for k, v := range traffic {
-		totals[k.Src] += v
-		totals[k.Dst] += v
-	}
-	first := 0
-	for r := 1; r < ranks; r++ {
-		if totals[r] > totals[first] {
-			first = r
-		}
-	}
-
+	attach := make([]uint64, ranks) // traffic to already-placed ranks
 	place := func(rank, node int) {
 		nodeOf[rank] = node
-		nodeFree[node] = false
+		nodeUsed[node] = true
 		placed[rank] = true
-		for _, nb := range neighbors[rank] {
-			if !placed[nb] {
-				attach[nb] += weight(rank, nb)
+		for _, p := range graph[rank] {
+			if !placed[p.rank] {
+				attach[p.rank] += p.bytes
 			}
+		}
+	}
+	// Start from the rank with the largest total traffic.
+	first, firstTotal := 0, uint64(0)
+	for r, row := range graph {
+		var total uint64
+		for _, p := range row {
+			total += p.bytes
+		}
+		if total > firstTotal {
+			first, firstTotal = r, total
 		}
 	}
 	place(first, 0)
+	anchors := make([]partner, 0, ranks) // the next rank's placed partners
 
 	for n := 1; n < ranks; n++ {
 		// Next rank: strongest attachment; ties and isolated ranks fall
-		// back to lowest index for determinism.
+		// back to lowest index.
 		next := -1
 		for r := 0; r < ranks; r++ {
-			if placed[r] {
-				continue
-			}
-			if next == -1 || attach[r] > attach[next] {
+			if !placed[r] && (next == -1 || attach[r] > attach[next]) {
 				next = r
 			}
 		}
-		// Best free node: minimize weighted hops to placed partners.
-		bestNode, bestCost := -1, 0.0
-		hasPartner := false
-		for _, nb := range neighbors[next] {
-			if placed[nb] {
-				hasPartner = true
-				break
+		anchors = anchors[:0]
+		for _, p := range graph[next] {
+			if placed[p.rank] {
+				anchors = append(anchors, p)
 			}
 		}
-		for node := 0; node < topo.Nodes(); node++ {
-			if !nodeFree[node] {
+		// Best free node: minimize weighted hops to the placed partners;
+		// without any, the first free node.
+		bestNode, bestCost := -1, uint64(0)
+		for node := 0; node < nodes; node++ {
+			if nodeUsed[node] {
 				continue
 			}
-			if !hasPartner {
-				bestNode = node // first free node
-				break
-			}
-			cost := 0.0
-			for _, nb := range neighbors[next] {
-				if placed[nb] {
-					cost += weight(next, nb) * float64(topo.HopCount(node, nodeOf[nb]))
-				}
+			var cost uint64
+			for _, a := range anchors {
+				cost += a.bytes * uint64(topo.HopCount(node, nodeOf[a.rank]))
 			}
 			if bestNode == -1 || cost < bestCost {
 				bestNode, bestCost = node, cost
 			}
+			if len(anchors) == 0 {
+				break
+			}
 		}
 		place(next, bestNode)
 	}
-	return &Mapping{nodeOf: nodeOf, nodes: topo.Nodes()}, nil
+	return &Mapping{nodeOf: nodeOf, nodes: nodes}, nil
 }

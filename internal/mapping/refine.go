@@ -10,30 +10,16 @@ import (
 // Cost returns the volume-weighted hop count of a mapping: the sum over
 // rank pairs of bytes x hops between their nodes. This is the objective
 // the mapping optimizers minimize (proportional to the network model's
-// byte-hops, hence to latency and dynamic link energy).
-func Cost(m *comm.Matrix, topo topology.Topology, mp *Mapping) (float64, error) {
+// byte-hops, hence to latency and dynamic link energy). The sum is exact.
+func Cost(m *comm.Matrix, topo topology.Topology, mp *Mapping) (uint64, error) {
 	if mp.Ranks() < m.Ranks() {
 		return 0, fmt.Errorf("mapping: mapping covers %d ranks, matrix has %d", mp.Ranks(), m.Ranks())
 	}
-	var total float64
-	var iterErr error
+	var total uint64
 	m.Each(func(k comm.Key, e comm.Entry) {
-		if iterErr != nil {
-			return
-		}
-		ns, err := mp.NodeOf(k.Src)
-		if err != nil {
-			iterErr = err
-			return
-		}
-		nd, err := mp.NodeOf(k.Dst)
-		if err != nil {
-			iterErr = err
-			return
-		}
-		total += float64(e.Bytes) * float64(topo.HopCount(ns, nd))
+		total += e.Bytes * uint64(topo.HopCount(mp.nodeOf[k.Src], mp.nodeOf[k.Dst]))
 	})
-	return total, iterErr
+	return total, nil
 }
 
 // Refine improves a one-rank-per-node mapping by pairwise-swap hill
@@ -53,34 +39,22 @@ func Refine(m *comm.Matrix, topo topology.Topology, initial *Mapping, maxPasses 
 	}
 	nodeOf := initial.Table()[:ranks]
 	// Verify one-rank-per-node (swaps assume it).
-	seen := make(map[int]bool, ranks)
-	for r, n := range nodeOf {
-		if seen[n] {
+	used := make([]bool, initial.Nodes())
+	for _, n := range nodeOf {
+		if used[n] {
 			return nil, fmt.Errorf("mapping: node %d hosts multiple ranks; Refine needs one rank per node", n)
 		}
-		seen[n] = true
-		_ = r
+		used[n] = true
 	}
-
-	// Symmetric adjacency with weights for delta evaluation.
-	type edge struct {
-		peer int
-		w    float64
-	}
-	adj := make([][]edge, ranks)
-	m.Each(func(k comm.Key, e comm.Entry) {
-		adj[k.Src] = append(adj[k.Src], edge{peer: k.Dst, w: float64(e.Bytes)})
-		adj[k.Dst] = append(adj[k.Dst], edge{peer: k.Src, w: float64(e.Bytes)})
-	})
+	graph := rankGraph(m)
 
 	// cost of rank r sitting on node n, excluding any edge to `exclude`.
-	costAt := func(r, n, exclude int) float64 {
-		var c float64
-		for _, e := range adj[r] {
-			if e.peer == exclude {
-				continue
+	costAt := func(r, n, exclude int) uint64 {
+		var c uint64
+		for _, p := range graph[r] {
+			if p.rank != exclude {
+				c += p.bytes * uint64(topo.HopCount(n, nodeOf[p.rank]))
 			}
-			c += e.w * float64(topo.HopCount(n, nodeOf[e.peer]))
 		}
 		return c
 	}
@@ -88,7 +62,7 @@ func Refine(m *comm.Matrix, topo topology.Topology, initial *Mapping, maxPasses 
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for r1 := 0; r1 < ranks; r1++ {
-			if len(adj[r1]) == 0 {
+			if len(graph[r1]) == 0 {
 				continue
 			}
 			for r2 := r1 + 1; r2 < ranks; r2++ {
@@ -97,7 +71,7 @@ func Refine(m *comm.Matrix, topo topology.Topology, initial *Mapping, maxPasses 
 				after := costAt(r1, n2, r2) + costAt(r2, n1, r1)
 				// The mutual r1<->r2 term is symmetric in (n1, n2) and
 				// cancels from the delta.
-				if after < before-1e-9 {
+				if after < before {
 					nodeOf[r1], nodeOf[r2] = n2, n1
 					improved = true
 				}
@@ -133,7 +107,7 @@ func Optimize(m *comm.Matrix, topo topology.Topology, maxPasses int) (*Mapping, 
 		seeds = append(seeds, bis)
 	}
 	var best *Mapping
-	bestCost := 0.0
+	var bestCost uint64
 	for _, seed := range seeds {
 		refined, err := Refine(m, topo, seed, maxPasses)
 		if err != nil {

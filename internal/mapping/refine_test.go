@@ -31,6 +31,39 @@ func TestCostMatchesManualComputation(t *testing.T) {
 	}
 }
 
+// Cost is exact past 2^53: on a 256-node ring, 2^46 bytes over 128 hops
+// plus two 1-byte neighbor pairs cost 2^53 + 2 (a float64 sum rounds
+// both bytes away).
+func TestCostIsExactPast2p53(t *testing.T) {
+	topo, err := topology.NewTorus(256, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := comm.NewMatrix(256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		src, dst int
+		bytes    uint64
+	}{{0, 128, 1 << 46}, {1, 2, 1}, {3, 4, 1}} {
+		if err := m.Add(s.src, s.dst, s.bytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mp, err := Consecutive(256, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Cost(m, topo, mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c != 1<<53+2 {
+		t.Fatalf("cost = %v, want 2^53 + 2 = %d", c, uint64(1<<53+2))
+	}
+}
+
 func TestCostValidatesMapping(t *testing.T) {
 	topo, _ := topology.NewTorus(2, 2, 1)
 	m, _ := comm.NewMatrix(8, 0)

@@ -704,3 +704,29 @@ func TestTraceUploadRankLimits(t *testing.T) {
 		t.Errorf("4,194,304 ranks: status %d: %s", status, body)
 	}
 }
+
+// A trace whose byte sum wraps uint64 (two 2^63-byte sends plus 1,000
+// bytes) used to be served with a 200 and a 0.001 MB volume.
+func TestTraceUploadRefusesWrappingVolume(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	send := trace.Event{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 1 << 63}
+	small := send
+	small.Bytes = 1000
+	tr := &trace.Trace{
+		Meta:   trace.Meta{App: "wrap", Ranks: 2, WallTime: 1},
+		Events: []trace.Event{send, send, small},
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/traces/analyze", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "MaxVolume") {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+}

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // fabric is the shared machinery of the switch-fabric families added
 // beyond the paper's three (Slim Fly, Jellyfish): compute nodes hang off
@@ -20,14 +23,56 @@ type fabric struct {
 	links   []Link
 	classes []LinkClass
 
-	termLink []int      // node -> terminal link index
-	swAdj    [][]swEdge // switch -> neighbors in ascending link order
-	dist     [][]int16  // dist[s][t] = switch-graph hops s -> t
+	termLink []int     // node -> terminal link index
+	swAdj    Adjacency // switch -> peer switch indices, in ascending link order
+	dist     [][]int16 // dist[s][t] = switch-graph hops s -> t
 }
 
-type swEdge struct {
-	to   int32 // peer switch index
-	link int32
+// Edge is one end of a link seen from a vertex: the vertex across the
+// link and the link's index in Links().
+type Edge struct {
+	To, Link int32
+}
+
+// Adjacency lists each vertex's edges in ascending link order, so a walk
+// that takes the k-th qualifying edge is deterministic. Its BFS fills the
+// Slim Fly and Jellyfish switch tables and congest's ECMP rows.
+type Adjacency [][]Edge
+
+// AdjacencyOf returns the adjacency of a topology's whole vertex space,
+// compute nodes and switches.
+func AdjacencyOf(t Topology) Adjacency {
+	adj := make(Adjacency, t.NumVertices())
+	for li, l := range t.Links() {
+		adj[l.A] = append(adj[l.A], Edge{To: int32(l.B), Link: int32(li)})
+		adj[l.B] = append(adj[l.B], Edge{To: int32(l.A), Link: int32(li)})
+	}
+	return adj
+}
+
+// BFS sets dist[v] to the hop count between src and every vertex v, -1
+// where v is unreachable; dist needs one entry per vertex. queue is
+// scratch, returned so that one buffer serves many searches. It fails
+// when a distance does not fit int16.
+func (a Adjacency) BFS(src int, dist []int16, queue []int32) ([]int32, error) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue = append(queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, e := range a[v] {
+			if dist[e.To] == -1 {
+				if dist[v] == math.MaxInt16 {
+					return queue, fmt.Errorf("topology: bfs from %d: distance beyond %d hops", src, math.MaxInt16)
+				}
+				dist[e.To] = dist[v] + 1
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	return queue, nil
 }
 
 // initFabric sets the sizes and creates the terminal links (always the
@@ -37,7 +82,7 @@ func (f *fabric) initFabric(switches, perSwitch int) {
 	f.perSwitch = perSwitch
 	f.nodes = switches * perSwitch
 	f.termLink = make([]int, f.nodes)
-	f.swAdj = make([][]swEdge, switches)
+	f.swAdj = make(Adjacency, switches)
 	for v := 0; v < f.nodes; v++ {
 		f.termLink[v] = len(f.links)
 		f.links = append(f.links, Link{A: v, B: f.nodes + v/perSwitch})
@@ -52,31 +97,20 @@ func (f *fabric) addSwitchLink(a, b int, class LinkClass) {
 	li := int32(len(f.links))
 	f.links = append(f.links, Link{A: f.nodes + a, B: f.nodes + b})
 	f.classes = append(f.classes, class)
-	f.swAdj[a] = append(f.swAdj[a], swEdge{to: int32(b), link: li})
-	f.swAdj[b] = append(f.swAdj[b], swEdge{to: int32(a), link: li})
+	f.swAdj[a] = append(f.swAdj[a], Edge{To: int32(b), Link: li})
+	f.swAdj[b] = append(f.swAdj[b], Edge{To: int32(a), Link: li})
 }
 
 // finish builds the per-switch BFS distance tables and verifies the
 // switch graph is connected. name labels errors.
 func (f *fabric) finish(name string) error {
 	f.dist = make([][]int16, f.switches)
-	queue := make([]int32, 0, f.switches)
-	for s := 0; s < f.switches; s++ {
+	var queue []int32
+	for s := range f.dist {
 		d := make([]int16, f.switches)
-		for i := range d {
-			d[i] = -1
-		}
-		d[s] = 0
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range f.swAdj[v] {
-				if d[e.to] == -1 {
-					d[e.to] = d[v] + 1
-					queue = append(queue, e.to)
-				}
-			}
+		var err error
+		if queue, err = f.swAdj.BFS(s, d, queue); err != nil {
+			return fmt.Errorf("topology: %s: %w", name, err)
 		}
 		for t, dt := range d {
 			if dt == -1 {
@@ -144,9 +178,9 @@ func (f *fabric) switchPath(ss, ds int, buf []int) ([]int, error) {
 		want := d[cur] - 1
 		found := false
 		for _, e := range f.swAdj[cur] {
-			if d[e.to] == want {
-				buf = append(buf, int(e.link))
-				cur = int(e.to)
+			if d[e.To] == want {
+				buf = append(buf, int(e.Link))
+				cur = int(e.To)
 				found = true
 				break
 			}

@@ -184,6 +184,48 @@ func familyCases(t *testing.T) []struct {
 	}
 }
 
+// The package's BFS over AdjacencyOf equals the reference Graph's from
+// every vertex of every family, with one distance row and queue reused
+// across sources; each vertex's edges are its links in ascending order.
+func TestAdjacencyBFSMatchesGraph(t *testing.T) {
+	for _, tc := range familyCases(t) {
+		topo := tc.topo
+		g, err := GraphOf(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := AdjacencyOf(topo)
+		links := topo.Links()
+		for v, edges := range adj {
+			for i, e := range edges {
+				l := links[e.Link]
+				if (l.A != v || l.B != int(e.To)) && (l.B != v || l.A != int(e.To)) {
+					t.Fatalf("%s: vertex %d edge %+v does not match link %+v", topo.Name(), v, e, l)
+				}
+				if i > 0 && edges[i-1].Link >= e.Link {
+					t.Fatalf("%s: vertex %d edges out of link order: %+v", topo.Name(), v, edges)
+				}
+			}
+		}
+		dist := make([]int16, topo.NumVertices())
+		var queue []int32
+		for src := 0; src < topo.NumVertices(); src++ {
+			if queue, err = adj.BFS(src, dist, queue); err != nil {
+				t.Fatal(err)
+			}
+			want, err := g.BFSFrom(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, d := range want {
+				if int(dist[v]) != d {
+					t.Fatalf("%s: BFS from %d reaches %d in %d hops, Graph in %d", topo.Name(), src, v, dist[v], d)
+				}
+			}
+		}
+	}
+}
+
 // Invariant suite over every family: Route length == HopCount == BFS
 // distance with Route a contiguous walk, hop counts symmetric and obeying
 // the triangle inequality, vertex degrees within the declared radix, and

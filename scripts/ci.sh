@@ -51,15 +51,16 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 # (seeds only — no fuzzing engine) so a corpus entry that starts
 # crashing fails CI before any long fuzz run would find it.
 echo "=== go test (fuzz seed corpora) ==="
-go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace
+go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./internal/dumpi
 
 # Allocation pins are built only without -race (the race runtime
 # allocates on its own), so the -race runs above never reach them: run
 # them here without it. They pin that a workcache hit allocates only its
-# key, that a congest tolerance probe allocates nothing per message, and
-# that a netmodel run allocates no more than its pinned ceilings.
+# key, that a congest tolerance probe allocates nothing per message, that
+# a netmodel run allocates no more than its pinned ceilings, and that
+# Greedy's allocation count does not grow with the rank count.
 echo "=== go test (allocation pins, no -race) ==="
-go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/netmodel
+go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/netmodel ./internal/mapping
 
 # bench/ is a module of its own, so the root ./... above never builds
 # it: vet and test it here, or a change to the packages it drives could
