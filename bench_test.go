@@ -288,7 +288,7 @@ func BenchmarkAblationPacketSize(b *testing.B) {
 		ps := ps
 		b.Run(byteSizeName(ps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, err := core.AnalyzeApp("LULESH", 64, core.Options{PacketSize: ps, SkipLinkTracking: true})
+				a, err := core.AnalyzeApp("LULESH", 64, core.Options{PacketSize: ps})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -384,9 +384,7 @@ func BenchmarkAblationCollectiveStrategy(b *testing.B) {
 		s := s
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, err := core.AnalyzeApp("CESAR MOCFE", 256, core.Options{
-					Strategy: s, SkipLinkTracking: true,
-				})
+				a, err := core.AnalyzeApp("CESAR MOCFE", 256, core.Options{Strategy: s})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -41,13 +41,10 @@ type Options struct {
 	Strategy mpi.Strategy
 	// SkipTopologies computes only the MPI-level metrics.
 	SkipTopologies bool
-	// SkipLinkTracking skips per-link accounting (utilization and the
-	// global-link share stay zero) for faster hop-only runs.
-	SkipLinkTracking bool
 	// MaxRanks caps the configuration grid: experiment drivers skip
-	// configurations (and topology sizes) above it, and AnalyzeTrace
-	// refuses traces declaring more ranks. Zero means no cap. Used by
-	// tests and the analysis service to bound run time and memory.
+	// configurations (and topology sizes) above it, and AnalyzeTrace and
+	// design searches refuse more ranks (CheckRanks). Zero means no cap.
+	// Used by tests and the analysis service to bound run time and memory.
 	MaxRanks int
 	// Parallelism caps the worker goroutines one analysis may use for
 	// the experiment-grid fan-out, the per-topology model runs, the
@@ -93,8 +90,8 @@ func (o Options) workers() int {
 // WithEngine installs a private worker budget when none was supplied,
 // so the nested fan-out levels of one analysis (grid × topologies ×
 // per-rank loops) share a single token pool. Every public entry point,
-// here and in package design, calls it; repeated application is a
-// no-op.
+// here (the grid drivers through eachCell) and in package design, calls
+// it; repeated application is a no-op.
 func (o Options) WithEngine() Options {
 	if o.Budget == nil && o.workers() > 1 {
 		// The calling goroutine holds no token, so the extras' budget
@@ -194,10 +191,10 @@ type Analysis struct {
 // is treated as caller-supplied: it is never read from or written to
 // Options.Cache, so an uploaded trace claiming a registry app's name
 // cannot poison later registry analyses. Its declared rank count is
-// checked (see checkRanks) before anything is sized by it.
+// checked (see CheckRanks) before anything is sized by it.
 func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
 	opts = opts.WithEngine()
-	if err := opts.checkRanks(t.Meta.Ranks); err != nil {
+	if err := opts.CheckRanks(t.Meta.Ranks); err != nil {
 		return nil, err
 	}
 	acc, err := accumulate(t, opts)
@@ -207,13 +204,13 @@ func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
 	return AnalyzeAccumulated(acc, opts)
 }
 
-// checkRanks refuses a trace's declared rank count before anything is
+// CheckRanks refuses a trace's declared rank count before anything is
 // sized by it: the matrices take memory in proportion to it, so a few
 // bytes declaring millions of ranks would otherwise allocate hundreds of
 // megabytes before failing. The count must be within MaxRanks when that
 // is set and, unless topologies are skipped, one topology.Configs can
-// size.
-func (o Options) checkRanks(ranks int) error {
+// size. Package design applies it to a search's node count too.
+func (o Options) CheckRanks(ranks int) error {
 	if !o.withinCap(ranks) {
 		return fmt.Errorf("core: trace declares %d ranks, outside [1, %d] (MaxRanks)", ranks, o.MaxRanks)
 	}
@@ -286,33 +283,47 @@ func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) 
 	}
 
 	if !opts.SkipTopologies {
-		torCfg, ftCfg, dfCfg, err := topology.Configs(a.Ranks)
-		if err != nil {
+		if err := a.runTopologies(paperKinds, MappingConsecutive, opts); err != nil {
 			return nil, err
-		}
-		cfgs := []topology.Config{torCfg, ftCfg, dfCfg}
-		results, err := runGrid(opts.Runner(), len(cfgs), func(i int) (*TopoResult, error) {
-			res, err := runTopology(acc, cfgs[i], MappingConsecutive, opts, opts.Span)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s on %s%s: %w", a.App, cfgs[i].Kind, cfgs[i], err)
-			}
-			return res, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, cfg := range cfgs {
-			switch cfg.Kind {
-			case "torus":
-				a.Torus = results[i]
-			case "fattree":
-				a.FatTree = results[i]
-			case "dragonfly":
-				a.Dragonfly = results[i]
-			}
 		}
 	}
 	return a, nil
+}
+
+// paperKinds are the paper's three topology families, in table order.
+var paperKinds = []string{"torus", "fattree", "dragonfly"}
+
+// runTopologies is the topology fan-out of AnalyzeAccumulated and
+// AnalyzeAppOn: it sizes every kind for the analysis' rank count (the
+// first sizing error is returned before any model runs), runs the kinds
+// over the worker budget under the named mapping, and stores each result
+// in its kind's block of a.
+func (a *Analysis) runTopologies(kinds []string, mappingName string, opts Options) error {
+	cfgs := make([]topology.Config, len(kinds))
+	for i, kind := range kinds {
+		var err error
+		if cfgs[i], err = ConfigFor(kind, a.Ranks); err != nil {
+			return err
+		}
+	}
+	results, err := runGrid(opts.Runner(), len(cfgs), func(i int) (*TopoResult, error) {
+		res, err := runTopology(a.Acc, cfgs[i], mappingName, opts)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s on %s%s: %w", a.App, cfgs[i].Kind, cfgs[i], err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return err
+	}
+	blocks := map[string]**TopoResult{
+		"torus": &a.Torus, "fattree": &a.FatTree, "dragonfly": &a.Dragonfly,
+		"slimfly": &a.SlimFly, "jellyfish": &a.Jellyfish, "hyperx": &a.HyperX,
+	}
+	for i, kind := range kinds {
+		*blocks[kind] = results[i]
+	}
+	return nil
 }
 
 // runGrid evaluates fn for every index of an n-item grid on the given
@@ -396,24 +407,24 @@ func ConfigFor(kind string, ranks int) (topology.Config, error) {
 	return topology.Config{}, fmt.Errorf("core: unknown topology %q (known: %v)", kind, AnalysisKinds())
 }
 
-func runTopology(acc *comm.Accumulated, cfg topology.Config, mappingName string, opts Options, parent *obs.Span) (*TopoResult, error) {
+func runTopology(acc *comm.Accumulated, cfg topology.Config, mappingName string, opts Options) (*TopoResult, error) {
 	topo, err := opts.Cache.Topology(cfg, cfg.Build)
 	if err != nil {
 		return nil, err
 	}
-	msp := parent.Start("mapping")
+	msp := opts.Span.Start("mapping")
 	msp.SetLabel(mappingName)
 	mp, err := BuildMapping(mappingName, acc, topo)
 	msp.End()
 	if err != nil {
 		return nil, err
 	}
-	nsp := parent.Start("netmodel")
+	nsp := opts.Span.Start("netmodel")
 	nsp.SetLabel(cfg.Kind)
 	res, err := netmodel.Run(acc.Wire, topo, mp, netmodel.Options{
 		BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
 		WallTime:             acc.Meta.WallTime,
-		TrackLinks:           !opts.SkipLinkTracking,
+		TrackLinks:           true,
 	})
 	if err != nil {
 		nsp.End()
@@ -449,39 +460,12 @@ func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	kinds := []string{"torus", "fattree", "dragonfly"}
+	kinds := paperKinds
 	if topoKind != "" && topoKind != "all" {
 		kinds = []string{topoKind}
 	}
-	results, err := runGrid(opts.Runner(), len(kinds), func(i int) (*TopoResult, error) {
-		cfg, err := ConfigFor(kinds[i], ranks)
-		if err != nil {
-			return nil, err
-		}
-		res, err := runTopology(a.Acc, cfg, mappingName, opts, opts.Span)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s on %s%s: %w", name, cfg.Kind, cfg, err)
-		}
-		return res, nil
-	})
-	if err != nil {
+	if err := a.runTopologies(kinds, mappingName, opts); err != nil {
 		return nil, err
-	}
-	for i, kind := range kinds {
-		switch kind {
-		case "torus":
-			a.Torus = results[i]
-		case "fattree":
-			a.FatTree = results[i]
-		case "dragonfly":
-			a.Dragonfly = results[i]
-		case "slimfly":
-			a.SlimFly = results[i]
-		case "jellyfish":
-			a.Jellyfish = results[i]
-		case "hyperx":
-			a.HyperX = results[i]
-		}
 	}
 	a.Acc = nil
 	return a, nil

@@ -101,16 +101,6 @@ func TestAnalyzeSkipTopologies(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSkipLinkTracking(t *testing.T) {
-	a := analyze(t, "AMG", 8, Options{SkipLinkTracking: true})
-	if a.Torus.UtilizationPct != 0 || a.Torus.UsedLinks != 0 {
-		t.Fatal("link metrics should be zero without tracking")
-	}
-	if a.Torus.PacketHops == 0 {
-		t.Fatal("hop metrics should still be computed")
-	}
-}
-
 func TestAnalyzeTable1Accounting(t *testing.T) {
 	a := analyze(t, "CESAR MOCFE", 64, Options{SkipTopologies: true})
 	// Table 1: 19.0 MB, 5.01% p2p.

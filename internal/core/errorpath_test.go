@@ -35,6 +35,14 @@ func TestSpansEndOnErrorPaths(t *testing.T) {
 	root.End()
 	assertSpansEnded(t, root.Data(), "")
 
+	// An unknown family fails after the cell's trace is generated.
+	root = tr.StartRun("congestion-error")
+	if _, err := CongestionTable([]WorkloadRef{{App: "LULESH", Ranks: 64}}, []string{"moebius"}, nil, -1, Options{Span: root}); err == nil {
+		t.Fatal("CongestionTable with an unknown family succeeded")
+	}
+	root.End()
+	assertSpansEnded(t, root.Data(), "")
+
 	root = tr.StartRun("analyze-error")
 	if _, err := AnalyzeApp("LULESH", 7, Options{Span: root}); err == nil {
 		t.Fatal("AnalyzeApp at an unconfigured scale succeeded")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"netloc/internal/metrics"
 	"netloc/internal/netmodel"
@@ -28,6 +27,30 @@ func AllConfigurations() []WorkloadRef {
 	return out
 }
 
+// eachCell is the one fan-out of the experiment grids. It keeps the
+// configurations within Options.MaxRanks, runs fn on each over the
+// worker budget under a "cell" span labelled App/Ranks, and hands fn the
+// options with that span attached. Results keep ref order and the
+// lowest-index error wins (see runGrid).
+func eachCell[T any](refs []WorkloadRef, opts Options, fn func(ref WorkloadRef, o Options) (T, error)) ([]T, error) {
+	opts = opts.WithEngine()
+	var capped []WorkloadRef
+	for _, ref := range refs {
+		if opts.withinCap(ref.Ranks) {
+			capped = append(capped, ref)
+		}
+	}
+	return runGrid(opts.Runner(), len(capped), func(i int) (T, error) {
+		ref := capped[i]
+		cell := opts.Span.Start("cell")
+		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
+		defer cell.End()
+		o := opts
+		o.Span = cell
+		return fn(ref, o)
+	})
+}
+
 // Table1Row is one row of the paper's Table 1 (workload overview).
 type Table1Row struct {
 	App      string
@@ -45,27 +68,12 @@ type Table1Row struct {
 // Options.Parallelism fans the configurations out over the worker
 // budget (rows keep table order).
 func Table1(opts Options) ([]Table1Row, error) {
-	opts = opts.WithEngine()
-	type cfg struct {
-		app   *workloads.App
-		ranks int
-	}
-	var cfgs []cfg
-	for _, app := range workloads.All() {
-		for _, ranks := range app.RankCounts() {
-			if opts.withinCap(ranks) {
-				cfgs = append(cfgs, cfg{app: app, ranks: ranks})
-			}
+	return eachCell(AllConfigurations(), opts, func(ref WorkloadRef, o Options) (Table1Row, error) {
+		app, err := workloads.Lookup(ref.App)
+		if err != nil {
+			return Table1Row{}, err
 		}
-	}
-	return runGrid(opts.Runner(), len(cfgs), func(i int) (Table1Row, error) {
-		app, ranks := cfgs[i].app, cfgs[i].ranks
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", app.Name, ranks))
-		defer cell.End()
-		o := opts
-		o.Span = cell
-		t, err := generateTrace(app, ranks, o)
+		t, err := generateTrace(app, ref.Ranks, o)
 		if err != nil {
 			return Table1Row{}, err
 		}
@@ -74,7 +82,7 @@ func Table1(opts Options) ([]Table1Row, error) {
 		row := Table1Row{
 			App:   app.Name,
 			Star:  app.Star,
-			Ranks: ranks,
+			Ranks: ref.Ranks,
 			TimeS: t.Meta.WallTime,
 			VolMB: total / 1e6,
 		}
@@ -118,20 +126,7 @@ func Table2(opts Options) ([]Table2Row, error) {
 // topologies) for every configuration. The grid fans out over the
 // worker budget; rows stay in table order regardless of Parallelism.
 func Table3(opts Options) ([]*Analysis, error) {
-	opts = opts.WithEngine()
-	var refs []WorkloadRef
-	for _, ref := range AllConfigurations() {
-		if opts.withinCap(ref.Ranks) {
-			refs = append(refs, ref)
-		}
-	}
-	return runGrid(opts.Runner(), len(refs), func(i int) (*Analysis, error) {
-		ref := refs[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		o := opts
-		o.Span = cell
+	return eachCell(AllConfigurations(), opts, func(ref WorkloadRef, o Options) (*Analysis, error) {
 		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s/%d: %w", ref.App, ref.Ranks, err)
@@ -171,23 +166,9 @@ type Table4Row struct {
 // over the worker budget; within one configuration the candidate-grid
 // sweep of each folding is parallelized too.
 func Table4(opts Options) ([]Table4Row, error) {
-	opts = opts.WithEngine()
 	q := opts.coverage()
-	var refs []WorkloadRef
-	for _, ref := range Table4Workloads {
-		if opts.withinCap(ref.Ranks) {
-			refs = append(refs, ref)
-		}
-	}
-	eng := opts.engine()
-	return runGrid(opts.Runner(), len(refs), func(i int) (Table4Row, error) {
-		ref := refs[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		o := opts
-		o.SkipTopologies = true
-		o.Span = cell
+	opts.SkipTopologies = true
+	return eachCell(Table4Workloads, opts, func(ref WorkloadRef, o Options) (Table4Row, error) {
 		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
 		if err != nil {
 			return Table4Row{}, err
@@ -195,6 +176,7 @@ func Table4(opts Options) ([]Table4Row, error) {
 		if !a.HasP2P {
 			return Table4Row{}, fmt.Errorf("core: %s/%d has no p2p traffic for Table 4", ref.App, ref.Ranks)
 		}
+		eng := o.engine()
 		row := Table4Row{App: ref.App, Ranks: ref.Ranks}
 		r1, err := eng.DimLocality(a.Acc.P2P, 1, q)
 		if err != nil {
@@ -248,9 +230,6 @@ type Figure3Curve struct {
 // the call fails with an error listing the smallest admissible cap
 // instead of returning a silently empty figure.
 func Figure3(opts Options) ([]Figure3Curve, error) {
-	opts = opts.WithEngine()
-	o := opts
-	o.SkipTopologies = true
 	var refs []WorkloadRef
 	smallest := 0
 	for _, app := range workloads.All() {
@@ -271,38 +250,7 @@ func Figure3(opts Options) ([]Figure3Curve, error) {
 		return nil, fmt.Errorf("core: MaxRanks %d excludes every workload configuration (smallest configured scale: %d ranks)",
 			opts.MaxRanks, smallest)
 	}
-	curves, err := runGrid(opts.Runner(), len(refs), func(i int) (*Figure3Curve, error) {
-		ref := refs[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		oc := o
-		oc.Span = cell
-		a, err := AnalyzeApp(ref.App, ref.Ranks, oc)
-		if err != nil {
-			return nil, err
-		}
-		if !a.HasP2P {
-			return nil, nil // the paper's figure omits the pure-collective apps
-		}
-		shares, err := metrics.CumulativeCurve(a.Acc.P2P)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure3Curve{
-			App: ref.App, Ranks: ref.Ranks, Shares: shares, Selectivity: a.Selectivity,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Figure3Curve
-	for _, c := range curves {
-		if c != nil {
-			out = append(out, *c)
-		}
-	}
-	return out, nil
+	return curves(refs, opts)
 }
 
 // Figure4 computes the selectivity-scaling curves of one application
@@ -315,46 +263,38 @@ func Figure4(appName string, opts Options) ([]Figure3Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.WithEngine()
-	o := opts
-	o.SkipTopologies = true
-	var rankList []int
-	for _, ranks := range app.RankCounts() {
-		if opts.withinCap(ranks) {
-			rankList = append(rankList, ranks)
-		}
-	}
-	if len(rankList) == 0 {
+	if !opts.withinCap(app.RankCounts()[0]) {
 		return nil, fmt.Errorf("core: MaxRanks %d excludes every %s configuration (configured: %v)",
 			opts.MaxRanks, app.Name, app.RankCounts())
 	}
-	curves, err := runGrid(opts.Runner(), len(rankList), func(i int) (*Figure3Curve, error) {
-		ranks := rankList[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", appName, ranks))
-		defer cell.End()
-		oc := o
-		oc.Span = cell
-		a, err := AnalyzeApp(appName, ranks, oc)
-		if err != nil {
+	var refs []WorkloadRef
+	for _, ranks := range app.RankCounts() {
+		refs = append(refs, WorkloadRef{App: appName, Ranks: ranks})
+	}
+	return curves(refs, opts)
+}
+
+// curves is the cell of Figures 3 and 4: the mean cumulative curve of
+// each configuration. Pure-collective workloads, which the paper's
+// figures omit, are dropped in table order after the fan-out.
+func curves(refs []WorkloadRef, opts Options) ([]Figure3Curve, error) {
+	opts.SkipTopologies = true
+	cs, err := eachCell(refs, opts, func(ref WorkloadRef, o Options) (*Figure3Curve, error) {
+		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
+		if err != nil || !a.HasP2P {
 			return nil, err
-		}
-		if !a.HasP2P {
-			return nil, nil
 		}
 		shares, err := metrics.CumulativeCurve(a.Acc.P2P)
 		if err != nil {
 			return nil, err
 		}
-		return &Figure3Curve{
-			App: appName, Ranks: ranks, Shares: shares, Selectivity: a.Selectivity,
-		}, nil
+		return &Figure3Curve{App: ref.App, Ranks: ref.Ranks, Shares: shares, Selectivity: a.Selectivity}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var out []Figure3Curve
-	for _, c := range curves {
+	for _, c := range cs {
 		if c != nil {
 			out = append(out, *c)
 		}
@@ -379,23 +319,15 @@ type Figure5Series struct {
 // of cores would sophisticate scaling effects"). Traffic includes both
 // point-to-point and collective messages.
 func Figure5(minRanks int, opts Options) ([]Figure5Series, error) {
-	opts = opts.WithEngine()
-	o := opts
-	o.SkipTopologies = true
 	var refs []WorkloadRef
 	for _, ref := range AllConfigurations() {
-		if ref.Ranks >= minRanks && opts.withinCap(ref.Ranks) {
+		if ref.Ranks >= minRanks {
 			refs = append(refs, ref)
 		}
 	}
-	return runGrid(opts.Runner(), len(refs), func(i int) (Figure5Series, error) {
-		ref := refs[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		oc := o
-		oc.Span = cell
-		a, err := AnalyzeApp(ref.App, ref.Ranks, oc)
+	opts.SkipTopologies = true
+	return eachCell(refs, opts, func(ref WorkloadRef, o Options) (Figure5Series, error) {
+		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
 		if err != nil {
 			return Figure5Series{}, err
 		}
@@ -504,14 +436,4 @@ func SummarizeClaims(rows []*Analysis) Claims {
 		c.DragonflyGlobalSharePct = 100 * s / float64(len(globalShares))
 	}
 	return c
-}
-
-// SortAnalyses orders rows by app name then rank count (table order).
-func SortAnalyses(rows []*Analysis) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].App != rows[j].App {
-			return rows[i].App < rows[j].App
-		}
-		return rows[i].Ranks < rows[j].Ranks
-	})
 }

@@ -79,9 +79,6 @@ func TestTable2Regeneration(t *testing.T) {
 	}
 }
 
-// smallOpts keeps the grid tests fast: hop counting without link tracking.
-var smallOpts = Options{SkipLinkTracking: true}
-
 func TestTable4Dimensionality(t *testing.T) {
 	rows, err := Table4(Options{})
 	if err != nil {
@@ -270,16 +267,6 @@ func TestSummarizeClaimsOnSubset(t *testing.T) {
 	}
 	if c.MaxSelectivity <= 0 {
 		t.Error("max selectivity missing")
-	}
-}
-
-func TestSortAnalyses(t *testing.T) {
-	rows := []*Analysis{
-		{App: "B", Ranks: 8}, {App: "A", Ranks: 64}, {App: "A", Ranks: 8},
-	}
-	SortAnalyses(rows)
-	if rows[0].App != "A" || rows[0].Ranks != 8 || rows[2].App != "B" {
-		t.Fatalf("sorted wrong: %+v", rows)
 	}
 }
 

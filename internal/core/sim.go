@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"netloc/internal/mapping"
+	"netloc/internal/obs"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
+	"netloc/internal/trace"
 	"netloc/internal/workloads"
 )
 
@@ -38,38 +41,54 @@ var SimWorkloads = []WorkloadRef{
 // one generates its trace once and replays it on the three topologies
 // in order); rows stay in table order regardless of Parallelism.
 func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
-	opts = opts.WithEngine()
 	if len(refs) == 0 {
 		refs = SimWorkloads
 	}
-	var capped []WorkloadRef
-	for _, ref := range refs {
-		if opts.withinCap(ref.Ranks) {
-			capped = append(capped, ref)
+	return familyRows(refs, paperKinds, opts, func(ref WorkloadRef, tr *trace.Trace, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]SimRow, error) {
+		// The span ends via defer on every path: a failing simulation must
+		// not leave an unterminated span in the debug ring.
+		ssp := cell.Start("simnet")
+		defer ssp.End()
+		ssp.SetLabel(topo.Kind())
+		stats, err := simnet.Simulate(tr, topo, mp, simnet.Options{
+			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
+			PacketBytes:          opts.PacketSize,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: sim %s/%d on %s: %w", ref.App, ref.Ranks, topo.Name(), err)
 		}
-	}
-	perRef, err := runGrid(opts.Runner(), len(capped), func(i int) ([]SimRow, error) {
-		ref := capped[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
+		ssp.Add("sim_messages", int64(stats.Messages))
+		ssp.Add("sim_hops", int64(stats.HopsTraversed))
+		return []SimRow{{App: ref.App, Ranks: ref.Ranks, Topology: topo.Kind(), Stats: *stats}}, nil
+	})
+}
+
+// familyRows is the cell of SimTable and CongestionTable, run through
+// eachCell: the configuration's trace is generated once and every family
+// sized (ConfigFor) before anything runs; then, family by family, rows
+// gets the trace, the cached topology and the consecutive mapping. The
+// rows of every cell come back flattened in (configuration, family)
+// order.
+func familyRows[R any](refs []WorkloadRef, families []string, opts Options,
+	rows func(ref WorkloadRef, tr *trace.Trace, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]R, error)) ([]R, error) {
+	perRef, err := eachCell(refs, opts, func(ref WorkloadRef, o Options) ([]R, error) {
 		app, err := workloads.Lookup(ref.App)
 		if err != nil {
 			return nil, err
 		}
-		o := opts
-		o.Span = cell
 		tr, err := generateTrace(app, ref.Ranks, o)
 		if err != nil {
 			return nil, err
 		}
-		torCfg, ftCfg, dfCfg, err := topology.Configs(ref.Ranks)
-		if err != nil {
-			return nil, err
+		cfgs := make([]topology.Config, len(families))
+		for i, fam := range families {
+			if cfgs[i], err = ConfigFor(fam, ref.Ranks); err != nil {
+				return nil, err
+			}
 		}
-		rows := make([]SimRow, 0, 3)
-		for _, cfg := range []topology.Config{torCfg, ftCfg, dfCfg} {
-			topo, err := opts.Cache.Topology(cfg, cfg.Build)
+		var out []R
+		for _, cfg := range cfgs {
+			topo, err := o.Cache.Topology(cfg, cfg.Build)
 			if err != nil {
 				return nil, err
 			}
@@ -77,38 +96,16 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The span ends via defer on every path: a failing simulation
-			// must not leave an unterminated span in the debug ring.
-			stats, err := func() (*simnet.Stats, error) {
-				ssp := cell.Start("simnet")
-				defer ssp.End()
-				ssp.SetLabel(topo.Kind())
-				stats, err := simnet.Simulate(tr, topo, mp, simnet.Options{
-					BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-					PacketBytes:          opts.PacketSize,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("core: sim %s/%d on %s: %w", ref.App, ref.Ranks, topo.Name(), err)
-				}
-				ssp.Add("sim_messages", int64(stats.Messages))
-				ssp.Add("sim_hops", int64(stats.HopsTraversed))
-				return stats, nil
-			}()
+			r, err := rows(ref, tr, topo, mp, o.Span)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, SimRow{
-				App: ref.App, Ranks: ref.Ranks, Topology: topo.Kind(), Stats: *stats,
-			})
+			out = append(out, r...)
 		}
-		return rows, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows []SimRow
-	for _, r := range perRef {
-		rows = append(rows, r...)
-	}
-	return rows, nil
+	return slices.Concat(perRef...), nil
 }

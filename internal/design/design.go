@@ -41,9 +41,7 @@ import (
 // Families lists the topology families the optimizer can sweep, in the
 // canonical sheet order: the paper's families (plus mesh) first, then the
 // extreme-scale families (Slim Fly, Jellyfish, HyperX).
-func Families() []string {
-	return []string{"torus", "mesh", "fattree", "dragonfly", "slimfly", "jellyfish", "hyperx"}
-}
+func Families() []string { return topology.Kinds() }
 
 // DefaultMappings are the mapping strategies a search sweeps when the
 // request names none: the paper's consecutive baseline plus the greedy
@@ -155,6 +153,21 @@ func (r Request) withDefaults() Request {
 	}
 	r.Weights = r.Weights.withDefaults()
 	return r
+}
+
+// prepare canonicalizes and validates a request, then refuses a node
+// count above the options' rank caps (core.Options.CheckRanks) before
+// anything is generated, extrapolated or sized by it. SearchContext and
+// Store.Submit both go through it, so an over-cap job fails at submit.
+func (r Request) prepare(opts core.Options) (Request, error) {
+	r = r.withDefaults()
+	if err := r.Validate(); err != nil {
+		return r, err
+	}
+	if err := opts.CheckRanks(r.Ranks); err != nil {
+		return r, fmt.Errorf("design: %w", err)
+	}
+	return r, nil
 }
 
 // ErrNoCandidates is wrapped by searches whose constraint set admits no
@@ -638,12 +651,14 @@ type configOutcome struct {
 }
 
 // SearchContext enumerates, evaluates, and ranks the candidate space.
-// Cancelling the context stops the sweep at the next configuration
-// boundary and returns the context error; worker tokens drawn from the
-// options' budget are released before it returns.
+// A node count above the options' rank caps (core.Options.CheckRanks)
+// fails before any trace is generated. Cancelling the context stops the
+// sweep at the next configuration boundary and returns the context
+// error; worker tokens drawn from the options' budget are released
+// before it returns.
 func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet, error) {
-	req = req.withDefaults()
-	if err := req.Validate(); err != nil {
+	req, err := req.prepare(opts)
+	if err != nil {
 		return nil, err
 	}
 	opts = opts.WithEngine()

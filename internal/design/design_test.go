@@ -2,6 +2,7 @@ package design
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -258,6 +259,45 @@ func TestSearchUnknownApp(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "milc") {
 		t.Errorf("error does not list design extras: %v", err)
+	}
+}
+
+// TestSearchHonoursRankCaps: a search's node count is held to the
+// options' rank caps (core.Options.CheckRanks) before anything is
+// generated, extrapolated or sized by it, with a "design:" error the
+// service answers with a 400.
+func TestSearchHonoursRankCaps(t *testing.T) {
+	_, err := Search(Request{App: "milc", Ranks: 512}, core.Options{MaxRanks: 64})
+	if err == nil || !strings.Contains(err.Error(), "design: core: trace declares 512 ranks, outside [1, 64] (MaxRanks)") {
+		t.Fatalf("milc/512 under MaxRanks 64: err = %v, want 512 refused naming the cap", err)
+	}
+
+	// Above what topology.Configs can size (13,824 ranks), a named app
+	// would otherwise be extrapolated by GenerateAt first.
+	cache := workcache.New(0)
+	_, err = Search(Request{App: "LULESH", Ranks: 64000}, core.Options{Parallelism: 1, Cache: cache})
+	if err == nil || !strings.HasPrefix(err.Error(), "design: core: trace declares 64000 ranks") {
+		t.Fatalf("LULESH/64000: err = %v, want the rank count refused", err)
+	}
+	if st := cache.Stats(); st.Misses != 0 {
+		t.Fatalf("refusing LULESH/64000 missed the workcache %d times, want 0 (nothing generated)", st.Misses)
+	}
+
+	// An attached trace declaring 4,194,304 ranks with one message is
+	// refused before its matrices are sized.
+	huge := &trace.Trace{
+		Meta:   trace.Meta{App: "huge", Ranks: 1 << 22, WallTime: 1},
+		Events: []trace.Event{{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 8}},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Search(Request{Trace: huge}, core.Options{Parallelism: 1})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasPrefix(err.Error(), "design: core: trace declares 4194304 ranks") {
+		t.Fatalf("4,194,304-rank trace: err = %v, want the declared rank count refused", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing the trace allocated %d KiB, want under 1 MiB", got>>10)
 	}
 }
 

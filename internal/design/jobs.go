@@ -140,12 +140,12 @@ func NewStore(capacity int) *Store {
 	return &Store{Search: SearchContext, capacity: capacity, jobs: map[string]*Job{}}
 }
 
-// Submit validates the request, reserves a slot, and starts the search
-// in a background goroutine. The returned job is already registered and
-// pollable.
+// Submit validates the request (rank caps included), reserves a slot,
+// and starts the search in a background goroutine. The returned job is
+// already registered and pollable.
 func (s *Store) Submit(req Request, opts core.Options) (*Job, error) {
-	req = req.withDefaults()
-	if err := req.Validate(); err != nil {
+	req, err := req.prepare(opts)
+	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())

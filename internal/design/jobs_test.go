@@ -181,12 +181,22 @@ func TestStoreBoundedEviction(t *testing.T) {
 	}
 }
 
-// TestStoreValidatesBeforeSpawn: an invalid request is rejected
-// synchronously and never occupies a slot.
+// TestStoreValidatesBeforeSpawn: an invalid request, or one above the
+// options' rank cap, is rejected synchronously and never occupies a slot.
 func TestStoreValidatesBeforeSpawn(t *testing.T) {
 	store := NewStore(2)
-	if _, err := store.Submit(Request{App: "milc", Ranks: -1}, core.Options{}); err == nil {
-		t.Fatal("invalid request accepted")
+	for _, tc := range []struct {
+		req  Request
+		opts core.Options
+		want string
+	}{
+		{Request{App: "milc", Ranks: -1}, core.Options{}, "non-positive node count"},
+		{Request{App: "milc", Ranks: 512}, core.Options{MaxRanks: 64}, "design: core: trace declares 512 ranks, outside [1, 64]"},
+	} {
+		_, err := store.Submit(tc.req, tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Submit(%s/%d, MaxRanks %d): err = %v, want %q", tc.req.App, tc.req.Ranks, tc.opts.MaxRanks, err, tc.want)
+		}
 	}
 	if stats := store.Stats(); stats.Submitted != 0 || stats.Retained != 0 {
 		t.Fatalf("rejected request left store stats %+v", stats)

@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"netloc/internal/core"
 	"netloc/internal/design"
 	"netloc/internal/trace"
 )
@@ -151,6 +153,40 @@ func TestDesignValidationErrors(t *testing.T) {
 				t.Errorf("%s %s: body %s does not mention %q", endpoint, tc.name, body, tc.want)
 			}
 		}
+	}
+}
+
+// TestDesignHonoursServerMaxRanks: the server's rank cap bounds every
+// design surface. A node count above it is a 400 from the synchronous
+// search, the trace upload and job submission alike.
+func TestDesignHonoursServerMaxRanks(t *testing.T) {
+	ts := newTestServer(t, Options{Analysis: core.Options{MaxRanks: 64}})
+	const want = "trace declares 512 ranks, outside [1, 64] (MaxRanks)"
+	for _, endpoint := range []string{"/v1/design", "/v1/design/jobs"} {
+		status, body := postJSON(t, ts, endpoint, `{"app": "milc", "ranks": 512}`)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Errorf("%s milc/512: status %d (%s), want 400 naming the cap", endpoint, status, body)
+		}
+	}
+	tr := &trace.Trace{
+		Meta:   trace.Meta{App: "uploaded", Ranks: 512, WallTime: 1},
+		Events: []trace.Event{{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 4096, End: 10}},
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/design/trace", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+		t.Errorf("/v1/design/trace 512 ranks: status %d (%s), want 400 naming the cap", resp.StatusCode, body)
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package stats provides small numeric helpers used throughout the
-// locality analyses: weighted and unweighted quantiles, histograms, and
-// summary statistics.
+// Package stats provides the numeric helpers behind package metrics'
+// 90% rules and selectivity curves: weighted coverage quantiles,
+// coverage counts and cumulative shares (in-place variants for the hot
+// loops). Its unweighted quantiles, histograms and summary statistics
+// are exercised only by its own tests.
 //
 // All functions are pure and deterministic. Weighted variants operate on
 // parallel value/weight slices; weights must be non-negative and are not
@@ -72,15 +74,6 @@ func Max(xs []float64) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

@@ -264,8 +264,7 @@ func TestConcurrentMixedTrafficSharedCache(t *testing.T) {
 				app   string
 				ranks int
 			}{{"LULESH", 64}, {"MiniFE", 144}, {"LULESH", 64}} {
-				_, err := core.AnalyzeApp(ref.app, ref.ranks,
-					core.Options{Cache: cache, SkipLinkTracking: true})
+				_, err := core.AnalyzeApp(ref.app, ref.ranks, core.Options{Cache: cache})
 				if err != nil {
 					errs <- err
 				}
@@ -317,11 +316,11 @@ func TestConcurrentMixedTrafficSharedCache(t *testing.T) {
 	// under the tiny cap, so assert hit accounting on the quiet cache:
 	// one analysis stores 3 artifacts (trace, matrix, topology), all
 	// resident under the cap of 4, and an immediate repeat must hit.
-	if _, err := core.AnalyzeApp("LULESH", 64, core.Options{Cache: cache, SkipLinkTracking: true}); err != nil {
+	if _, err := core.AnalyzeApp("LULESH", 64, core.Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	before := cache.Stats()
-	if _, err := core.AnalyzeApp("LULESH", 64, core.Options{Cache: cache, SkipLinkTracking: true}); err != nil {
+	if _, err := core.AnalyzeApp("LULESH", 64, core.Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	after := cache.Stats()

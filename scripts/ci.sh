@@ -62,6 +62,26 @@ go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./in
 echo "=== go test (allocation pins, no -race) ==="
 go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/netmodel ./internal/mapping
 
+# Every committed results/ file is an output pin: regenerate both formats
+# of every experiment (the full grid, no -race) and fail on any file that
+# differs from results/ or is missing there.
+echo "=== results/ (regenerated, no -race) ==="
+RESULTS_DIR="$(mktemp -d)"
+trap 'rm -rf "$RESULTS_DIR"' EXIT
+go run ./cmd/locality -all "$RESULTS_DIR"
+go run ./cmd/locality -all "$RESULTS_DIR" -csv
+for f in "$RESULTS_DIR"/*; do
+    name="$(basename "$f")"
+    if [ ! -f "results/$name" ]; then
+        echo "results: $name is generated but missing from results/" >&2
+        exit 1
+    fi
+    if ! cmp "$f" "results/$name"; then
+        echo "results: $name differs from results/$name" >&2
+        exit 1
+    fi
+done
+
 # bench/ is a module of its own, so the root ./... above never builds
 # it: vet and test it here, or a change to the packages it drives could
 # stop the benchmark from compiling unnoticed.
