@@ -35,6 +35,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The trace is expanded into wire messages once; each topology below
+	// replays the same Wire.
+	wire, err := simnet.Prepare(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	torCfg, ftCfg, dfCfg, err := topology.Configs(ranks)
 	if err != nil {
 		log.Fatal(err)
@@ -57,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim, err := simnet.Simulate(tr, topo, mp, simnet.Options{})
+		sim, err := wire.Simulate(topo, mp, simnet.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -43,11 +43,11 @@ func TestProbeAllocsDoNotGrowWithMessages(t *testing.T) {
 		bytes  uint64
 	}
 	probe := func(tr *trace.Trace) (cost, int) {
-		w, err := simnet.Prepare(tr, topo, mp)
+		w, err := simnet.Prepare(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := newReplay(w, topo, opts)
+		r, err := newReplay(w, topo, mp, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

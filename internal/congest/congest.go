@@ -11,14 +11,17 @@
 //
 // The event core is a binary heap of (time, seq) head events that holds
 // only the messages in flight; messages not yet injected are read
-// through a cursor over the release-sorted Wire. Each Simulate or
-// LatencyTolerance call routes every message once, into one flat arena
-// of link indices, before the clock starts: minimal, ECMP and Valiant
-// paths never depend on the clock or on link state, and UGAL keeps both
-// of its candidate paths there and picks one at injection. Tolerance
-// probes read only the makespan, so they replay that arena without the
-// per-message and per-link bookkeeping a full run keeps, and allocate
-// nothing per message.
+// through a cursor over the release-sorted Wire. Each SimulateWire or
+// LatencyToleranceWire call routes every rank pair of the Wire once,
+// into one flat arena of link indices, before the clock starts:
+// minimal, ECMP and Valiant paths depend only on the endpoints, never
+// on the clock or on link state, and UGAL keeps both of its candidate
+// paths there and picks one at injection. Simulate and LatencyTolerance
+// prepare the trace first; a caller replaying one trace many times
+// prepares it once and passes the Wire. Tolerance probes read only the
+// makespan, so they replay that arena without the per-message and
+// per-link bookkeeping a full run keeps, and allocate nothing per
+// message.
 //
 // Routing is pluggable (see Policies): deterministic shortest paths for
 // baseline parity with simnet, ECMP hashing over the equal-cost
@@ -200,17 +203,23 @@ func (q *linkQueue) depthAt(now float64) int {
 func (q *linkQueue) push(start float64) { q.starts = append(q.starts, start) }
 
 // Simulate replays the trace's wire messages over the topology under
-// the selected routing policy.
+// the selected routing policy: simnet.Prepare followed by SimulateWire.
 func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options) (*Stats, error) {
+	w, err := simnet.Prepare(t)
+	if err != nil {
+		return nil, fmt.Errorf("congest: %w", err)
+	}
+	return SimulateWire(w, topo, mp, opts)
+}
+
+// SimulateWire replays a prepared Wire over the topology under mp and
+// the selected routing policy.
+func SimulateWire(w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, opts Options) (*Stats, error) {
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
 	}
-	w, err := simnet.Prepare(t, topo, mp)
-	if err != nil {
-		return nil, fmt.Errorf("congest: %w", err)
-	}
-	r, err := newReplay(w, topo, opts)
+	r, err := newReplay(w, topo, mp, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -235,22 +244,26 @@ type message struct {
 // replay is one Wire routed under one policy on one topology: what every
 // run needs and no run changes, plus the buffers runs reuse. Any number
 // of runs, at any extra hop latency, replay the same arena. A replay is
-// not safe for concurrent use; each Simulate or LatencyTolerance call
-// builds its own.
+// not safe for concurrent use; each SimulateWire or LatencyToleranceWire
+// call builds its own.
 type replay struct {
 	policy    string
 	packetLat float64   // head latency per hop: PacketBytes / bandwidth
 	msgs      []message // inter-node messages in Wire order; index = seq
-	arena     []int32   // every routed path, back to back
+	arena     []int32   // every pair's routed paths, back to back
+	// traversals bounds the link traversals of one run: the longer of
+	// each message's candidate paths, summed.
+	traversals int
 	// Reused by every run.
 	busyUntil []float64 // per link: when its current service ends
 	queue     eventQueue
 }
 
-// newReplay routes every inter-node message of w once under the
-// options' policy. Sequence numbers follow Wire (release) order, so
-// event ties resolve the way a FIFO injection queue would.
-func newReplay(w *simnet.Wire, topo topology.Topology, opts Options) (*replay, error) {
+// newReplay routes every inter-node pair of w once under the options'
+// policy: paths depend only on the endpoints, so every message of a
+// pair shares its pair's spans. Sequence numbers follow Wire (release)
+// order, so event ties resolve the way a FIFO injection queue would.
+func newReplay(w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, opts Options) (*replay, error) {
 	ugal := opts.Policy == PolicyUGAL
 	policy := opts.Policy
 	if ugal {
@@ -273,26 +286,26 @@ func newReplay(w *simnet.Wire, topo topology.Topology, opts Options) (*replay, e
 		msgs:      make([]message, 0, len(w.Messages)),
 		busyUntil: make([]float64, len(topo.Links())),
 	}
+	// Each pair's routes, as the template of its messages; an on-node
+	// pair keeps an empty path.
+	pairs := make([]message, len(w.Pairs))
 	var path, alt []int
-	for _, wm := range w.Messages {
-		if wm.SrcNode == wm.DstNode {
-			continue
-		}
-		src, dst := int(wm.SrcNode), int(wm.DstNode)
-		m := message{release: wm.Release, serial: float64(wm.Bytes) / bw}
+	err = w.Place(topo, mp, func(pair, src, dst int) error {
+		m := &pairs[pair]
+		var err error
 		if path, m.detour, err = rt.route(src, dst, path); err != nil {
-			return nil, err
+			return err
 		}
 		if ugal {
 			if alt, _, err = val.route(src, dst, alt); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if len(path) == 0 || ugal && len(alt) == 0 {
-			return nil, fmt.Errorf("congest: empty route for %d->%d on %s", src, dst, topo.Name())
+			return fmt.Errorf("empty route for %d->%d on %s", src, dst, topo.Name())
 		}
 		if len(r.arena)+len(path)+len(alt) > math.MaxInt32 {
-			return nil, fmt.Errorf("congest: routed paths exceed %d links", math.MaxInt32)
+			return fmt.Errorf("routed paths exceed %d links", math.MaxInt32)
 		}
 		m.path = r.add(path)
 		// The Valiant alternative can share the minimal path's length
@@ -301,7 +314,19 @@ func newReplay(w *simnet.Wire, topo topology.Topology, opts Options) (*replay, e
 		if ugal && !slices.Equal(path, alt) {
 			m.alt = r.add(alt)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("congest: %w", err)
+	}
+	for _, wm := range w.Messages {
+		m := pairs[wm.Pair]
+		if m.path.hi == m.path.lo {
+			continue // intra-node: no network involvement
+		}
+		m.release, m.serial = wm.Release, float64(wm.Bytes)/bw
 		r.msgs = append(r.msgs, m)
+		r.traversals += int(max(m.path.hi-m.path.lo, m.alt.hi-m.alt.lo))
 	}
 	return r, nil
 }
@@ -522,7 +547,7 @@ func (r *replay) stats(extra float64) *Stats {
 	t := &tally{
 		busyTime:     make([]float64, links),
 		queues:       make([]linkQueue, links),
-		reservations: make([]reservation, 0, len(r.arena)),
+		reservations: make([]reservation, 0, r.traversals),
 		latencies:    make([]float64, 0, len(r.msgs)),
 	}
 	firstRelease := r.msgs[0].release

@@ -6,15 +6,15 @@ import (
 	"netloc/internal/topology"
 )
 
-// router computes one message's link path. Paths depend only on the
+// router computes one pair's link path. Paths depend only on the
 // endpoints, never on the clock or on link state, so a replay routes
-// each message once, before its first run. Implementations are
-// deterministic; they may keep reusable buffers, so each replay builds
-// its own.
+// each rank pair once, before its first run, and its messages share the
+// path. Implementations are deterministic; they may keep reusable
+// buffers, so each replay builds its own.
 type router interface {
 	// route returns the link path from node src to node dst, appended
 	// to buf[:0] as topology.Route does, so a caller that copies the
-	// path out can pass one buffer for every message. detour reports a
+	// path out can pass one buffer for every pair. detour reports a
 	// non-minimal (Valiant) path.
 	route(src, dst int, buf []int) (path []int, detour bool, err error)
 }
@@ -60,8 +60,8 @@ func mix64(x uint64) uint64 {
 // distance-decreasing neighbors is picked by a per-(flow, vertex) hash —
 // the stateless, deterministic spreading of flow-hashing switches. The
 // BFS distance row toward each destination is filled on first use and
-// reused across the run. Endpoints are nodes of a prepared Wire, which
-// simnet.Prepare keeps inside the topology.
+// reused across the run. Endpoints are nodes simnet.Wire.Place has
+// checked against the topology.
 type ecmpRouter struct {
 	adj   topology.Adjacency
 	seed  uint64
@@ -84,7 +84,7 @@ func (r *ecmpRouter) route(src, dst int, buf []int) ([]int, bool, error) {
 		r.dist[dst] = dist
 	}
 	if dist[src] < 0 {
-		return nil, false, fmt.Errorf("congest: no path %d->%d", src, dst)
+		return nil, false, fmt.Errorf("no path %d->%d", src, dst)
 	}
 	// One hash per flow: every message of a (src, dst) pair follows the
 	// same path, load spreads across flows — classic ECMP, as opposed
@@ -101,7 +101,7 @@ func (r *ecmpRouter) route(src, dst int, buf []int) ([]int, bool, error) {
 			}
 		}
 		if n == 0 {
-			return nil, false, fmt.Errorf("congest: BFS dead end at vertex %d toward %d", cur, dst)
+			return nil, false, fmt.Errorf("BFS dead end at vertex %d toward %d", cur, dst)
 		}
 		pick := int(mix64(flow^uint64(cur)) % uint64(n))
 		for _, e := range r.adj[cur] {

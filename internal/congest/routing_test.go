@@ -23,27 +23,29 @@ func testTopos(t *testing.T) map[string]topology.Topology {
 	}
 }
 
-// pairsWire is one message for every ordered pair of distinct nodes.
+// pairsWire is one message for every ordered pair of distinct ranks, one
+// rank per node under identity (see routed).
 func pairsWire(nodes int) *simnet.Wire {
-	w := &simnet.Wire{}
+	w := &simnet.Wire{Ranks: nodes}
 	for src := 0; src < nodes; src++ {
 		for dst := 0; dst < nodes; dst++ {
 			if src != dst {
-				w.Messages = append(w.Messages, simnet.Message{SrcNode: int32(src), DstNode: int32(dst), Bytes: 1})
+				w.Messages = append(w.Messages, simnet.Message{Pair: int32(len(w.Pairs)), Bytes: 1})
+				w.Pairs = append(w.Pairs, simnet.Pair{Src: int32(src), Dst: int32(dst)})
 			}
 		}
 	}
 	return w
 }
 
-// routed builds a replay of w under policy.
+// routed builds a replay of w under policy, rank r placed on node r.
 func routed(t *testing.T, w *simnet.Wire, topo topology.Topology, policy string) *replay {
 	t.Helper()
 	opts, err := Options{Policy: policy}.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := newReplay(w, topo, opts)
+	r, err := newReplay(w, topo, consecutive(t, w.Ranks, topo.Nodes()), opts)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", topo.Kind(), policy, err)
 	}
@@ -72,7 +74,8 @@ func TestRoutesAreValidWalks(t *testing.T) {
 				t.Fatalf("%s/%s: routed %d of %d messages", kind, policy, len(r.msgs), len(w.Messages))
 			}
 			for i, m := range r.msgs {
-				src, dst := int(w.Messages[i].SrcNode), int(w.Messages[i].DstNode)
+				p := w.Pairs[w.Messages[i].Pair]
+				src, dst := int(p.Src), int(p.Dst)
 				checkPath(t, topo, src, dst, r.links(m.path))
 				if m.alt.hi > m.alt.lo {
 					checkPath(t, topo, src, dst, r.links(m.alt))
@@ -169,7 +172,11 @@ func TestUGALAdaptsToBacklog(t *testing.T) {
 	topo := dragonfly(t, 64)
 	// An inter-group pair, so the Valiant path actually detours.
 	src, dst := 0, topo.Nodes()-1
-	w := &simnet.Wire{Messages: []simnet.Message{{SrcNode: int32(src), DstNode: int32(dst), Bytes: 4096}}}
+	w := &simnet.Wire{
+		Ranks:    topo.Nodes(),
+		Pairs:    []simnet.Pair{{Src: int32(src), Dst: int32(dst)}},
+		Messages: []simnet.Message{{Pair: 0, Bytes: 4096}},
+	}
 	r := routed(t, w, topo, PolicyUGAL)
 	m := &r.msgs[0]
 	minPath, err := topo.Route(src, dst, nil)

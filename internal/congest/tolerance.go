@@ -49,8 +49,9 @@ type Tolerance struct {
 // before the makespan grows more than growthPct percent (zero means
 // DefaultGrowthPct; negative, NaN and infinite thresholds are
 // rejected). The search is deterministic: exponential bracketing from
-// one head-packet latency, then bounded bisection. The messages are
-// prepared and routed once, and every probe is a makespan-only replay.
+// one head-packet latency, then bounded bisection. The trace is
+// prepared once and its pairs routed once, and every probe is a
+// makespan-only replay.
 //
 // The bisection assumes the makespan grows monotonically with the added
 // latency. It does not: FIFO contention reorders messages, and on
@@ -64,6 +65,15 @@ type Tolerance struct {
 // 5.01%. A UGAL result is therefore where the search crossed the
 // threshold, not a bound below which the threshold holds.
 func LatencyTolerance(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options, growthPct float64) (*Tolerance, error) {
+	w, err := simnet.Prepare(t)
+	if err != nil {
+		return nil, fmt.Errorf("congest: %w", err)
+	}
+	return LatencyToleranceWire(w, topo, mp, opts, growthPct)
+}
+
+// LatencyToleranceWire is LatencyTolerance over a prepared Wire.
+func LatencyToleranceWire(w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, opts Options, growthPct float64) (*Tolerance, error) {
 	if growthPct == 0 {
 		growthPct = DefaultGrowthPct
 	}
@@ -77,11 +87,7 @@ func LatencyTolerance(t *trace.Trace, topo topology.Topology, mp *mapping.Mappin
 	}
 	// Every probe replays the same routed messages; only the hop latency
 	// moves, and a probe reads nothing but the makespan.
-	w, err := simnet.Prepare(t, topo, mp)
-	if err != nil {
-		return nil, fmt.Errorf("congest: %w", err)
-	}
-	r, err := newReplay(w, topo, opts)
+	r, err := newReplay(w, topo, mp, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -167,7 +167,7 @@ func TestToleranceHoldsBelowReportedValue(t *testing.T) {
 				t.Fatal(err)
 			}
 			threshold := tol.BaseMakespan * (1 + tol.GrowthPct/100)
-			w, err := simnet.Prepare(tr, topo, mp)
+			w, err := simnet.Prepare(tr)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"netloc/internal/obs"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
-	"netloc/internal/trace"
 )
 
 // CongestionRow is one cell of the congestion experiment grid: one
@@ -59,7 +58,7 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 	if len(policies) == 0 {
 		policies = congest.Policies()
 	}
-	return familyRows(refs, families, opts, func(ref WorkloadRef, tr *trace.Trace, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]CongestionRow, error) {
+	return familyRows(refs, families, opts, func(ref WorkloadRef, w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]CongestionRow, error) {
 		rows := make([]CongestionRow, 0, len(policies))
 		for _, policy := range policies {
 			copts := congest.Options{
@@ -75,7 +74,7 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 				csp := cell.Start("congest")
 				defer csp.End()
 				csp.SetLabel(fmt.Sprintf("%s/%s", topo.Kind(), policy))
-				stats, err := congest.Simulate(tr, topo, mp, copts)
+				stats, err := congest.SimulateWire(w, topo, mp, copts)
 				if err != nil {
 					return nil, fmt.Errorf("core: congestion %s/%d on %s (%s): %w",
 						ref.App, ref.Ranks, topo.Name(), policy, err)
@@ -97,7 +96,7 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 					tsp := cell.Start("tolerance")
 					defer tsp.End()
 					tsp.SetLabel(topo.Kind())
-					tol, err := congest.LatencyTolerance(tr, topo, mp, copts, growthPct)
+					tol, err := congest.LatencyToleranceWire(w, topo, mp, copts, growthPct)
 					if err != nil {
 						return nil, fmt.Errorf("core: tolerance %s/%d on %s: %w",
 							ref.App, ref.Ranks, topo.Name(), err)

@@ -8,7 +8,6 @@ import (
 	"netloc/internal/obs"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
-	"netloc/internal/trace"
 	"netloc/internal/workloads"
 )
 
@@ -44,13 +43,13 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 	if len(refs) == 0 {
 		refs = SimWorkloads
 	}
-	return familyRows(refs, paperKinds, opts, func(ref WorkloadRef, tr *trace.Trace, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]SimRow, error) {
+	return familyRows(refs, paperKinds, opts, func(ref WorkloadRef, w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]SimRow, error) {
 		// The span ends via defer on every path: a failing simulation must
 		// not leave an unterminated span in the debug ring.
 		ssp := cell.Start("simnet")
 		defer ssp.End()
 		ssp.SetLabel(topo.Kind())
-		stats, err := simnet.Simulate(tr, topo, mp, simnet.Options{
+		stats, err := w.Simulate(topo, mp, simnet.Options{
 			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
 			PacketBytes:          opts.PacketSize,
 		})
@@ -65,12 +64,12 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 
 // familyRows is the cell of SimTable and CongestionTable, run through
 // eachCell: the configuration's trace is generated once and every family
-// sized (ConfigFor) before anything runs; then, family by family, rows
-// gets the trace, the cached topology and the consecutive mapping. The
-// rows of every cell come back flattened in (configuration, family)
-// order.
+// sized (ConfigFor) before anything runs, then the trace is prepared
+// once (simnet.Prepare); then, family by family, rows gets the Wire, the
+// cached topology and the consecutive mapping. The rows of every cell
+// come back flattened in (configuration, family) order.
 func familyRows[R any](refs []WorkloadRef, families []string, opts Options,
-	rows func(ref WorkloadRef, tr *trace.Trace, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]R, error)) ([]R, error) {
+	rows func(ref WorkloadRef, w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]R, error)) ([]R, error) {
 	perRef, err := eachCell(refs, opts, func(ref WorkloadRef, o Options) ([]R, error) {
 		app, err := workloads.Lookup(ref.App)
 		if err != nil {
@@ -86,6 +85,10 @@ func familyRows[R any](refs []WorkloadRef, families []string, opts Options,
 				return nil, err
 			}
 		}
+		w, err := simnet.Prepare(tr)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s/%d: simnet: %w", ref.App, ref.Ranks, err)
+		}
 		var out []R
 		for _, cfg := range cfgs {
 			topo, err := o.Cache.Topology(cfg, cfg.Build)
@@ -96,7 +99,7 @@ func familyRows[R any](refs []WorkloadRef, families []string, opts Options,
 			if err != nil {
 				return nil, err
 			}
-			r, err := rows(ref, tr, topo, mp, o.Span)
+			r, err := rows(ref, w, topo, mp, o.Span)
 			if err != nil {
 				return nil, err
 			}

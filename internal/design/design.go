@@ -681,6 +681,13 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 			ErrNoCandidates, req.Families, req.Ranks, req.Constraints.maxRadix())
 	}
 
+	// Every candidate replays the same Wire: the trace is expanded,
+	// interned and sorted once per search, not once per candidate.
+	w, err := simnet.Prepare(t)
+	if err != nil {
+		return nil, fmt.Errorf("design: %w", err)
+	}
+
 	total := len(cfgs)
 	outcomes := make([]configOutcome, total)
 	var done atomic.Int64
@@ -688,7 +695,7 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		oc, err := evaluateConfig(ctx, cfgs[i], req, t, acc, opts)
+		oc, err := evaluateConfig(ctx, cfgs[i], req, w, acc, opts)
 		if err != nil {
 			return fmt.Errorf("design: %s%s: %w", cfgs[i].Kind, cfgs[i], err)
 		}
@@ -732,8 +739,10 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 // evaluateConfig builds one configuration, prices it, filters it against
 // the cost caps, and scores it under every requested mapping. The per-
 // config work is fully sequential so the parallel fan-out above stays
-// index-deterministic.
-func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, t *trace.Trace, acc *comm.Accumulated, opts core.Options) (configOutcome, error) {
+// index-deterministic. The sheet reads only the simulation's makespan
+// and link utilization, so the Wire replays without per-message
+// bookkeeping (simnet.Wire.Load).
+func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, w *simnet.Wire, acc *comm.Accumulated, opts core.Options) (configOutcome, error) {
 	span := opts.Span.Start("candidate")
 	span.SetLabel(cfg.Kind + cfg.String())
 	defer span.End()
@@ -767,7 +776,7 @@ func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, t *tr
 		if err != nil {
 			return configOutcome{}, fmt.Errorf("netmodel under %s: %w", mapName, err)
 		}
-		sim, err := simnet.Simulate(t, topo, mp, simnet.Options{
+		sim, err := w.Load(topo, mp, simnet.Options{
 			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
 			PacketBytes:          opts.PacketSize,
 		})
@@ -800,8 +809,9 @@ func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, t *tr
 
 // pathStats computes the mean path length and diameter over all ordered
 // compute-node pairs (uniform traffic, the objective of the minimal-MPL
-// search). Hop counts are analytic, so this is cheap even for the
-// largest enumerated candidates.
+// search). HopCount is symmetric on every family
+// (TestAllFamiliesRoutingInvariants), so each unordered pair is counted
+// once and doubled: the total is an exact integer either way.
 func pathStats(topo topology.Topology) (mpl float64, maxHops int) {
 	n := topo.Nodes()
 	if n < 2 {
@@ -809,10 +819,7 @@ func pathStats(topo topology.Topology) (mpl float64, maxHops int) {
 	}
 	var total uint64
 	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
+		for d := s + 1; d < n; d++ {
 			h := topo.HopCount(s, d)
 			total += uint64(h)
 			if h > maxHops {
@@ -820,7 +827,7 @@ func pathStats(topo topology.Topology) (mpl float64, maxHops int) {
 			}
 		}
 	}
-	return float64(total) / float64(n*(n-1)), maxHops
+	return float64(2*total) / float64(n*(n-1)), maxHops
 }
 
 // rankRows scores every row against the sheet's best values, sorts by

@@ -39,7 +39,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"mapping wider than topology", send, must(mapping.Consecutive(8, 16)), "node space 16 exceeds topology"},
 		{"peer outside the mapping", &trace.Trace{Meta: meta, Events: []trace.Event{
 			{Rank: 0, Op: trace.OpSend, Peer: 8, Root: -1, Bytes: 100},
-		}}, must(mapping.Consecutive(8, 8)), "message 0->8 leaves the mapping's 8 ranks"},
+		}}, must(mapping.Consecutive(8, 8)), "message 0->8 leaves the trace's 8 ranks"},
 		{"empty trace", &trace.Trace{Meta: meta}, must(mapping.Consecutive(8, 8)), "no inter-node messages"},
 		// Ranks 0 and 1 share node 0.
 		{"all intra-node", send, must(mapping.Blocked(8, 4, 2)), "no inter-node messages"},

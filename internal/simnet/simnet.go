@@ -11,6 +11,13 @@
 // latency. Comparing its measured utilization against the static model's
 // upper-bound utilization quantifies how pessimistic or optimistic the
 // static view is for a given workload.
+//
+// A trace is prepared once into a Wire (Prepare), which knows no
+// topology or mapping. Each replay routes every rank pair the mapping
+// puts on two nodes once, then walks the messages in release order:
+// Wire.Simulate reports full Stats, Wire.Load only what the links
+// measure, for callers such as the design search that replay one Wire
+// per candidate.
 package simnet
 
 import (
@@ -111,98 +118,35 @@ type Stats struct {
 	HopsTraversed uint64
 }
 
-// Simulate replays the trace's wire messages over the topology.
+// Simulate replays the trace's wire messages over the topology: Prepare
+// followed by Wire.Simulate.
 func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options) (*Stats, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	w, err := Prepare(t, topo, mp)
+	w, err := Prepare(t)
 	if err != nil {
 		return nil, fmt.Errorf("simnet: %w", err)
 	}
-	msgs := w.Messages
+	return w.Simulate(topo, mp, opts)
+}
 
-	bw := opts.BandwidthBytesPerSec
-	hopLat := float64(opts.PacketBytes) / bw // head-packet serialization per hop
-	linkFree := make([]float64, len(topo.Links()))
-	linkBusy := make([]float64, len(topo.Links()))
-
+// Simulate replays w over the topology under mp and reports every Stats
+// field.
+func (w *Wire) Simulate(topo topology.Topology, mp *mapping.Mapping, opts Options) (*Stats, error) {
 	// Per-rank release timelines for the slackness analysis: the sorted
-	// release times of each rank's own messages.
-	releasesByRank := make([][]float64, t.Meta.Ranks)
-	for _, m := range msgs {
-		releasesByRank[m.Src] = append(releasesByRank[m.Src], m.Release)
+	// release times of each rank's own messages, on-node ones included.
+	t := &tally{
+		latencies:      make([]float64, 0, len(w.Messages)),
+		releasesByRank: make([][]float64, w.Ranks),
 	}
-
-	latencies := make([]float64, 0, len(msgs))
-	var idealSum float64
-	var delayed int
-	// The makespan window opens at the first message that actually
-	// enters the network: intra-node messages are skipped below, so
-	// taking msgs[0].Release would stretch the window — and skew
-	// MeasuredUtilizationPct — whenever the earliest releases stay
-	// on-node. msgs is sorted by release, so the first non-skipped
-	// message has the earliest network release.
-	var firstRelease float64
-	haveFirst := false
-	var lastArrival float64
-	var slacks []float64
-	var slackCovered int
-	var hopsTraversed uint64
-
-	var route []int
-	for _, m := range msgs {
-		if m.SrcNode == m.DstNode {
-			continue // intra-node: no network involvement
-		}
-		if !haveFirst {
-			firstRelease = m.Release
-			haveFirst = true
-		}
-		route, err = topo.Route(int(m.SrcNode), int(m.DstNode), route)
-		if err != nil {
-			return nil, err
-		}
-		serial := float64(m.Bytes) / bw
-		ideal := float64(len(route)-1)*hopLat + serial
-		hopsTraversed += uint64(len(route))
-
-		headTime := m.Release
-		wasDelayed := false
-		for i, li := range route {
-			if i > 0 {
-				headTime += hopLat
-			}
-			if linkFree[li] > headTime {
-				headTime = linkFree[li]
-				wasDelayed = true
-			}
-			linkFree[li] = headTime + serial
-			linkBusy[li] += serial
-		}
-		arrival := headTime + serial
-		lat := arrival - m.Release
-		latencies = append(latencies, lat)
-		idealSum += ideal
-		if wasDelayed {
-			delayed++
-		}
-		if arrival > lastArrival {
-			lastArrival = arrival
-		}
-		// Slack: time until the receiver's next own release after this
-		// arrival.
-		if next, ok := nextReleaseAfter(releasesByRank[m.Dst], arrival); ok {
-			slack := next - arrival
-			slacks = append(slacks, slack)
-			if slack >= serial {
-				slackCovered++
-			}
-		}
+	for _, m := range w.Messages {
+		src := w.Pairs[m.Pair].Src
+		t.releasesByRank[src] = append(t.releasesByRank[src], m.Release)
 	}
-
-	stats := &Stats{Messages: len(latencies), HopsTraversed: hopsTraversed}
+	stats, err := w.replay(topo, mp, opts, t)
+	if err != nil {
+		return nil, err
+	}
+	latencies := t.latencies
+	stats.HopsTraversed = t.hops
 	sort.Float64s(latencies)
 	var sum float64
 	for _, l := range latencies {
@@ -212,37 +156,13 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	stats.MedianLatency = latencies[len(latencies)/2]
 	stats.P99Latency = Quantile(latencies, 0.99)
 	stats.MaxLatency = latencies[len(latencies)-1]
-	stats.MeanIdealLatency = idealSum / float64(len(latencies))
+	stats.MeanIdealLatency = t.idealSum / float64(len(latencies))
 	stats.MeanQueueDelay = stats.MeanLatency - stats.MeanIdealLatency
 	if stats.MeanQueueDelay < 0 {
 		stats.MeanQueueDelay = 0 // float accumulation noise when nothing queued
 	}
-	stats.DelayedShare = float64(delayed) / float64(len(latencies))
-	stats.Makespan = lastArrival - firstRelease
-
-	if stats.Makespan > 0 {
-		var busySum, busyMax, busyMin float64
-		used := 0
-		for _, b := range linkBusy {
-			if b > 0 {
-				busySum += b
-				used++
-				if b > busyMax {
-					busyMax = b
-				}
-				if busyMin == 0 || b < busyMin {
-					busyMin = b
-				}
-			}
-		}
-		stats.UsedLinks = used
-		if used > 0 {
-			stats.MeasuredUtilizationPct = ClampPct(100 * busySum / (stats.Makespan * float64(used)))
-			stats.MinLinkBusyPct = ClampPct(100 * busyMin / stats.Makespan)
-		}
-		stats.MaxLinkBusyPct = ClampPct(100 * busyMax / stats.Makespan)
-	}
-	if len(slacks) > 0 {
+	stats.DelayedShare = float64(t.delayed) / float64(len(latencies))
+	if slacks := t.slacks; len(slacks) > 0 {
 		stats.SlackSamples = len(slacks)
 		sort.Float64s(slacks)
 		var sum float64
@@ -251,9 +171,132 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		}
 		stats.MeanSlack = sum / float64(len(slacks))
 		stats.MedianSlack = slacks[len(slacks)/2]
-		stats.SlackCoverShare = float64(slackCovered) / float64(len(slacks))
+		stats.SlackCoverShare = float64(t.slackCovered) / float64(len(slacks))
 	}
 	return stats, nil
+}
+
+// Load replays w over the topology under mp without per-message
+// bookkeeping. The Stats it returns fill only what the links measure:
+// Messages, Makespan, UsedLinks, MeasuredUtilizationPct and the link
+// busy extremes, each equal to Simulate's. Latency, slack and hop
+// fields stay zero.
+func (w *Wire) Load(topo topology.Topology, mp *mapping.Mapping, opts Options) (*Stats, error) {
+	return w.replay(topo, mp, opts, nil)
+}
+
+// tally is the per-message bookkeeping Simulate keeps and Load skips.
+type tally struct {
+	latencies      []float64 // in release order
+	idealSum       float64
+	delayed        int
+	hops           uint64
+	releasesByRank [][]float64
+	slacks         []float64
+	slackCovered   int
+}
+
+// replay routes every inter-node pair of w once, then replays every
+// inter-node message in release order, reserving each link of its path
+// greedily. It returns Stats with Messages, Makespan and the link fields
+// set; t, when not nil, collects what Simulate reports beyond them.
+func (w *Wire) replay(topo topology.Topology, mp *mapping.Mapping, opts Options, t *tally) (*Stats, error) {
+	opts, err := opts.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	spans, arena, err := route(w, topo, mp)
+	if err != nil {
+		return nil, err
+	}
+	bw := opts.BandwidthBytesPerSec
+	hopLat := float64(opts.PacketBytes) / bw // head-packet serialization per hop
+	linkFree := make([]float64, len(topo.Links()))
+	linkBusy := make([]float64, len(topo.Links()))
+	// The makespan window opens at the first message that actually
+	// enters the network: taking the first release of all would stretch
+	// the window, and skew MeasuredUtilizationPct, whenever the earliest
+	// releases stay on-node. Messages are sorted by release, so the
+	// first inter-node one has the earliest network release.
+	var firstRelease, lastArrival float64
+	n := 0
+	for _, m := range w.Messages {
+		p := spans[m.Pair]
+		if p.lo == p.hi {
+			continue // intra-node: no network involvement
+		}
+		if n == 0 {
+			firstRelease = m.Release
+		}
+		n++
+		serial := float64(m.Bytes) / bw
+		headTime := m.Release
+		delayed := false
+		for i, li := range arena[p.lo:p.hi] {
+			if i > 0 {
+				headTime += hopLat
+			}
+			if linkFree[li] > headTime {
+				headTime = linkFree[li]
+				delayed = true
+			}
+			linkFree[li] = headTime + serial
+			linkBusy[li] += serial
+		}
+		arrival := headTime + serial
+		if arrival > lastArrival {
+			lastArrival = arrival
+		}
+		if t == nil {
+			continue
+		}
+		hops := p.hi - p.lo
+		t.hops += uint64(hops)
+		t.latencies = append(t.latencies, arrival-m.Release)
+		t.idealSum += float64(hops-1)*hopLat + serial
+		if delayed {
+			t.delayed++
+		}
+		// Slack: time until the receiver's next own release after this
+		// arrival.
+		if next, ok := nextReleaseAfter(t.releasesByRank[w.Pairs[m.Pair].Dst], arrival); ok {
+			slack := next - arrival
+			t.slacks = append(t.slacks, slack)
+			if slack >= serial {
+				t.slackCovered++
+			}
+		}
+	}
+	stats := &Stats{Messages: n, Makespan: lastArrival - firstRelease}
+	linkStats(stats, linkBusy)
+	return stats, nil
+}
+
+// linkStats fills the link-level fields from each link's busy time.
+func linkStats(stats *Stats, linkBusy []float64) {
+	if stats.Makespan <= 0 {
+		return
+	}
+	var busySum, busyMax, busyMin float64
+	used := 0
+	for _, b := range linkBusy {
+		if b > 0 {
+			busySum += b
+			used++
+			if b > busyMax {
+				busyMax = b
+			}
+			if busyMin == 0 || b < busyMin {
+				busyMin = b
+			}
+		}
+	}
+	stats.UsedLinks = used
+	if used > 0 {
+		stats.MeasuredUtilizationPct = ClampPct(100 * busySum / (stats.Makespan * float64(used)))
+		stats.MinLinkBusyPct = ClampPct(100 * busyMin / stats.Makespan)
+	}
+	stats.MaxLinkBusyPct = ClampPct(100 * busyMax / stats.Makespan)
 }
 
 // nextReleaseAfter returns the smallest release time strictly after t in

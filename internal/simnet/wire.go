@@ -1,10 +1,11 @@
 package simnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"netloc/internal/mapping"
 	"netloc/internal/mpi"
@@ -14,49 +15,48 @@ import (
 
 // maxMessages caps the messages Prepare stores, so replaying one of the
 // all-to-all giants by accident fails fast instead of exhausting memory.
+// It also caps the pairs, of which there are never more than messages.
 const maxMessages = 4 << 20
 
-// Message is one non-empty wire transfer of a prepared trace. The
-// endpoints are 32-bit so a Wire of millions of messages stays compact.
+// Pair is one distinct (source, destination) rank pair of a Wire. The
+// ranks are 32-bit so a Wire of millions of messages stays compact.
+type Pair struct{ Src, Dst int32 }
+
+// Message is one non-empty wire transfer of a prepared trace.
 type Message struct {
-	Src, Dst         int32 // ranks
-	SrcNode, DstNode int32 // the nodes the mapping places Src and Dst on
-	Bytes            uint64
-	Release          float64 // seconds
+	Pair    int32 // index into Wire.Pairs
+	Bytes   uint64
+	Release float64 // seconds
 }
 
-// Wire is a trace prepared for replay: its wire messages, node-mapped
-// and stably sorted by release, so messages released together keep
-// trace order. Both temporal simulators replay it; it is never modified
-// once built, so one Wire can back any number of concurrent replays.
+// Wire is a trace prepared for replay: its wire messages, stably sorted
+// by release so messages released together keep trace order, each
+// naming its rank pair. It knows no topology and no mapping, so one
+// Wire serves every topology, mapping and routing policy a trace is
+// replayed under, and a replay routes each distinct pair once rather
+// than each message. It is never modified once prepared, so one Wire
+// can back any number of concurrent replays.
 type Wire struct {
+	// Ranks is the trace's rank count; every pair's ranks lie below it.
+	Ranks int
+	// Pairs are the distinct rank pairs, in order of first use.
+	Pairs    []Pair
 	Messages []Message
 }
 
 // Prepare is the one place a trace becomes replayable messages. It
-// checks that the mapping covers the trace's ranks and fits the
-// topology, unrolls every event through mpi.ExpandEvent, drops
-// zero-byte messages, maps both endpoints to nodes, and stable-sorts by
-// release. Intra-node messages stay in the Wire (simnet's slack
-// analysis reads their releases), but a trace whose messages all stay
-// on-node, or that has more than 4 Mi messages, is rejected. Errors
-// carry no simulator prefix: each simulator adds its own.
-func Prepare(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping) (*Wire, error) {
-	if mp.Ranks() < t.Meta.Ranks {
-		return nil, fmt.Errorf("mapping covers %d ranks, trace has %d", mp.Ranks(), t.Meta.Ranks)
-	}
-	if mp.Nodes() > topo.Nodes() {
-		return nil, fmt.Errorf("mapping node space %d exceeds topology %s", mp.Nodes(), topo.Name())
-	}
+// unrolls every event through mpi.ExpandEvent, drops zero-byte
+// messages, checks both endpoints against the trace's rank count,
+// interns each (source, destination) pair, and stable-sorts by release.
+// A trace of more than 4 Mi messages is rejected. Errors carry no
+// simulator prefix: each simulator adds its own.
+func Prepare(t *trace.Trace) (*Wire, error) {
 	world, err := mpi.World(t.Meta.Ranks)
 	if err != nil {
 		return nil, err
 	}
-	// Indexing the rank→node table, bounds-checked below, costs less per
-	// message than two mp.NodeOf calls.
-	nodeOf := mp.Table()
-	msgs := make([]Message, 0, len(t.Events))
-	inter := 0
+	w := &Wire{Ranks: t.Meta.Ranks, Messages: make([]Message, 0, len(t.Events))}
+	index := make(map[Pair]int32)
 	var buf []mpi.Message
 	for i, e := range t.Events {
 		buf, err = mpi.ExpandEvent(buf[:0], e, world, mpi.ExpandOptions{})
@@ -67,28 +67,87 @@ func Prepare(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping) (*Wire
 			if m.Bytes == 0 {
 				continue
 			}
-			if len(msgs) == maxMessages {
+			if len(w.Messages) == maxMessages {
 				return nil, fmt.Errorf("message count exceeds limit %d", maxMessages)
 			}
-			if uint(m.Src) >= uint(len(nodeOf)) || uint(m.Dst) >= uint(len(nodeOf)) {
-				return nil, fmt.Errorf("event %d: message %d->%d leaves the mapping's %d ranks", i, m.Src, m.Dst, len(nodeOf))
+			if uint(m.Src) >= uint(w.Ranks) || uint(m.Dst) >= uint(w.Ranks) {
+				return nil, fmt.Errorf("event %d: message %d->%d leaves the trace's %d ranks", i, m.Src, m.Dst, w.Ranks)
 			}
-			ns, nd := nodeOf[m.Src], nodeOf[m.Dst]
-			if ns != nd {
-				inter++
+			p := Pair{int32(m.Src), int32(m.Dst)}
+			pi, ok := index[p]
+			if !ok {
+				pi = int32(len(w.Pairs))
+				index[p] = pi
+				w.Pairs = append(w.Pairs, p)
 			}
-			msgs = append(msgs, Message{
-				Src: int32(m.Src), Dst: int32(m.Dst),
-				SrcNode: int32(ns), DstNode: int32(nd),
-				Bytes: m.Bytes, Release: float64(e.Start) / 1e9,
-			})
+			w.Messages = append(w.Messages, Message{Pair: pi, Bytes: m.Bytes, Release: float64(e.Start) / 1e9})
 		}
 	}
-	if inter == 0 {
-		return nil, errors.New("trace has no inter-node messages")
+	slices.SortStableFunc(w.Messages, func(a, b Message) int { return cmp.Compare(a.Release, b.Release) })
+	return w, nil
+}
+
+// Place checks that mp covers the trace's ranks and fits topo, then
+// calls visit with the index and the source and destination nodes of
+// every pair that mp puts on two different nodes, in pair order. It
+// fails when no pair crosses the network. Errors, visit's included,
+// carry no simulator prefix: each simulator adds its own.
+func (w *Wire) Place(topo topology.Topology, mp *mapping.Mapping, visit func(pair, src, dst int) error) error {
+	if mp.Ranks() < w.Ranks {
+		return fmt.Errorf("mapping covers %d ranks, trace has %d", mp.Ranks(), w.Ranks)
 	}
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Release < msgs[j].Release })
-	return &Wire{Messages: msgs}, nil
+	if mp.Nodes() > topo.Nodes() {
+		return fmt.Errorf("mapping node space %d exceeds topology %s", mp.Nodes(), topo.Name())
+	}
+	nodeOf := mp.NodeTable()
+	inter := false
+	for i, p := range w.Pairs {
+		src, dst := nodeOf[p.Src], nodeOf[p.Dst]
+		if src == dst {
+			continue
+		}
+		inter = true
+		if err := visit(i, src, dst); err != nil {
+			return err
+		}
+	}
+	if !inter {
+		return errors.New("trace has no inter-node messages")
+	}
+	return nil
+}
+
+// span is one routed path: arena[lo:hi]. An empty span is a pair that
+// stays on one node.
+type span struct{ lo, hi int32 }
+
+// route routes every inter-node pair of w once with topology.Route:
+// spans, indexed like w.Pairs, delimit each pair's path in arena.
+func route(w *Wire, topo topology.Topology, mp *mapping.Mapping) (spans []span, arena []int32, err error) {
+	spans = make([]span, len(w.Pairs))
+	var path []int
+	err = w.Place(topo, mp, func(pair, src, dst int) error {
+		var err error
+		if path, err = topo.Route(src, dst, path); err != nil {
+			return err
+		}
+		if len(path) == 0 {
+			return fmt.Errorf("empty route for %d->%d on %s", src, dst, topo.Name())
+		}
+		if len(arena)+len(path) > math.MaxInt32 {
+			return fmt.Errorf("routed paths exceed %d links", math.MaxInt32)
+		}
+		lo := len(arena)
+		for _, li := range path {
+			arena = append(arena, int32(li))
+		}
+		spans[pair] = span{int32(lo), int32(len(arena))}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("simnet: %w", err)
+	}
+	return spans, arena, nil
 }
 
 // ClampPct bounds a percentage to [0, 100]: a link's busy time never

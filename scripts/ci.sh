@@ -35,11 +35,12 @@ go test -race -timeout 30m ./...
 echo "=== go test -race (parallel engine, forced workers) ==="
 # LRU selects the workcache LRU's sharing, panic and counting storms;
 # Jellyfish|SlimFly|HyperX pull in the new-family determinism and
-# regularity regressions alongside the engine suites;
+# regularity regressions alongside the engine suites; Concurrent also
+# replays one shared simnet Wire from several goroutines;
 # Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun add the telemetry
 # sampler goroutine, trace exporter, and run-event/slow-run plumbing.
 go test -race -timeout 30m -run 'Parallel|Determin|Budget|ForEach|Singleflight|LRU|Concurrent|Span|Registry|Job|Jellyfish|SlimFly|HyperX|Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun' \
-    ./internal/parallel ./internal/comm ./internal/metrics ./internal/core ./internal/service ./internal/obs ./internal/design ./internal/workcache ./internal/congest ./internal/topology .
+    ./internal/parallel ./internal/comm ./internal/metrics ./internal/core ./internal/service ./internal/obs ./internal/design ./internal/workcache ./internal/congest ./internal/simnet ./internal/topology .
 
 # Golden Chrome-trace shape gate: the exported trace must stay a valid
 # JSON array with pid/tid on every event and monotonic timestamps, or
@@ -56,11 +57,12 @@ go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./in
 # Allocation pins are built only without -race (the race runtime
 # allocates on its own), so the -race runs above never reach them: run
 # them here without it. They pin that a workcache hit allocates only its
-# key, that a congest tolerance probe allocates nothing per message, that
-# a netmodel run allocates no more than its pinned ceilings, and that
-# Greedy's allocation count does not grow with the rank count.
+# key, that a congest tolerance probe and a lean simnet replay allocate
+# nothing per message, that a netmodel run allocates no more than its
+# pinned ceilings, and that Greedy's allocation count does not grow with
+# the rank count.
 echo "=== go test (allocation pins, no -race) ==="
-go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/netmodel ./internal/mapping
+go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping
 
 # Every committed results/ file is an output pin: regenerate both formats
 # of every experiment (the full grid, no -race) and fail on any file that
