@@ -175,47 +175,6 @@ func BenchmarkFigure5MultiCore(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3Sequential and BenchmarkTable3Parallel pin the
-// parallel engine's speedup on the paper's main table: identical work,
-// Parallelism forced to 1 versus the full GOMAXPROCS worker pool. On a
-// single-CPU host the two converge (the engine degrades to the caller's
-// goroutine); with 4+ cores the parallel run should be at least 2x
-// faster while producing byte-identical output (see
-// TestHarnessJSONDeterministicUnderParallelism).
-//
-// Both share a workload artifact cache across iterations, the way every
-// long-lived caller (harness -all, the service) runs; the cache is
-// warmed before the timer starts so the numbers are the steady-state
-// analysis cost. BenchmarkTable3Characterization keeps the cache cold
-// and records the first-run cost.
-func BenchmarkTable3Sequential(b *testing.B) {
-	benchTable3(b, 1)
-}
-
-func BenchmarkTable3Parallel(b *testing.B) {
-	benchTable3(b, 0) // 0 = GOMAXPROCS workers
-}
-
-func benchTable3(b *testing.B, parallelism int) {
-	cache := workcache.New(0)
-	if _, err := core.Table3(core.Options{Parallelism: parallelism, Cache: cache}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := core.Table3(core.Options{Parallelism: parallelism, Cache: cache})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := report.Table3(io.Discard, rows, false); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(len(rows)), "rows")
-		}
-	}
-}
-
 // BenchmarkHeadlineClaims recomputes only the claims summary (a cheap
 // derivation once Table 3 is computed; kept separate so the claims path is
 // benchmarked end to end).
@@ -282,18 +241,44 @@ func BenchmarkAblationMappingOptimizer(b *testing.B) {
 }
 
 // BenchmarkAblationPacketSize sweeps the packetization granularity on
-// LULESH-64 to show how the 4 kB assumption shapes packet hops.
+// LULESH-64 to show how the 4 kB assumption shapes packet hops: each
+// packet size re-accumulates the trace and runs it on the Table 2 torus
+// under the consecutive mapping.
 func BenchmarkAblationPacketSize(b *testing.B) {
+	app, err := workloads.Lookup("LULESH")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := app.Generate(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := topology.TorusConfig(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := cfg.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cons, err := mapping.Consecutive(64, topo.Nodes())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, ps := range []int{1024, 4096, 65536} {
 		ps := ps
 		b.Run(byteSizeName(ps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, err := core.AnalyzeApp("LULESH", 64, core.Options{PacketSize: ps})
+				acc, err := comm.Accumulate(tr, comm.AccumulateOptions{PacketSize: ps})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := netmodel.Run(acc.Wire, topo, cons, netmodel.Options{WallTime: tr.Meta.WallTime})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(float64(a.Torus.PacketHops), "torus-pkt-hops")
+					b.ReportMetric(float64(res.PacketHops), "torus-pkt-hops")
 				}
 			}
 		})

@@ -53,6 +53,21 @@ import (
 	"netloc/internal/service"
 )
 
+// Connection bounds: a client that never finishes its request headers,
+// or a keep-alive connection left idle, is dropped. The whole-request
+// read and write deadlines stay unset, so a 64 MiB trace upload or a
+// long design search is not cut off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer wraps the handler in an http.Server with the connection
+// bounds.
+func newServer(handler http.Handler) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // run listens on addr and serves the analysis service until ctx is
 // cancelled, then shuts down gracefully. With debug set, the Go pprof
 // profiling endpoints are mounted under /debug/pprof/ next to the
@@ -76,7 +91,7 @@ func run(ctx context.Context, addr string, opts service.Options, debug bool, rea
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	srv := &http.Server{Handler: handler}
+	srv := newServer(handler)
 	if ready != nil {
 		ready(ln.Addr().String(), svc.Options())
 	}

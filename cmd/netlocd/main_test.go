@@ -77,6 +77,19 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	}
 }
 
+// TestServerBoundsSlowAndIdleConnections pins the connection bounds: a
+// client gets 10 s to finish its headers and an idle connection 2 min,
+// while uploads and long searches get no whole-request deadline.
+func TestServerBoundsSlowAndIdleConnections(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v; want 10s, 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout %v, WriteTimeout %v; want both unset", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}
+
 func TestRunBadAddress(t *testing.T) {
 	if err := run(context.Background(), "256.0.0.1:bad", service.Options{}, false, nil); err == nil {
 		t.Fatal("bad address accepted")

@@ -238,24 +238,6 @@ func (m *Matrix) DenseRow(src int) []Entry {
 	return m.dense[src]
 }
 
-// RowLen returns the number of destinations with recorded traffic for the
-// given source rank — the pre-sizing hint for per-row scratch buffers.
-func (m *Matrix) RowLen(src int) int {
-	if src < 0 || src >= m.ranks {
-		return 0
-	}
-	if d := m.dense[src]; d != nil {
-		n := 0
-		for dst := range d {
-			if d[dst].Messages != 0 {
-				n++
-			}
-		}
-		return n
-	}
-	return len(m.sparse[src])
-}
-
 // BySource returns, for the given source rank, the destination ranks it
 // sends to and the per-destination byte volumes (parallel slices, order
 // unspecified).

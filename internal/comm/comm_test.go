@@ -396,10 +396,10 @@ func TestAccumulateReportsShards(t *testing.T) {
 }
 
 // TestRowAccessorsAgreeAcrossRepresentations drives the same random
-// matrix through the streaming accessors (EachDst, RowLen,
-// AppendBySource) and the reference ones (Each, BySource), on both
-// sides of the dense-promotion threshold: hot rows (promoted to the
-// dense slice) and sparse rows must report identical contents.
+// matrix through the streaming accessors (EachDst, AppendBySource) and
+// the reference ones (Each, BySource), on both sides of the
+// dense-promotion threshold: hot rows (promoted to the dense slice) and
+// sparse rows must report identical contents.
 func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 	const ranks = 96 // threshold = 24: rows below stay sparse, above go dense
 	m := mustMatrix(t, ranks, 0)
@@ -444,9 +444,6 @@ func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 			if got[dst] != e {
 				t.Fatalf("src %d->%d: EachDst entry %+v != Each entry %+v", src, dst, got[dst], e)
 			}
-		}
-		if n := m.RowLen(src); n != len(want[src]) {
-			t.Fatalf("src %d: RowLen = %d, want %d", src, n, len(want[src]))
 		}
 
 		bd, bv := m.BySource(src)

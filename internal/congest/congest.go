@@ -25,10 +25,11 @@
 //
 // Routing is pluggable (see Policies): deterministic shortest paths for
 // baseline parity with simnet, ECMP hashing over the equal-cost
-// shortest-path DAG of topology.Graph, Valiant random-intermediate
-// detours (the dragonfly reuses topology/valiant.go's pivot machinery),
-// and a UGAL-style adaptive choice that picks minimal or Valiant per
-// message from the queue backlog at injection.
+// shortest paths (distance rows from topology.Adjacency.BFS), Valiant
+// random-intermediate detours (the dragonfly reuses
+// topology/valiant.go's pivot machinery), and a UGAL-style adaptive
+// choice that picks minimal or Valiant per message from the queue
+// backlog at injection.
 //
 // Everything is deterministic: event ties break on message sequence
 // numbers, hashes are seeded splitmix mixes, and no wall clock or
@@ -108,7 +109,7 @@ func (o Options) normalize() (Options, error) {
 	if o.Policy == "" {
 		o.Policy = PolicyMinimal
 	}
-	if !knownPolicy(o.Policy) {
+	if !slices.Contains(Policies(), o.Policy) {
 		probs = append(probs, fmt.Sprintf("unknown policy %q (known: %s)", o.Policy, strings.Join(Policies(), ", ")))
 	}
 	if !(o.ExtraHopLatency >= 0) || math.IsInf(o.ExtraHopLatency, 1) {
@@ -118,15 +119,6 @@ func (o Options) normalize() (Options, error) {
 		return o, fmt.Errorf("congest: invalid options: %s", strings.Join(probs, "; "))
 	}
 	return o, nil
-}
-
-func knownPolicy(p string) bool {
-	for _, k := range Policies() {
-		if p == k {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats summarizes one temporal simulation.

@@ -61,13 +61,7 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 	return familyRows(refs, families, opts, func(ref WorkloadRef, w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]CongestionRow, error) {
 		rows := make([]CongestionRow, 0, len(policies))
 		for _, policy := range policies {
-			copts := congest.Options{
-				Options: simnet.Options{
-					BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-					PacketBytes:          opts.PacketSize,
-				},
-				Policy: policy,
-			}
+			copts := congest.Options{Policy: policy}
 			// The spans end via defer on every path: a failing simulation
 			// must not leave an unterminated span in the debug ring.
 			stats, err := func() (*congest.Stats, error) {

@@ -30,12 +30,6 @@ type Options struct {
 	// Coverage is the traffic-share threshold of the 90% rules;
 	// metrics.DefaultCoverage when zero.
 	Coverage float64
-	// PacketSize is the packetization granularity;
-	// comm.DefaultPacketSize when zero.
-	PacketSize int
-	// BandwidthBytesPerSec is the per-link bandwidth;
-	// netmodel.DefaultBandwidth when zero.
-	BandwidthBytesPerSec float64
 	// Strategy selects the collective-expansion algorithm; the zero
 	// value is the paper's direct translation (see mpi.Strategy).
 	Strategy mpi.Strategy
@@ -233,7 +227,7 @@ func accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 	sp.SetLabel(fmt.Sprintf("%s/%d", t.Meta.App, t.Meta.Ranks))
 	sp.Add("events", int64(len(t.Events)))
 	acc, err := comm.AccumulateParallel(t,
-		comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, opts.Runner())
+		comm.AccumulateOptions{Strategy: opts.Strategy}, opts.Runner())
 	if err != nil {
 		return nil, err
 	}
@@ -421,11 +415,7 @@ func runTopology(acc *comm.Accumulated, cfg topology.Config, mappingName string,
 	}
 	nsp := opts.Span.Start("netmodel")
 	nsp.SetLabel(cfg.Kind)
-	res, err := netmodel.Run(acc.Wire, topo, mp, netmodel.Options{
-		BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-		WallTime:             acc.Meta.WallTime,
-		TrackLinks:           true,
-	})
+	res, err := netmodel.Run(acc.Wire, topo, mp, netmodel.Options{WallTime: acc.Meta.WallTime, TrackLinks: true})
 	if err != nil {
 		nsp.End()
 		return nil, err
@@ -495,14 +485,11 @@ func AnalyzeApp(name string, ranks int, opts Options) (*Analysis, error) {
 }
 
 // accKey addresses an app's accumulated matrices in the artifact cache:
-// the registry generator plus the two options that change matrix
-// content (packet size, collective strategy). Coverage, parallelism,
-// budgets, and spans never do and stay out.
+// the registry generator plus the one option that changes matrix
+// content, the collective strategy. Coverage, parallelism, budgets, and
+// spans never do and stay out.
 func (o Options) accKey(app string, ranks int) workcache.AccKey {
-	return workcache.AccKey{
-		Source: workcache.SourceGenerate, App: app, Ranks: ranks,
-		PacketSize: o.PacketSize, Strategy: o.Strategy,
-	}
+	return workcache.AccKey{Source: workcache.SourceGenerate, App: app, Ranks: ranks, Strategy: o.Strategy}
 }
 
 // generateTrace runs (or re-uses the cached result of) a registry app's

@@ -318,9 +318,6 @@ func TestScorecard(t *testing.T) {
 		if r.Verdict != "MATCH" && r.Verdict != "CLOSE" && r.Verdict != "DIFF" {
 			t.Fatalf("bad verdict %q", r.Verdict)
 		}
-		if r.String() == "" {
-			t.Fatal("empty row string")
-		}
 	}
 	// Structural anchors must MATCH on these workloads.
 	for _, claim := range []string{

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ScoreRow is one entry of the reproduction scorecard: a published value,
 // the measured counterpart, and a verdict.
@@ -115,9 +112,4 @@ func ScorecardSummary(rows []ScoreRow) (match, close, diff int) {
 		}
 	}
 	return match, close, diff
-}
-
-// String renders one row compactly.
-func (r ScoreRow) String() string {
-	return fmt.Sprintf("%-45s paper %8.2f  measured %8.2f  [%s]", r.Claim, r.Paper, r.Measured, r.Verdict)
 }

@@ -49,10 +49,7 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 		ssp := cell.Start("simnet")
 		defer ssp.End()
 		ssp.SetLabel(topo.Kind())
-		stats, err := w.Simulate(topo, mp, simnet.Options{
-			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-			PacketBytes:          opts.PacketSize,
-		})
+		stats, err := w.Simulate(topo, mp, simnet.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("core: sim %s/%d on %s: %w", ref.App, ref.Ranks, topo.Name(), err)
 		}

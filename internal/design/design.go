@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -205,7 +206,7 @@ func (r Request) Validate() error {
 		return fmt.Errorf("design: empty candidate set: no families requested (known: %v)", Families())
 	}
 	for _, f := range r.Families {
-		if !knownFamily(f) {
+		if !slices.Contains(Families(), f) {
 			return fmt.Errorf("design: unknown family %q (known: %v)", f, Families())
 		}
 	}
@@ -213,7 +214,7 @@ func (r Request) Validate() error {
 		return fmt.Errorf("design: empty candidate set: no mappings requested (known: %v)", core.MappingNames())
 	}
 	for _, m := range r.Mappings {
-		if !knownMapping(m) {
+		if !slices.Contains(core.MappingNames(), m) {
 			return fmt.Errorf("design: unknown mapping %q (known: %v)", m, core.MappingNames())
 		}
 	}
@@ -221,24 +222,6 @@ func (r Request) Validate() error {
 		return fmt.Errorf("design: negative score weights %+v", r.Weights)
 	}
 	return nil
-}
-
-func knownFamily(name string) bool {
-	for _, f := range Families() {
-		if f == name {
-			return true
-		}
-	}
-	return false
-}
-
-func knownMapping(name string) bool {
-	for _, m := range core.MappingNames() {
-		if m == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Row is one ranked candidate of the design sheet: a topology
@@ -481,16 +464,12 @@ func dragonflyConfigs(ranks int, c Constraints) []topology.Config {
 	return out
 }
 
-// slimFlyQLadder mirrors the topology package's sizing ladder: the MMS
-// field orders with 2q² routers each.
-var slimFlyQLadder = []int{5, 7, 11, 13, 17, 19, 23, 25}
-
 // slimFlyConfigs enumerates ladder Slim Flies whose router count covers
 // the ranks with at most the balanced endpoint load p ≤ ⌈k/2⌉ and whose
 // radix k+p fits the cap, sorted by (nodes, q).
 func slimFlyConfigs(ranks int, c Constraints) []topology.Config {
 	var out []topology.Config
-	for _, q := range slimFlyQLadder {
+	for _, q := range topology.SlimFlyQLadder {
 		routers := 2 * q * q
 		delta := 1
 		if q%4 == 3 {
@@ -537,7 +516,7 @@ func jellyfishConfigs(ranks int, c Constraints) []topology.Config {
 		if s < 2 {
 			s = 2
 		}
-		if s > 4096 {
+		if s > topology.MaxJellyfishSwitches {
 			continue
 		}
 		r := 2 * p
@@ -590,7 +569,7 @@ func hyperxConfigs(ranks int, c Constraints) []topology.Config {
 			s1++
 		}
 		s2 := (sw + s1 - 1) / s1
-		if s1*s2 > 4096 {
+		if s1*s2 > topology.MaxHyperXSwitches {
 			continue
 		}
 		if (s1-1)+(s2-1)+t > c.maxRadix() {
@@ -626,15 +605,13 @@ func accumulateCached(t *trace.Trace, source string, opts core.Options) (*comm.A
 		sp := opts.Span.Start("accumulate")
 		defer sp.End()
 		sp.Add("events", int64(len(t.Events)))
-		return comm.AccumulateParallel(t,
-			comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, opts.Runner())
+		return comm.AccumulateParallel(t, comm.AccumulateOptions{Strategy: opts.Strategy}, opts.Runner())
 	}
 	if source == "" {
 		return gen()
 	}
 	return opts.Cache.Accumulated(workcache.AccKey{
-		Source: source, App: t.Meta.App, Ranks: t.Meta.Ranks,
-		PacketSize: opts.PacketSize, Strategy: opts.Strategy,
+		Source: source, App: t.Meta.App, Ranks: t.Meta.Ranks, Strategy: opts.Strategy,
 	}, gen)
 }
 
@@ -768,18 +745,11 @@ func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, w *si
 		if err != nil {
 			return configOutcome{}, fmt.Errorf("mapping %s: %w", mapName, err)
 		}
-		nm, err := netmodel.Run(acc.Wire, topo, mp, netmodel.Options{
-			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-			WallTime:             acc.Meta.WallTime,
-			TrackLinks:           true,
-		})
+		nm, err := netmodel.Run(acc.Wire, topo, mp, netmodel.Options{WallTime: acc.Meta.WallTime, TrackLinks: true})
 		if err != nil {
 			return configOutcome{}, fmt.Errorf("netmodel under %s: %w", mapName, err)
 		}
-		sim, err := w.Load(topo, mp, simnet.Options{
-			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-			PacketBytes:          opts.PacketSize,
-		})
+		sim, err := w.Load(topo, mp, simnet.Options{})
 		if err != nil {
 			return configOutcome{}, fmt.Errorf("simnet under %s: %w", mapName, err)
 		}

@@ -87,30 +87,6 @@ func (c *Cart) Rank(coords []int) (int, error) {
 	return rank, nil
 }
 
-// Shift returns the source and destination communicator ranks of an
-// MPI_Cart_shift by disp along the given dimension, from the perspective
-// of commRank. A rank at a non-periodic boundary gets -1 (MPI_PROC_NULL)
-// on the open side.
-func (c *Cart) Shift(commRank, dim, disp int) (src, dst int, err error) {
-	if dim < 0 || dim >= len(c.dims) {
-		return 0, 0, fmt.Errorf("mpi: dimension %d out of range [0,%d)", dim, len(c.dims))
-	}
-	coords, err := c.Coords(commRank)
-	if err != nil {
-		return 0, 0, err
-	}
-	neighbor := func(offset int) int {
-		nc := append([]int(nil), coords...)
-		nc[dim] += offset
-		r, err := c.Rank(nc)
-		if err != nil {
-			return -1 // open boundary
-		}
-		return r
-	}
-	return neighbor(-disp), neighbor(disp), nil
-}
-
 // Sub builds the sub-communicator containing commRank and every rank that
 // shares its coordinates in the dropped dimensions (MPI_Cart_sub with
 // keep[i] selecting the dimensions that remain). The result's ranks are

@@ -85,31 +85,6 @@ func TestCartRankPeriodicity(t *testing.T) {
 	}
 }
 
-func TestCartShift(t *testing.T) {
-	c := mustCart(t, 12, []int{3, 4}, []bool{true, false})
-	// Rank 5 = (1,1). Shift along dim 0 (periodic, size 3): src (0,1)=1,
-	// dst (2,1)=9.
-	src, dst, err := c.Shift(5, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != 1 || dst != 9 {
-		t.Fatalf("shift dim0 = (%d,%d), want (1,9)", src, dst)
-	}
-	// Shift along dim 1 (non-periodic) from the boundary rank (1,3)=7:
-	// dst is MPI_PROC_NULL.
-	src, dst, err = c.Shift(7, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != 6 || dst != -1 {
-		t.Fatalf("boundary shift = (%d,%d), want (6,-1)", src, dst)
-	}
-	if _, _, err := c.Shift(0, 5, 1); err == nil {
-		t.Fatal("bad dimension accepted")
-	}
-}
-
 func TestCartSubRowsAndColumns(t *testing.T) {
 	// 3x4 grid on ranks 0..11: row communicators keep dim 1, column
 	// communicators keep dim 0.

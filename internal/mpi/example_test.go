@@ -35,7 +35,7 @@ func ExampleExpandEvent_ringStrategy() {
 }
 
 // Cartesian communicators recover the geometry dumpi traces lose: a 3x4
-// grid, its row sub-communicator, and a periodic shift.
+// grid and its row sub-communicator.
 func ExampleCartCreate() {
 	world, _ := mpi.World(12)
 	cart, _ := mpi.CartCreate(world, []int{3, 4}, []bool{true, false})
@@ -47,11 +47,7 @@ func ExampleCartCreate() {
 	ranks := row.Comm().Ranks()
 	sort.Ints(ranks)
 	fmt.Println("row of rank 5:", ranks)
-
-	src, dst, _ := cart.Shift(5, 0, 1)
-	fmt.Printf("shift dim 0: src %d, dst %d\n", src, dst)
 	// Output:
 	// rank 5 coords: [1 1]
 	// row of rank 5: [4 5 6 7]
-	// shift dim 0: src 1, dst 9
 }

@@ -225,19 +225,3 @@ func ExpandEvent(dst []Message, e trace.Event, world *Comm, opts ExpandOptions) 
 		return dst, fmt.Errorf("mpi: cannot expand op %v", e.Op)
 	}
 }
-
-// ExpandTrace translates a whole trace into wire messages.
-func ExpandTrace(t *trace.Trace, opts ExpandOptions) ([]Message, error) {
-	world, err := World(t.Meta.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	msgs := make([]Message, 0, len(t.Events))
-	for i, e := range t.Events {
-		msgs, err = ExpandEvent(msgs, e, world, opts)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: event %d: %w", i, err)
-		}
-	}
-	return msgs, nil
-}

@@ -243,32 +243,3 @@ func MultiCoreSeries(m *comm.Matrix, coresPerNode []int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// ConventionalLinkCount returns the paper's per-topology link-count
-// convention for the utilization denominator, scaled to the number of
-// nodes actually hosting ranks:
-//
-//	torus:     3 links per node (one per dimension)
-//	fat tree:  nodes · stages, with only half counted for the top stage
-//	dragonfly: nodes · (p + (a-1) + h) / p  (the 3.5–3.8 links/node ratio
-//	           quoted in the paper)
-//
-// This is exposed for comparison; Run's utilization uses the explicit
-// used-link count from the routed traffic, which the paper's fairness rule
-// ("only links that are actually transmitting data") describes.
-func ConventionalLinkCount(topo topology.Topology, usedNodes int) (float64, error) {
-	if usedNodes <= 0 || usedNodes > topo.Nodes() {
-		return 0, fmt.Errorf("netmodel: used nodes %d outside (0,%d]", usedNodes, topo.Nodes())
-	}
-	switch t := topo.(type) {
-	case *topology.Torus:
-		return 3 * float64(usedNodes), nil
-	case *topology.FatTree:
-		return float64(usedNodes) * (float64(t.Stages()) - 0.5), nil
-	case *topology.Dragonfly:
-		a, h, p := t.Params()
-		return float64(usedNodes) * float64(p+(a-1)+h) / float64(p), nil
-	default:
-		return 0, fmt.Errorf("netmodel: no link convention for %s", topo.Kind())
-	}
-}

@@ -293,28 +293,6 @@ func TestMultiCoreSeriesMonotoneForBlockLocalPatterns(t *testing.T) {
 	}
 }
 
-func TestConventionalLinkCount(t *testing.T) {
-	tor, _ := topology.NewTorus(4, 4, 4)
-	if c, err := ConventionalLinkCount(tor, 64); err != nil || c != 192 {
-		t.Fatalf("torus = %v, %v", c, err)
-	}
-	ft, _ := topology.NewFatTree(48, 2)
-	if c, err := ConventionalLinkCount(ft, 576); err != nil || c != 576*1.5 {
-		t.Fatalf("fattree = %v, %v", c, err)
-	}
-	df, _ := topology.NewDragonfly(4, 2, 2)
-	// (p + a-1 + h)/p = (2+3+2)/2 = 3.5 per node.
-	if c, err := ConventionalLinkCount(df, 72); err != nil || c != 72*3.5 {
-		t.Fatalf("dragonfly = %v, %v", c, err)
-	}
-	if _, err := ConventionalLinkCount(tor, 0); err == nil {
-		t.Fatal("zero used nodes accepted")
-	}
-	if _, err := ConventionalLinkCount(tor, 65); err == nil {
-		t.Fatal("too many used nodes accepted")
-	}
-}
-
 func TestRunGreedyMappingReducesPacketHops(t *testing.T) {
 	// Ring traffic on a torus: greedy mapping should cut packet hops
 	// versus a random placement.
@@ -389,22 +367,6 @@ func TestRunClassUtilizationAbsentWithoutTracking(t *testing.T) {
 	}
 	if res.ClassUtilizationPct != nil {
 		t.Fatal("class utilization should be nil without tracking")
-	}
-}
-
-func TestConventionalLinkCountUnknownKind(t *testing.T) {
-	// The Valiant wrapper is not one of the paper's three topologies, so
-	// the paper's link-count convention does not apply to it.
-	df, err := topology.NewDragonfly(4, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := topology.NewValiant(df, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ConventionalLinkCount(v, 72); err == nil {
-		t.Fatal("valiant wrapper should have no paper convention")
 	}
 }
 

@@ -25,7 +25,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -288,29 +287,6 @@ func (t *Tracer) Recorded() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.seq
-}
-
-type ctxKey struct{}
-
-// NewContext attaches a span to a context for request-scoped code.
-func NewContext(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the context's span, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
-}
-
-// Start opens a child of the context's span (nil, and a no-op, when the
-// context carries none) and returns the derived context.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	s := FromContext(ctx).Start(name)
-	if s == nil {
-		return ctx, nil
-	}
-	return NewContext(ctx, s), s
 }
 
 // stageAgg aggregates all spans sharing one name for WriteSummary.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -122,29 +121,6 @@ func TestConcurrentSpanWriters(t *testing.T) {
 		if c.Counts["n"] != 1 {
 			t.Fatalf("child count = %d, want 1", c.Counts["n"])
 		}
-	}
-}
-
-func TestContextPropagation(t *testing.T) {
-	ctx := context.Background()
-	if got := FromContext(ctx); got != nil {
-		t.Fatalf("empty context carries span %v", got)
-	}
-	ctx2, sp := Start(ctx, "stage")
-	if sp != nil || ctx2 != ctx {
-		t.Fatal("Start on span-less context should be a no-op")
-	}
-	tr := NewTracer(1)
-	root := tr.StartRun("run")
-	ctx = NewContext(ctx, root)
-	ctx3, child := Start(ctx, "stage")
-	if child == nil || FromContext(ctx3) != child {
-		t.Fatal("child not propagated through context")
-	}
-	child.End()
-	root.End()
-	if d := tr.Runs()[0].Root; len(d.Children) != 1 || d.Children[0].Name != "stage" {
-		t.Fatalf("root = %+v", d)
 	}
 }
 

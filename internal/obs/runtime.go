@@ -63,9 +63,6 @@ func NewRuntimeSampler(reg *Registry, interval time.Duration) *RuntimeSampler {
 	return s
 }
 
-// Interval returns the effective sampling period.
-func (s *RuntimeSampler) Interval() time.Duration { return s.interval }
-
 // Sample takes one sample immediately. The periodic loop calls it on
 // every tick; tests call it directly so they never sleep.
 func (s *RuntimeSampler) Sample() {

@@ -94,7 +94,7 @@ func TestRuntimeSamplerDefaultInterval(t *testing.T) {
 	reg := NewRegistry()
 	s := NewRuntimeSampler(reg, 0)
 	defer s.Stop()
-	if got := s.Interval(); got != DefaultRuntimeSampleInterval {
-		t.Errorf("Interval() = %v, want default %v", got, DefaultRuntimeSampleInterval)
+	if got := s.interval; got != DefaultRuntimeSampleInterval {
+		t.Errorf("interval = %v, want default %v", got, DefaultRuntimeSampleInterval)
 	}
 }

@@ -162,9 +162,6 @@ func (r Runner) Workers() int {
 	return r.max
 }
 
-// Parallel reports whether the runner may use more than one goroutine.
-func (r Runner) Parallel() bool { return r.Workers() > 1 }
-
 // chunkFactor oversplits the index space relative to the worker count
 // so uneven per-index costs still balance.
 const chunkFactor = 4

@@ -26,9 +26,6 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 
 func TestSeqRunnerIsSequential(t *testing.T) {
 	r := Seq()
-	if r.Parallel() {
-		t.Fatal("Seq().Parallel() = true")
-	}
 	if w := r.Workers(); w != 1 {
 		t.Fatalf("Seq().Workers() = %d, want 1", w)
 	}
@@ -43,8 +40,8 @@ func TestSeqRunnerIsSequential(t *testing.T) {
 
 func TestZeroValueRunnerIsSequential(t *testing.T) {
 	var r Runner
-	if r.Parallel() {
-		t.Fatal("zero Runner reports parallel")
+	if w := r.Workers(); w != 1 {
+		t.Fatalf("zero Runner Workers() = %d, want 1", w)
 	}
 	sum := 0
 	r.ForEach(4, func(i int) { sum += i })
@@ -147,8 +144,8 @@ func TestNewBudgetMinimumCapacity(t *testing.T) {
 
 func TestSharedNilBudgetFallsBackToSequential(t *testing.T) {
 	r := Shared(nil, 8)
-	if r.Parallel() {
-		t.Fatal("Shared(nil, 8) reports parallel")
+	if w := r.Workers(); w != 1 {
+		t.Fatalf("Shared(nil, 8).Workers() = %d, want 1", w)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 
 	"netloc/internal/congest"
@@ -54,11 +55,7 @@ func (r *CongestionRequest) canonicalize() error {
 	}
 	kinds := core.AnalysisKinds()
 	for _, fam := range r.Families {
-		ok := false
-		for _, k := range kinds {
-			ok = ok || fam == k
-		}
-		if !ok {
+		if !slices.Contains(kinds, fam) {
 			return fmt.Errorf("service: unknown topology family %q (known: %s)", fam, strings.Join(kinds, ", "))
 		}
 	}
@@ -67,11 +64,7 @@ func (r *CongestionRequest) canonicalize() error {
 	}
 	known := congest.Policies()
 	for _, p := range r.Policies {
-		ok := false
-		for _, k := range known {
-			ok = ok || p == k
-		}
-		if !ok {
+		if !slices.Contains(known, p) {
 			return fmt.Errorf("service: unknown policy %q (known: %s)", p, strings.Join(known, ", "))
 		}
 	}

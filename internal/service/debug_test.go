@@ -240,31 +240,6 @@ func TestSlowRunDetector(t *testing.T) {
 	}
 }
 
-// TestSlowRunEndpointOverride gives "analyze" a generous override on top
-// of a hair-trigger default: analyze runs stay quiet while topology runs
-// (on the default) trip the detector.
-func TestSlowRunEndpointOverride(t *testing.T) {
-	ts := newTestServer(t, Options{
-		SlowRunThreshold:          time.Nanosecond,
-		SlowRunEndpointThresholds: map[string]time.Duration{"analyze": time.Hour},
-		Analysis:                  core.Options{MaxRanks: 64},
-	})
-	getOK(t, ts, "/v1/analyze?app=LULESH&ranks=64&topo=torus")
-	getOK(t, ts, "/v1/topologies?ranks=27")
-	var doc struct {
-		SlowRuns map[string]int64 `json:"slow_runs"`
-	}
-	if err := json.Unmarshal(getOK(t, ts, "/metrics"), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.SlowRuns["analyze"] != 0 {
-		t.Errorf("analyze tripped despite its 1h override: %d", doc.SlowRuns["analyze"])
-	}
-	if doc.SlowRuns["topologies"] < 1 {
-		t.Errorf("topologies did not trip the default threshold: %v", doc.SlowRuns)
-	}
-}
-
 // TestRuntimeTelemetryOptIn checks the sampler's two surfaces appear
 // only when a sample interval is configured, keeping default servers'
 // /metrics output byte-stable.

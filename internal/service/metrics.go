@@ -63,9 +63,8 @@ type metricsRegistry struct {
 
 	// Run-event / slow-run configuration, set once by configureRuns
 	// before the server starts serving.
-	log            *slog.Logger
-	slowDefault    time.Duration
-	slowByEndpoint map[string]time.Duration
+	log     *slog.Logger
+	slowRun time.Duration
 
 	// runtime is the opt-in telemetry sampler; nil unless the server was
 	// configured with a sample interval (tests stay byte-pinned).
@@ -172,28 +171,17 @@ func (e *endpointMetrics) observeLatency(d time.Duration) {
 }
 
 // configureRuns installs the run-event logger and the slow-run
-// thresholds (a default plus per-endpoint overrides; 0 disables).
-// Called once from New, before the server starts serving.
-func (m *metricsRegistry) configureRuns(log *slog.Logger, slowDefault time.Duration, slowByEndpoint map[string]time.Duration) {
+// threshold (0 disables). Called once from New, before the server
+// starts serving.
+func (m *metricsRegistry) configureRuns(log *slog.Logger, slowRun time.Duration) {
 	m.log = log
-	m.slowDefault = slowDefault
-	m.slowByEndpoint = slowByEndpoint
+	m.slowRun = slowRun
 }
 
 // bindRuntime attaches the opt-in runtime telemetry sampler; its series
 // were registered by obs.NewRuntimeSampler, this just makes the sampler
 // visible to the JSON snapshot and Server.Close.
 func (m *metricsRegistry) bindRuntime(s *obs.RuntimeSampler) { m.runtime = s }
-
-// slowThreshold resolves an endpoint's slow-run threshold: the
-// per-endpoint override when one is set, the default otherwise
-// (0 = detection off).
-func (m *metricsRegistry) slowThreshold(endpoint string) time.Duration {
-	if th, ok := m.slowByEndpoint[endpoint]; ok {
-		return th
-	}
-	return m.slowDefault
-}
 
 // completeRun is the chokepoint every computed run passes through on
 // its way out: span work counts fold into the pipeline counters, the
@@ -203,7 +191,7 @@ func (m *metricsRegistry) slowThreshold(endpoint string) time.Duration {
 func (m *metricsRegistry) completeRun(d obs.SpanData, ev obs.RunEvent) {
 	m.absorbRun(d)
 	m.logRun(ev)
-	th := m.slowThreshold(ev.Endpoint)
+	th := m.slowRun
 	if th <= 0 || ev.DurationMS < float64(th)/float64(time.Millisecond) {
 		return
 	}

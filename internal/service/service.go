@@ -61,6 +61,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -115,13 +116,9 @@ type Options struct {
 	// netloc_slow_runs_total{endpoint} and, with Log set, logs the run's
 	// per-stage span summary. Zero disables detection.
 	SlowRunThreshold time.Duration
-	// SlowRunEndpointThresholds overrides SlowRunThreshold per endpoint
-	// key (e.g. "experiments", "design"); an explicit zero disables
-	// detection for that endpoint only.
-	SlowRunEndpointThresholds map[string]time.Duration
-	// Analysis supplies defaults for every analysis (coverage, packet
-	// size, bandwidth, rank cap). Query parameters override coverage,
-	// strategy, and the cap per request.
+	// Analysis supplies defaults for every analysis (coverage, rank
+	// cap). Query parameters override coverage and strategy, and may
+	// lower the cap, per request.
 	Analysis core.Options
 }
 
@@ -179,7 +176,7 @@ func New(opts Options) *Server {
 	s.metrics.bindEngine(s.budget, s.tracer)
 	s.metrics.bindDesignJobs(s.jobs)
 	s.metrics.bindWorkcache(s.work)
-	s.metrics.configureRuns(opts.Log, opts.SlowRunThreshold, opts.SlowRunEndpointThresholds)
+	s.metrics.configureRuns(opts.Log, opts.SlowRunThreshold)
 	if opts.RuntimeSampleInterval > 0 {
 		sampler := obs.NewRuntimeSampler(s.metrics.reg, opts.RuntimeSampleInterval)
 		sampler.Start()
@@ -656,11 +653,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		topo = "all"
 	case "all":
 	default:
-		known := false
-		for _, k := range core.AnalysisKinds() {
-			known = known || topo == k
-		}
-		if !known {
+		if !slices.Contains(core.AnalysisKinds(), topo) {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("service: unknown topo %q (all|%s)", topo, strings.Join(core.AnalysisKinds(), "|")))
 			return
@@ -670,7 +663,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if mapping == "" {
 		mapping = core.MappingConsecutive
 	}
-	if !knownMapping(mapping) {
+	if !slices.Contains(core.MappingNames(), mapping) {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("service: unknown mapping %q (known: %v)", mapping, core.MappingNames()))
 		return
@@ -699,15 +692,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSONBytes(w, b)
-}
-
-func knownMapping(name string) bool {
-	for _, m := range core.MappingNames() {
-		if m == name {
-			return true
-		}
-	}
-	return false
 }
 
 // TopoInfo describes one built topology configuration.
@@ -763,12 +747,17 @@ func topoInfo(cfg topology.Config, cache *workcache.Cache) (TopoInfo, error) {
 	return info, nil
 }
 
+// handleTopologies builds the six families for a rank count. The
+// server's rank cap applies before anything is built or cached.
 func (s *Server) handleTopologies(w http.ResponseWriter, r *http.Request) {
 	ranks, err := queryInt(r.URL.Query(), "ranks", 0)
-	if err != nil || ranks < 1 {
-		if err == nil {
-			err = fmt.Errorf("service: ranks %d out of range (need >= 1)", ranks)
-		}
+	if err == nil && ranks < 1 {
+		err = fmt.Errorf("service: ranks %d out of range (need >= 1)", ranks)
+	}
+	if err == nil {
+		err = s.opts.Analysis.CheckRanks(ranks)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -672,6 +672,21 @@ func TestMaxRanksQueryCannotLiftServerCap(t *testing.T) {
 	}
 }
 
+// /v1/topologies honours the server's rank cap: a rank count above it is
+// refused before any family is built or enters the artifact cache.
+func TestTopologiesHonourServerMaxRanks(t *testing.T) {
+	ts := newTestServer(t, Options{Analysis: core.Options{MaxRanks: 64}})
+	getOK(t, ts, "/v1/topologies?ranks=64")
+	before := metricsSnapshot(t, ts).Workcache
+	status, body := get(t, ts, "/v1/topologies?ranks=65")
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "65 ranks, outside [1, 64] (MaxRanks)") {
+		t.Errorf("65 ranks on a 64-rank server: status %d (%s), want 400 naming the cap", status, body)
+	}
+	if after := metricsSnapshot(t, ts).Workcache; after != before {
+		t.Errorf("refused request touched the artifact cache: %+v -> %+v", before, after)
+	}
+}
+
 // Uploads respect the server's cap and the largest sizable topology.
 func TestTraceUploadRankLimits(t *testing.T) {
 	upload := func(ts *httptest.Server, ranks int) (int, string) {

@@ -1,8 +1,9 @@
 // Package stats provides the numeric helpers behind package metrics'
-// 90% rules and selectivity curves: weighted coverage quantiles,
-// coverage counts and cumulative shares (in-place variants for the hot
-// loops). Its unweighted quantiles, histograms and summary statistics
-// are exercised only by its own tests.
+// 90% rules and selectivity curves: the weighted coverage quantile behind
+// rank locality, the coverage count behind selectivity, and cumulative
+// shares. The metric loops call the in-place variants; WeightedQuantileLE
+// and CoverageCount are the copying originals the tests check them
+// against.
 //
 // All functions are pure and deterministic. Weighted variants operate on
 // parallel value/weight slices; weights must be non-negative and are not
@@ -16,90 +17,9 @@ import (
 	"sort"
 )
 
-// ErrEmpty is returned by functions that require at least one sample.
+// ErrEmpty is returned by the weighted quantiles when the total weight is
+// zero.
 var ErrEmpty = errors.New("stats: empty input")
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// WeightedMean returns the mean of xs weighted by ws. It returns 0 when the
-// total weight is zero. Panics if the slices differ in length.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic(fmt.Sprintf("stats: length mismatch %d != %d", len(xs), len(ws)))
-	}
-	var s, w float64
-	for i, x := range xs {
-		s += x * ws[i]
-		w += ws[i]
-	}
-	if w == 0 {
-		return 0
-	}
-	return s / w
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (the same convention as numpy's
-// default). The input need not be sorted.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile %v out of range [0,1]", q)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
 
 // WeightedQuantileLE returns the smallest value v among xs such that the
 // total weight of samples with value <= v reaches at least q of the total
@@ -301,101 +221,6 @@ func CoverageCountInPlace(ws []float64, q float64) int {
 		}
 	}
 	return n
-}
-
-// Histogram is a fixed-bin histogram over float64 samples.
-type Histogram struct {
-	lo, hi   float64
-	binWidth float64
-	counts   []uint64
-	under    uint64
-	over     uint64
-	n        uint64
-}
-
-// NewHistogram creates a histogram with the given number of equal-width bins
-// spanning [lo, hi). Samples below lo or at/above hi are tracked in
-// underflow/overflow counters.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: bins must be positive, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid range [%v, %v)", lo, hi)
-	}
-	return &Histogram{
-		lo:       lo,
-		hi:       hi,
-		binWidth: (hi - lo) / float64(bins),
-		counts:   make([]uint64, bins),
-	}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.binWidth)
-		if i >= len(h.counts) { // float edge case at hi boundary
-			i = len(h.counts) - 1
-		}
-		h.counts[i]++
-	}
-}
-
-// N returns the total number of samples recorded, including under/overflow.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Counts returns a copy of the per-bin counts.
-func (h *Histogram) Counts() []uint64 {
-	return append([]uint64(nil), h.counts...)
-}
-
-// Underflow returns the number of samples below the histogram range.
-func (h *Histogram) Underflow() uint64 { return h.under }
-
-// Overflow returns the number of samples at or above the histogram range.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.binWidth
-}
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	StdDev float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	mean := Mean(xs)
-	med, _ := Quantile(xs, 0.5)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	sd := 0.0
-	if len(xs) > 1 {
-		sd = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return Summary{N: len(xs), Min: mn, Max: mx, Mean: mean, Median: med, StdDev: sd}, nil
 }
 
 // CumulativeShares converts a descending-sorted (or any) weight slice into

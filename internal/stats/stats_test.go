@@ -12,118 +12,6 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-func TestMeanEmpty(t *testing.T) {
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("Mean(nil) = %v, want 0", got)
-	}
-}
-
-func TestMeanSimple(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("Mean = %v, want 2.5", got)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]float64{1, 10}, []float64{9, 1})
-	if !almostEqual(got, 1.9, 1e-12) {
-		t.Fatalf("WeightedMean = %v, want 1.9", got)
-	}
-}
-
-func TestWeightedMeanZeroWeight(t *testing.T) {
-	if got := WeightedMean([]float64{5, 6}, []float64{0, 0}); got != 0 {
-		t.Fatalf("WeightedMean with zero weights = %v, want 0", got)
-	}
-}
-
-func TestWeightedMeanLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Fatalf("Min = %v, %v; want -1, nil", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 7 {
-		t.Fatalf("Max = %v, %v; want 7, nil", mx, err)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatalf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Fatalf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestQuantileBasics(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4},
-	}
-	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatalf("Quantile(%v) error: %v", c.q, err)
-		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantileInterpolates(t *testing.T) {
-	got, err := Quantile([]float64{0, 10}, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 3, 1e-12) {
-		t.Fatalf("Quantile = %v, want 3", got)
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Fatalf("want ErrEmpty, got %v", err)
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Fatal("want range error for q<0")
-	}
-	if _, err := Quantile([]float64{1}, 1.1); err == nil {
-		t.Fatal("want range error for q>1")
-	}
-	if _, err := Quantile([]float64{1}, math.NaN()); err == nil {
-		t.Fatal("want range error for NaN")
-	}
-}
-
-func TestQuantileSingleElement(t *testing.T) {
-	got, err := Quantile([]float64{42}, 0.9)
-	if err != nil || got != 42 {
-		t.Fatalf("Quantile single = %v, %v", got, err)
-	}
-}
-
-func TestQuantileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
 func TestWeightedQuantileLECoverage(t *testing.T) {
 	// Distances 1,2,3 with volumes 80,15,5: 90% coverage needs distance 2.
 	xs := []float64{1, 2, 3}
@@ -199,87 +87,6 @@ func TestCoverageCountOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d, want 7", h.N())
-	}
-	if h.Underflow() != 1 {
-		t.Fatalf("Underflow = %d, want 1", h.Underflow())
-	}
-	if h.Overflow() != 2 {
-		t.Fatalf("Overflow = %d, want 2", h.Overflow())
-	}
-	counts := h.Counts()
-	if counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d, want 2", counts[0])
-	}
-	if counts[1] != 1 { // 2
-		t.Fatalf("bin1 = %d, want 1", counts[1])
-	}
-	if counts[4] != 1 { // 9.99
-		t.Fatalf("bin4 = %d, want 1", counts[4])
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero bins should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range should error")
-	}
-	if _, err := NewHistogram(6, 5, 3); err == nil {
-		t.Fatal("inverted range should error")
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h, _ := NewHistogram(0, 10, 5)
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Fatalf("BinCenter(4) = %v, want 9", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 8 || s.Min != 2 || s.Max != 9 || s.Mean != 5 {
-		t.Fatalf("unexpected summary %+v", s)
-	}
-	if !almostEqual(s.Median, 4.5, 1e-12) {
-		t.Fatalf("median = %v, want 4.5", s.Median)
-	}
-	// Sample stddev of that classic set is sqrt(32/7).
-	if !almostEqual(s.StdDev, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("stddev = %v", s.StdDev)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatalf("Summarize(nil) err = %v", err)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s, err := Summarize([]float64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.StdDev != 0 || s.Mean != 3 || s.Median != 3 {
-		t.Fatalf("unexpected %+v", s)
-	}
-}
-
 func TestCumulativeShares(t *testing.T) {
 	got := CumulativeShares([]float64{10, 30, 60})
 	want := []float64{0.6, 0.9, 1.0}
@@ -299,32 +106,6 @@ func TestCumulativeSharesEmpty(t *testing.T) {
 	}
 	if got := CumulativeShares([]float64{0}); got != nil {
 		t.Fatalf("want nil for all-zero, got %v", got)
-	}
-}
-
-// Property: quantile of any sample lies within [min, max].
-func TestQuantileWithinRangeProperty(t *testing.T) {
-	f := func(raw []float64, qraw uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		q := float64(qraw%101) / 100
-		got, err := Quantile(xs, q)
-		if err != nil {
-			return false
-		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return got >= mn-1e-9 && got <= mx+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -223,9 +223,10 @@ func Configs(ranks int) (torus, fattree, dragonfly Config, err error) {
 	return
 }
 
-// slimFlyQLadder lists the MMS field orders the sizing sweep considers,
-// smallest first (odd prime powers; 2q² routers each).
-var slimFlyQLadder = []int{5, 7, 11, 13, 17, 19, 23, 25}
+// SlimFlyQLadder lists the MMS field orders that SlimFlyConfig and the
+// design enumerator consider, smallest first (odd prime powers; 2q²
+// routers each).
+var SlimFlyQLadder = []int{5, 7, 11, 13, 17, 19, 23, 25}
 
 // SlimFlyConfig returns the smallest ladder Slim Fly covering the ranks:
 // the first field order q whose 2q² routers reach the rank count with at
@@ -234,7 +235,7 @@ func SlimFlyConfig(ranks int) (Config, error) {
 	if ranks <= 0 {
 		return Config{}, fmt.Errorf("topology: non-positive rank count %d", ranks)
 	}
-	for _, q := range slimFlyQLadder {
+	for _, q := range SlimFlyQLadder {
 		routers := 2 * q * q
 		delta := 1
 		if q%4 == 3 {
@@ -265,7 +266,7 @@ func JellyfishConfig(ranks int) (Config, error) {
 	if s < 2 {
 		s = 2
 	}
-	if s > maxJellyfishSwitches {
+	if s > MaxJellyfishSwitches {
 		return Config{}, fmt.Errorf("topology: %d ranks exceed the largest jellyfish configuration", ranks)
 	}
 	r := 2 * p
@@ -299,7 +300,7 @@ func HyperXConfig(ranks int) (Config, error) {
 			s1++
 		}
 		s2 := (sw + s1 - 1) / s1
-		if s1*s2 > maxHyperXSwitches {
+		if s1*s2 > MaxHyperXSwitches {
 			continue
 		}
 		if (s1-1)+(s2-1)+t > FatTreeRadix {

@@ -8,8 +8,8 @@ import "testing"
 // basic interface invariants (consistent node/vertex counts, classes
 // parallel to links, working routes). Parameters are folded into a modest
 // range so a fuzzing run explores shapes rather than allocation limits;
-// the constructors' own size caps (maxGFOrder, maxJellyfishSwitches,
-// maxHyperXSwitches) are exercised directly by the error-path unit tests.
+// the constructors' own size caps (maxGFOrder, MaxJellyfishSwitches,
+// MaxHyperXSwitches) are exercised directly by the error-path unit tests.
 func FuzzConfigBuild(f *testing.F) {
 	// One well-formed and one degenerate seed per kind, plus cap probes.
 	f.Add(0, 4, 3, 2, 1, uint64(0))     // torus(4,3,2)

@@ -2,9 +2,10 @@ package topology
 
 import "fmt"
 
-// maxHyperXSwitches bounds the switch array (per-dimension link tables
-// are O(S·(s1+s2+s3))); the config ladder stays far below it.
-const maxHyperXSwitches = 4096
+// MaxHyperXSwitches bounds the switch array (per-dimension link tables
+// are O(S·(s1+s2+s3))). HyperXConfig and the design enumerator skip
+// lattices above it.
+const MaxHyperXSwitches = 4096
 
 // HyperX is the flattened-butterfly generalization of Ahn et al.: switches
 // sit on a 3-dimensional integer lattice of shape s1 × s2 × s3 (set a
@@ -34,8 +35,8 @@ func NewHyperX(s1, s2, s3, t int) (*HyperX, error) {
 		return nil, fmt.Errorf("topology: invalid hyperx parameters (s1=%d,s2=%d,s3=%d,t=%d)", s1, s2, s3, t)
 	}
 	sw := s1 * s2 * s3
-	if sw > maxHyperXSwitches {
-		return nil, fmt.Errorf("topology: hyperx switch count %d exceeds the supported maximum %d", sw, maxHyperXSwitches)
+	if sw > MaxHyperXSwitches {
+		return nil, fmt.Errorf("topology: hyperx switch count %d exceeds the supported maximum %d", sw, MaxHyperXSwitches)
 	}
 	h := &HyperX{s1: s1, s2: s2, s3: s3, t: t, nodes: sw * t}
 	addLink := func(a, b int, class LinkClass) int32 {

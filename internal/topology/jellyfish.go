@@ -5,9 +5,10 @@ import (
 	"sort"
 )
 
-// maxJellyfishSwitches bounds the random-graph construction (the BFS
-// distance tables are O(S²)); the config ladder stays far below it.
-const maxJellyfishSwitches = 4096
+// MaxJellyfishSwitches bounds the random-graph construction (the BFS
+// distance tables are O(S²)). JellyfishConfig and the design enumerator
+// refuse switch counts above it.
+const MaxJellyfishSwitches = 4096
 
 // Jellyfish is the random regular graph topology of Singla et al.: S
 // switches, each with r ports wired to r distinct other switches chosen
@@ -57,8 +58,8 @@ func NewJellyfish(s, r, p int, seed uint64) (*Jellyfish, error) {
 	if s < 2 || r < 1 || p < 1 {
 		return nil, fmt.Errorf("topology: invalid jellyfish parameters (s=%d,r=%d,p=%d)", s, r, p)
 	}
-	if s > maxJellyfishSwitches {
-		return nil, fmt.Errorf("topology: jellyfish switch count %d exceeds the supported maximum %d", s, maxJellyfishSwitches)
+	if s > MaxJellyfishSwitches {
+		return nil, fmt.Errorf("topology: jellyfish switch count %d exceeds the supported maximum %d", s, MaxJellyfishSwitches)
 	}
 	if r > s-1 {
 		return nil, fmt.Errorf("topology: jellyfish degree %d exceeds switch count %d minus one", r, s)

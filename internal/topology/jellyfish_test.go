@@ -106,7 +106,7 @@ func TestJellyfishErrors(t *testing.T) {
 		{8, 8, 1},                        // degree > s-1
 		{5, 3, 1},                        // odd port total
 		{8, 3, 0},                        // no terminals
-		{maxJellyfishSwitches + 2, 2, 1}, // beyond the size cap
+		{MaxJellyfishSwitches + 2, 2, 1}, // beyond the size cap
 	}
 	for _, c := range cases {
 		if _, err := NewJellyfish(c.s, c.r, c.p, 1); err == nil {

@@ -9,7 +9,7 @@ import (
 // ladder field order (that is the whole point of the family). Checking the
 // router graph directly keeps this affordable up to q=25 (1250 routers).
 func TestSlimFlyRouterDiameterTwo(t *testing.T) {
-	for _, q := range slimFlyQLadder {
+	for _, q := range SlimFlyQLadder {
 		s, err := NewSlimFly(q, 1)
 		if err != nil {
 			t.Fatalf("q=%d: %v", q, err)

@@ -66,23 +66,19 @@ func (k TraceKey) id() string {
 }
 
 // AccKey addresses an accumulated matrix pair. It extends the trace key
-// with the two options that change matrix content; coverage, parallelism,
-// budgets, and spans never do and must stay out.
+// with the one option that changes matrix content, the collective
+// strategy; coverage, parallelism, budgets, and spans never do and must
+// stay out.
 type AccKey struct {
-	Source     string
-	App        string
-	Ranks      int
-	PacketSize int
-	Strategy   mpi.Strategy
+	Source   string
+	App      string
+	Ranks    int
+	Strategy mpi.Strategy
 }
 
 func (k AccKey) id() string {
-	ps := k.PacketSize
-	if ps <= 0 {
-		ps = comm.DefaultPacketSize
-	}
-	return fmt.Sprintf("acc/%s/app=%s&ranks=%d&ps=%d&strategy=%d",
-		k.Source, strings.ToLower(k.App), k.Ranks, ps, k.Strategy)
+	return fmt.Sprintf("acc/%s/app=%s&ranks=%d&strategy=%d",
+		k.Source, strings.ToLower(k.App), k.Ranks, k.Strategy)
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.

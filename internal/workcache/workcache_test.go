@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"netloc/internal/comm"
 	"netloc/internal/core"
 	"netloc/internal/design"
 	"netloc/internal/service"
@@ -218,29 +217,6 @@ func TestTopologyMemoizedByStructuralParams(t *testing.T) {
 	}
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 2 || s.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 hit, 2 misses, 2 entries", s)
-	}
-}
-
-// TestAccKeyCanonicalizesDefaultPacketSize: PacketSize 0 means "the
-// default", so it must share an entry with the explicit default — the
-// same canonicalization the analysis pipeline applies.
-func TestAccKeyCanonicalizesDefaultPacketSize(t *testing.T) {
-	c := workcache.New(0)
-	want := &comm.Accumulated{}
-	k := workcache.AccKey{Source: workcache.SourceGenerate, App: "x", Ranks: 64}
-	if _, err := c.Accumulated(k, func() (*comm.Accumulated, error) { return want, nil }); err != nil {
-		t.Fatal(err)
-	}
-	k.PacketSize = comm.DefaultPacketSize
-	got, err := c.Accumulated(k, func() (*comm.Accumulated, error) {
-		t.Error("generator ran for the canonically-equal key")
-		return nil, errors.New("unreachable")
-	})
-	if err != nil || got != want {
-		t.Fatalf("explicit-default lookup = (%p, %v), want (%p, nil)", got, err, want)
-	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 miss", s)
 	}
 }
 

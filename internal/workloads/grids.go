@@ -181,11 +181,6 @@ func (x *xorshift) intn(n int) int {
 	return int(x.next() % uint64(n))
 }
 
-// float64n returns a deterministic value in [0, 1).
-func (x *xorshift) float64n() float64 {
-	return float64(x.next()>>11) / float64(1<<53)
-}
-
 // mortonOrder returns a rank numbering of the grid's cells following the
 // Morton (Z-order) space-filling curve: cells are sorted by their
 // interleaved-bit key and ranks assigned in that order. Boxlib-family

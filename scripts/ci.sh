@@ -84,6 +84,12 @@ for f in "$RESULTS_DIR"/*; do
     fi
 done
 
+# EXPERIMENTS.md quotes the root Ablation*/Extension* benchmarks, which
+# the test runs above never execute: run each one iteration so they keep
+# running and their reported numbers can be read off the log.
+echo "=== ablation benchmarks (one iteration each) ==="
+go test -run '^$' -bench 'Ablation|Extension' -benchtime 1x .
+
 # bench/ is a module of its own, so the root ./... above never builds
 # it: vet and test it here, or a change to the packages it drives could
 # stop the benchmark from compiling unnoticed.
