@@ -36,8 +36,9 @@ type Options struct {
 	// SkipTopologies computes only the MPI-level metrics.
 	SkipTopologies bool
 	// MaxRanks caps the configuration grid: experiment drivers skip
-	// configurations (and topology sizes) above it, and AnalyzeTrace and
-	// design searches refuse more ranks (CheckRanks). Zero means no cap.
+	// configurations (and topology sizes) above it, and AnalyzeApp,
+	// AnalyzeTrace and design searches refuse more ranks (the last two
+	// through CheckRanks). Zero means no cap.
 	// Used by tests and the analysis service to bound run time and memory.
 	MaxRanks int
 	// Parallelism caps the worker goroutines one analysis may use for
@@ -464,11 +465,15 @@ func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Opt
 // AnalyzeApp generates the synthetic trace for a workload configuration
 // and analyzes it. With Options.Cache attached both the generated trace
 // and the accumulated matrices are memoized, so a warm analysis skips
-// straight to the metric and topology stages.
+// straight to the metric and topology stages. A rank count above
+// Options.MaxRanks is refused before anything is generated.
 func AnalyzeApp(name string, ranks int, opts Options) (*Analysis, error) {
 	app, err := workloads.Lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if !opts.withinCap(ranks) {
+		return nil, fmt.Errorf("core: %s at %d ranks exceeds the rank cap %d (MaxRanks)", app.Name, ranks, opts.MaxRanks)
 	}
 	opts = opts.WithEngine()
 	acc, err := opts.Cache.Accumulated(opts.accKey(app.Name, ranks), func() (*comm.Accumulated, error) {

@@ -22,9 +22,11 @@
 package design
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -218,6 +220,11 @@ func (r Request) Validate() error {
 			return fmt.Errorf("design: unknown mapping %q (known: %v)", m, core.MappingNames())
 		}
 	}
+	for _, v := range [...]float64{r.Weights.Hops, r.Weights.Makespan, r.Weights.Cost} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("design: score weights %+v: hops, makespan and cost must be finite numbers >= 0", r.Weights)
+		}
+	}
 	if r.Weights.Hops < 0 || r.Weights.Makespan < 0 || r.Weights.Cost < 0 {
 		return fmt.Errorf("design: negative score weights %+v", r.Weights)
 	}
@@ -376,6 +383,18 @@ func gridConfigs(kind string, ranks int, c Constraints) []topology.Config {
 	return out
 }
 
+// trimConfigs orders one family's configurations by node count and keeps
+// the first maxCandidates. The enumerators list configurations in
+// ascending parameter order, so the stable sort breaks node-count ties
+// by parameters.
+func trimConfigs(out []topology.Config, c Constraints) []topology.Config {
+	slices.SortStableFunc(out, func(a, b topology.Config) int { return cmp.Compare(a.Nodes, b.Nodes) })
+	if len(out) > c.maxCandidates() {
+		out = out[:c.maxCandidates()]
+	}
+	return out
+}
+
 // fatTreeRadixLadder are the switch radices the fat-tree sweep tries
 // (common commercial port counts).
 var fatTreeRadixLadder = []int{4, 8, 12, 16, 24, 32, 48, 64}
@@ -408,16 +427,7 @@ func fatTreeConfigs(ranks int, c Constraints) []topology.Config {
 			Kind: "fattree", Size: ranks, Nodes: nodes, Radix: radix, Stages: stages,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Nodes != out[j].Nodes {
-			return out[i].Nodes < out[j].Nodes
-		}
-		return out[i].Radix < out[j].Radix
-	})
-	if len(out) > c.maxCandidates() {
-		out = out[:c.maxCandidates()]
-	}
-	return out
+	return trimConfigs(out, c)
 }
 
 // dragonflyConfigs enumerates near-balanced dragonflies (a ≈ 2h, p ≈ h,
@@ -446,22 +456,7 @@ func dragonflyConfigs(ranks int, c Constraints) []topology.Config {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Nodes != out[j].Nodes {
-			return out[i].Nodes < out[j].Nodes
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		if out[i].H != out[j].H {
-			return out[i].H < out[j].H
-		}
-		return out[i].P < out[j].P
-	})
-	if len(out) > c.maxCandidates() {
-		out = out[:c.maxCandidates()]
-	}
-	return out
+	return trimConfigs(out, c)
 }
 
 // slimFlyConfigs enumerates ladder Slim Flies whose router count covers
@@ -491,16 +486,7 @@ func slimFlyConfigs(ranks int, c Constraints) []topology.Config {
 			Kind: "slimfly", Size: ranks, Nodes: nodes, Q: q, P: p,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Nodes != out[j].Nodes {
-			return out[i].Nodes < out[j].Nodes
-		}
-		return out[i].Q < out[j].Q
-	})
-	if len(out) > c.maxCandidates() {
-		out = out[:c.maxCandidates()]
-	}
-	return out
+	return trimConfigs(out, c)
 }
 
 // jellyfishConfigs enumerates seeded random regular graphs across
@@ -545,16 +531,7 @@ func jellyfishConfigs(ranks int, c Constraints) []topology.Config {
 			Kind: "jellyfish", Size: ranks, Nodes: nodes, S: s, D: r, P: p, Seed: 1,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Nodes != out[j].Nodes {
-			return out[i].Nodes < out[j].Nodes
-		}
-		return out[i].P < out[j].P
-	})
-	if len(out) > c.maxCandidates() {
-		out = out[:c.maxCandidates()]
-	}
-	return out
+	return trimConfigs(out, c)
 }
 
 // hyperxConfigs enumerates near-square two-dimensional HyperX lattices
@@ -583,16 +560,7 @@ func hyperxConfigs(ranks int, c Constraints) []topology.Config {
 			Kind: "hyperx", Size: ranks, Nodes: nodes, X: s1, Y: s2, Z: 1, P: t,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Nodes != out[j].Nodes {
-			return out[i].Nodes < out[j].Nodes
-		}
-		return out[i].P < out[j].P
-	})
-	if len(out) > c.maxCandidates() {
-		out = out[:c.maxCandidates()]
-	}
-	return out
+	return trimConfigs(out, c)
 }
 
 // accumulateCached memoizes the accumulated matrices of generated
@@ -708,6 +676,11 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 			ErrNoCandidates, total, req.Constraints.MaxSwitches, req.Constraints.MaxLinks)
 	}
 	rankRows(sheet.Rows, req.Weights)
+	for _, r := range sheet.Rows {
+		if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+			return nil, fmt.Errorf("design: score weights %+v overflow the score of %s (%g); use smaller weights", req.Weights, r.Name, r.Score)
+		}
+	}
 	opts.Span.Add("design_configs", int64(total))
 	opts.Span.Add("design_candidates", int64(len(sheet.Rows)))
 	return sheet, nil

@@ -135,10 +135,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	opts := s.opts.Analysis
-	opts.Parallelism = s.opts.Workers
-	opts.Budget = s.budget
-	opts.Cache = s.work
+	opts := s.runOptions()
 	req.MaxRanks = capRanks(opts.MaxRanks, req.MaxRanks)
 	opts.MaxRanks = req.MaxRanks
 	refs := make([]core.WorkloadRef, len(req.Workloads))

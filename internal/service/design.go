@@ -16,17 +16,6 @@ import (
 	"netloc/internal/trace"
 )
 
-// designOptions builds the core.Options a design search runs under: the
-// server's analysis defaults wired to the shared worker budget, exactly
-// like every other computation.
-func (s *Server) designOptions() core.Options {
-	opts := s.opts.Analysis
-	opts.Parallelism = s.opts.Workers
-	opts.Budget = s.budget
-	opts.Cache = s.work
-	return opts
-}
-
 // designSearch is the job store's SearchFunc: each async job runs under
 // one request-level budget token and a root span in the ring — the same
 // accounting a synchronous computation gets — so /v1/debug/runs shows
@@ -81,7 +70,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts := s.designOptions()
+	opts := s.runOptions()
 	b, err := s.cached(r, runDims{App: req.App, Ranks: req.Ranks}, req.CanonicalKey(), func(sp *obs.Span) (any, error) {
 		o := opts
 		o.Span = sp
@@ -117,7 +106,7 @@ func (s *Server) handleDesignTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Trace = t
-	sheet, err := s.designSearch(r.Context(), req, s.designOptions())
+	sheet, err := s.designSearch(r.Context(), req, s.runOptions())
 	if err != nil {
 		writeError(w, designStatus(err), err)
 		return
@@ -166,7 +155,7 @@ func (s *Server) handleDesignJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	job, err := s.jobs.Submit(req, s.designOptions())
+	job, err := s.jobs.Submit(req, s.runOptions())
 	if err != nil {
 		status := designStatus(err)
 		if strings.Contains(err.Error(), "job store full") {

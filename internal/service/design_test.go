@@ -190,6 +190,63 @@ func TestDesignHonoursServerMaxRanks(t *testing.T) {
 	}
 }
 
+// Score weights that are not finite, or that overflow a score, are a 400
+// from the trace upload and the synchronous search, and fail a job whose
+// status the listing and the poll still serve. They used to run the
+// search and answer 500 (json: unsupported value) from then on.
+func TestDesignRefusesNonFiniteWeights(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	tr := &trace.Trace{
+		Meta:   trace.Meta{App: "uploaded", Ranks: 8, WallTime: 1},
+		Events: []trace.Event{{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 4096, End: 10}},
+	}
+	for _, w := range []string{"NaN", "Inf", "-Inf"} {
+		var buf bytes.Buffer
+		if err := trace.WriteTrace(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/design/trace?families=torus&candidates=1&whops="+w, "application/octet-stream", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "must be finite") {
+			t.Errorf("/v1/design/trace whops=%s: status %d (%s), want 400", w, resp.StatusCode, body)
+		}
+	}
+
+	const huge = `{"app": "milc", "ranks": 8, "families": ["torus"], "constraints": {"max_candidates": 1},
+	  "weights": {"hops": 1e308, "makespan": 1e308}}`
+	if status, body := postJSON(t, ts, "/v1/design", huge); status != http.StatusBadRequest || !strings.Contains(string(body), "overflow") {
+		t.Errorf("/v1/design with 1e308 weights: status %d (%s), want 400", status, body)
+	}
+	status, body := postJSON(t, ts, "/v1/design/jobs", huge)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", status, body)
+	}
+	var st design.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/design/jobs/" + st.ID
+	for deadline := time.Now().Add(30 * time.Second); st.State == design.StateRunning; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("job did not finish")
+		}
+		if err := json.Unmarshal(getOK(t, ts, path), &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.State != design.StateFailed || !strings.Contains(st.Error, "overflow") {
+		t.Errorf("job with 1e308 weights ended %s (%q), want failed naming the overflow", st.State, st.Error)
+	}
+	getOK(t, ts, "/v1/design/jobs")
+}
+
 // TestDesignJobLifecycleHTTP drives the async flow end to end: submit
 // returns 202 with a Location, polls report monotonic progress, the
 // terminal poll carries the sheet, and the run lands in the span ring.

@@ -542,12 +542,29 @@ func capRanks(server, requested int) int {
 	return requested
 }
 
-// analysisOptions builds the per-request core.Options: the server's
-// defaults with coverage and strategy overridden from the query, and
-// maxranks lowering the server's rank cap. The returned values are canonicalized (defaults filled in) so
-// equivalent requests share one cache key.
-func (s *Server) analysisOptions(q url.Values) (core.Options, error) {
+// runOptions returns the core.Options every computation starts from: the
+// server's analysis defaults wired to the shared worker budget and the
+// artifact cache. Intra-request parallelism draws from the same budget
+// that admits requests, so the two levels compose instead of
+// oversubscribing. Parallelism never changes results, so it stays out of
+// cache keys — and neither does the artifact cache, whose contents are
+// byte-identical to fresh generation (uploaded traces bypass it entirely
+// in core.AnalyzeTrace).
+func (s *Server) runOptions() core.Options {
 	opts := s.opts.Analysis
+	opts.Parallelism = s.opts.Workers
+	opts.Budget = s.budget
+	opts.Cache = s.work
+	return opts
+}
+
+// analysisOptions builds the per-request core.Options: runOptions with
+// coverage and strategy overridden from the query when it names them,
+// and maxranks lowering the server's rank cap. The returned values are
+// canonicalized (defaults filled in) so equivalent requests share one
+// cache key.
+func (s *Server) analysisOptions(q url.Values) (core.Options, error) {
+	opts := s.runOptions()
 	cov, err := queryFloat(q, "coverage", opts.Coverage)
 	if err != nil {
 		return opts, err
@@ -559,25 +576,16 @@ func (s *Server) analysisOptions(q url.Values) (core.Options, error) {
 		return opts, fmt.Errorf("service: coverage %g out of range (0,1]", cov)
 	}
 	opts.Coverage = cov
-	strat, err := mpi.ParseStrategy(q.Get("strategy"))
-	if err != nil {
-		return opts, err
+	if v := q.Get("strategy"); v != "" {
+		if opts.Strategy, err = mpi.ParseStrategy(v); err != nil {
+			return opts, err
+		}
 	}
-	opts.Strategy = strat
 	maxRanks, err := queryNonNegInt(q, "maxranks", 0)
 	if err != nil {
 		return opts, err
 	}
 	opts.MaxRanks = capRanks(opts.MaxRanks, maxRanks)
-	// Intra-request parallelism draws from the same budget that admits
-	// requests, so the two levels compose instead of oversubscribing.
-	// Parallelism never changes results, so it stays out of cache keys —
-	// and neither does the artifact cache, whose contents are
-	// byte-identical to fresh generation (uploaded traces bypass it
-	// entirely in core.AnalyzeTrace).
-	opts.Parallelism = s.opts.Workers
-	opts.Budget = s.budget
-	opts.Cache = s.work
 	return opts, nil
 }
 
@@ -669,6 +677,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts, err := s.analysisOptions(q)
+	if err == nil && opts.MaxRanks > 0 && ranks > opts.MaxRanks {
+		// The cache key carries no rank cap: refuse before the lookup,
+		// or an answer cached under a higher cap would bypass this one.
+		err = fmt.Errorf("service: %d ranks exceed the rank cap %d", ranks, opts.MaxRanks)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

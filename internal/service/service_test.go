@@ -15,6 +15,7 @@ import (
 
 	"netloc/internal/core"
 	"netloc/internal/harness"
+	"netloc/internal/mpi"
 	"netloc/internal/obs"
 	"netloc/internal/report"
 	"netloc/internal/trace"
@@ -684,6 +685,51 @@ func TestTopologiesHonourServerMaxRanks(t *testing.T) {
 	}
 	if after := metricsSnapshot(t, ts).Workcache; after != before {
 		t.Errorf("refused request touched the artifact cache: %+v -> %+v", before, after)
+	}
+}
+
+// /v1/analyze and the fig1 experiment reach core.AnalyzeApp outside the
+// experiment grids, the only callers that filter MaxRanks. A rank
+// count above the server's cap, or above a lower ?maxranks=, is refused
+// before anything is generated, even when the analysis is already in the
+// result cache (whose key carries no cap).
+func TestAnalyzeHonoursServerMaxRanks(t *testing.T) {
+	ts := newTestServer(t, Options{Analysis: core.Options{MaxRanks: 64}})
+	const cached = "/v1/analyze?app=LULESH&ranks=64&topo=torus"
+	getOK(t, ts, cached)
+	before := metricsSnapshot(t, ts).Workcache
+	for path, want := range map[string][]string{
+		"/v1/analyze?app=LULESH&ranks=512&topo=torus": {"512 ranks", "rank cap 64"},
+		"/v1/experiments/fig1?app=LULESH&ranks=512":   {"512 ranks", "rank cap 64"},
+		cached + "&maxranks=27":                       {"64 ranks", "rank cap 27"},
+	} {
+		status, body := get(t, ts, path)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), want[0]) || !strings.Contains(string(body), want[1]) {
+			t.Errorf("GET %s: status %d (%s), want 400 naming %q and %q", path, status, body, want[0], want[1])
+		}
+	}
+	if after := metricsSnapshot(t, ts).Workcache; after != before {
+		t.Errorf("refused requests touched the artifact cache: %+v -> %+v", before, after)
+	}
+}
+
+// A server's default collective strategy applies to requests that name
+// none, so they share the result-cache entry of requests naming it.
+func TestAnalyzeHonoursServerStrategy(t *testing.T) {
+	ts := newTestServer(t, Options{Analysis: core.Options{Strategy: mpi.StrategyTree}})
+	const path = "/v1/analyze?app=CESAR%20MOCFE&ranks=64&topo=torus"
+	implicit := getOK(t, ts, path)
+	before := metricsSnapshot(t, ts).Cache
+	explicit := getOK(t, ts, path+"&strategy=tree")
+	after := metricsSnapshot(t, ts).Cache
+	if !bytes.Equal(implicit, explicit) {
+		t.Error("request without strategy differs from strategy=tree on a tree-default server")
+	}
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("strategy=tree after the default request: cache %+v -> %+v, want one hit", before, after)
+	}
+	if bytes.Equal(implicit, getOK(t, ts, path+"&strategy=direct")) {
+		t.Error("strategy=direct gives the tree bytes: the workload does not tell the strategies apart")
 	}
 }
 

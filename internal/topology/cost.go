@@ -27,27 +27,12 @@ func (c Cost) Units() float64 {
 	return float64(c.Switches) + 0.25*float64(c.Links) + 0.05*float64(c.Ports)
 }
 
-// Coster is implemented by topologies that report their hardware cost.
-type Coster interface {
-	Cost() Cost
-}
-
-// CostOf returns the hardware cost of any topology: the implementation's
-// own Cost method when it has one, otherwise the generic graph count
-// (which covers wrappers like Valiant routing over a dragonfly).
+// CostOf returns the hardware cost of a topology, derived from its graph
+// alone. Indirect networks place switches at vertices beyond the node
+// space; direct networks (vertex space == node space) integrate one
+// router per node, where every link endpoint lands on a router and each
+// node adds one injection port.
 func CostOf(t Topology) Cost {
-	if c, ok := t.(Coster); ok {
-		return c.Cost()
-	}
-	return graphCost(t)
-}
-
-// graphCost derives the cost from the topology graph alone. Indirect
-// networks place switches at vertices beyond the node space; direct
-// networks (vertex space == node space) integrate one router per node,
-// where every link endpoint lands on a router and each node adds one
-// injection port.
-func graphCost(t Topology) Cost {
 	switches := t.NumVertices() - t.Nodes()
 	integrated := switches == 0
 	c := Cost{Links: len(t.Links())}
@@ -67,23 +52,3 @@ func graphCost(t Topology) Cost {
 	}
 	return c
 }
-
-// Cost implements Coster: one integrated router per node, six neighbor
-// links each (fewer on mesh faces), plus one injection port per node.
-func (t *Torus) Cost() Cost { return graphCost(t) }
-
-// Cost implements Coster over the explicit switch stages.
-func (f *FatTree) Cost() Cost { return graphCost(f) }
-
-// Cost implements Coster over the per-group routers and global links.
-func (d *Dragonfly) Cost() Cost { return graphCost(d) }
-
-// Cost implements Coster over the MMS router graph.
-func (s *SlimFly) Cost() Cost { return graphCost(s) }
-
-// Cost implements Coster over the random regular switch graph.
-func (j *Jellyfish) Cost() Cost { return graphCost(j) }
-
-// Cost implements Coster over the lattice switches and per-dimension
-// all-to-all links.
-func (h *HyperX) Cost() Cost { return graphCost(h) }

@@ -10,7 +10,7 @@ func TestTorusCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := tor.Cost()
+	c := CostOf(tor)
 	n := tor.Nodes()
 	if c.Switches != n {
 		t.Errorf("torus switches = %d, want %d (one integrated router per node)", c.Switches, n)
@@ -73,7 +73,7 @@ func TestCostOfWrapperFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := CostOf(v), df.Cost(); got != want {
+	if got, want := CostOf(v), CostOf(df); got != want {
 		t.Errorf("valiant CostOf = %+v, want the wrapped dragonfly's %+v", got, want)
 	}
 }

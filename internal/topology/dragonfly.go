@@ -19,13 +19,10 @@ import "fmt"
 // the source-side gateway router, one global hop, up to one local hop on
 // the destination side, and the destination terminal.
 type Dragonfly struct {
+	switched
 	a, h, p int
 	groups  int
 
-	links   []Link
-	classes []LinkClass
-
-	termLink  []int   // node -> terminal link index
 	localLink [][]int // group -> flattened a×a router pair -> link index (upper triangle)
 	globalOf  []int   // group*a*h + k -> global link index
 
@@ -52,10 +49,11 @@ func NewDragonfly(a, h, p int) (*Dragonfly, error) {
 }
 
 // Vertex layout: compute nodes first (0..Nodes()-1), then routers
-// (group-major, a per group).
+// (group-major, a per group), so node v hangs off router v/p.
 func (d *Dragonfly) build() {
-	n := d.Nodes()
 	g := d.groups
+	d.init(d, d.a*g, d.p)
+	n := d.nodes
 	d.portRouter = make([]int32, d.a*d.h)
 	for k := range d.portRouter {
 		d.portRouter[k] = int32(k / d.h)
@@ -66,17 +64,6 @@ func (d *Dragonfly) build() {
 		d.nodeGroup[v] = int32(v / (d.a * d.p))
 		d.nodeRouter[v] = int32((v % (d.a * d.p)) / d.p)
 	}
-	addLink := func(x, y int, class LinkClass) int {
-		d.links = append(d.links, Link{A: x, B: y})
-		d.classes = append(d.classes, class)
-		return len(d.links) - 1
-	}
-
-	// Terminal links.
-	d.termLink = make([]int, n)
-	for v := 0; v < n; v++ {
-		d.termLink[v] = addLink(v, d.routerVertex(d.groupOf(v), d.routerOf(v)), ClassTerminal)
-	}
 
 	// Local links: complete graph within each group.
 	d.localLink = make([][]int, g)
@@ -84,7 +71,7 @@ func (d *Dragonfly) build() {
 		d.localLink[gi] = make([]int, d.a*d.a)
 		for r1 := 0; r1 < d.a; r1++ {
 			for r2 := r1 + 1; r2 < d.a; r2++ {
-				li := addLink(d.routerVertex(gi, r1), d.routerVertex(gi, r2), ClassLocal)
+				li := d.link(d.routerVertex(gi, r1), d.routerVertex(gi, r2), ClassLocal)
 				d.localLink[gi][r1*d.a+r2] = li
 				d.localLink[gi][r2*d.a+r1] = li
 			}
@@ -112,7 +99,7 @@ func (d *Dragonfly) build() {
 			peerPort := ah - 1 - k
 			r1 := d.routerVertex(gi, k/d.h)
 			r2 := d.routerVertex(peerGroup, peerPort/d.h)
-			li := addLink(r1, r2, ClassGlobal)
+			li := d.link(r1, r2, ClassGlobal)
 			d.globalOf[gi*ah+k] = li
 			d.globalOf[peerGroup*ah+peerPort] = li
 		}
@@ -131,23 +118,11 @@ func (d *Dragonfly) Name() string { return fmt.Sprintf("dragonfly(%d,%d,%d)", d.
 // Kind implements Topology.
 func (d *Dragonfly) Kind() string { return "dragonfly" }
 
-// Nodes implements Topology.
-func (d *Dragonfly) Nodes() int { return d.a * d.p * d.groups }
-
-// NumVertices implements Topology.
-func (d *Dragonfly) NumVertices() int { return d.Nodes() + d.a*d.groups }
-
-// Links implements Topology.
-func (d *Dragonfly) Links() []Link { return d.links }
-
-// LinkClasses implements Topology.
-func (d *Dragonfly) LinkClasses() []LinkClass { return d.classes }
-
 func (d *Dragonfly) groupOf(v int) int  { return int(d.nodeGroup[v]) }
 func (d *Dragonfly) routerOf(v int) int { return int(d.nodeRouter[v]) }
 
 func (d *Dragonfly) routerVertex(group, router int) int {
-	return d.Nodes() + group*d.a + router
+	return d.nodes + group*d.a + router
 }
 
 // gatewayPort returns the global port index k of group src that reaches
@@ -235,28 +210,15 @@ func (d *Dragonfly) HopCount(src, dst int) int {
 	return hops
 }
 
-// Route implements Topology.
-func (d *Dragonfly) Route(src, dst int, buf []int) ([]int, error) {
-	if err := checkEndpoints(d, src, dst); err != nil {
-		return nil, err
-	}
-	buf = buf[:0]
-	if src == dst {
-		return buf, nil
-	}
-	buf = append(buf, d.termLink[src])
-	buf = d.routerPath(d.groupOf(src), d.routerOf(src), d.groupOf(dst), d.routerOf(dst), buf)
-	return append(buf, d.termLink[dst]), nil
-}
-
-// routerPath appends the router-to-router links of the minimal route
-// from router rs of group gs to router rd of group gd.
-func (d *Dragonfly) routerPath(gs, rs, gd, rd int, buf []int) []int {
+// switchPath appends the router-to-router links of the minimal route
+// from router ss to router ds, numbered group-major.
+func (d *Dragonfly) switchPath(ss, ds int, buf []int) ([]int, error) {
+	gs, rs, gd, rd := ss/d.a, ss%d.a, ds/d.a, ds%d.a
 	if gs == gd {
 		if rs != rd {
 			buf = append(buf, d.localLink[gs][rs*d.a+rd])
 		}
-		return buf
+		return buf, nil
 	}
 	k := d.gatewayPort(gs, gd)
 	srcGW := int(d.portRouter[k])
@@ -266,7 +228,7 @@ func (d *Dragonfly) routerPath(gs, rs, gd, rd int, buf []int) []int {
 		// The canonical route needs two local hops; prefer an aligned
 		// 4-hop double-global shortcut when one exists.
 		if k1, k2, ok := d.twoGlobalShortcut(rs, rd, gs, gd); ok {
-			return append(buf, d.globalOf[k1], d.globalOf[k2])
+			return append(buf, d.globalOf[k1], d.globalOf[k2]), nil
 		}
 	}
 	if rs != srcGW {
@@ -276,24 +238,7 @@ func (d *Dragonfly) routerPath(gs, rs, gd, rd int, buf []int) []int {
 	if dstGW != rd {
 		buf = append(buf, d.localLink[gd][dstGW*d.a+rd])
 	}
-	return buf
-}
-
-// switchPath appends the links between the terminal links of a route
-// from router ss to router ds, numbered group-major.
-func (d *Dragonfly) switchPath(ss, ds int, buf []int) ([]int, error) {
-	return d.routerPath(ss/d.a, ss%d.a, ds/d.a, ds%d.a, buf), nil
-}
-
-// AccumulateFlows implements Topology. Node v hangs off router v/p
-// (group-major), and everything between a route's terminal links
-// depends only on the router pair, so each source router's flows are
-// routed once per destination router.
-func (d *Dragonfly) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
-	if err := checkLinkBytes(d, linkBytes); err != nil {
-		return FlowLoad{}, err
-	}
-	return accumulateSwitched(d, d.a*d.groups, d.p, d.termLink, d.classes, flows, linkBytes)
+	return buf, nil
 }
 
 var _ Topology = (*Dragonfly)(nil)

@@ -6,26 +6,16 @@ import (
 )
 
 // fabric is the shared machinery of the switch-fabric families added
-// beyond the paper's three (Slim Fly, Jellyfish): compute nodes hang off
-// switches by terminal links, switches form an arbitrary graph, and
-// minimal routing runs on eagerly-built BFS distance tables over the
-// switch graph — the "BFS where no analytic form exists" rule. The
-// tables are immutable after construction, so one instance is safe to
-// share across concurrent analysis cells (the workcache contract).
-//
-// Vertex layout: compute nodes 0..nodes-1, then switches. Node v attaches
-// to switch v / perSwitch.
+// beyond the paper's three (Slim Fly, Jellyfish): on the switched layout,
+// switches form an arbitrary graph, and minimal routing runs on
+// eagerly-built BFS distance tables over the switch graph — the "BFS
+// where no analytic form exists" rule. The tables are immutable after
+// construction, so one instance is safe to share across concurrent
+// analysis cells (the workcache contract).
 type fabric struct {
-	nodes     int
-	switches  int
-	perSwitch int
-
-	links   []Link
-	classes []LinkClass
-
-	termLink []int     // node -> terminal link index
-	swAdj    Adjacency // switch -> peer switch indices, in ascending link order
-	dist     [][]int16 // dist[s][t] = switch-graph hops s -> t
+	switched
+	swAdj Adjacency // switch -> peer switch indices, in ascending link order
+	dist  [][]int16 // dist[s][t] = switch-graph hops s -> t
 }
 
 // Edge is one end of a link seen from a vertex: the vertex across the
@@ -75,28 +65,18 @@ func (a Adjacency) BFS(src int, dist []int16, queue []int32) ([]int32, error) {
 	return queue, nil
 }
 
-// initFabric sets the sizes and creates the terminal links (always the
-// first n links, in node order).
-func (f *fabric) initFabric(switches, perSwitch int) {
-	f.switches = switches
-	f.perSwitch = perSwitch
-	f.nodes = switches * perSwitch
-	f.termLink = make([]int, f.nodes)
+// initFabric lays out the switches and their terminal links; fam is the
+// family that embeds f.
+func (f *fabric) initFabric(fam switchFamily, switches, perSwitch int) {
+	f.init(fam, switches, perSwitch)
 	f.swAdj = make(Adjacency, switches)
-	for v := 0; v < f.nodes; v++ {
-		f.termLink[v] = len(f.links)
-		f.links = append(f.links, Link{A: v, B: f.nodes + v/perSwitch})
-		f.classes = append(f.classes, ClassTerminal)
-	}
 }
 
 // addSwitchLink connects switches a and b (indices in 0..switches-1) with
 // a link of the given class. Callers add links in a deterministic order;
 // adjacency lists follow that order, which pins the routing tie-breaks.
 func (f *fabric) addSwitchLink(a, b int, class LinkClass) {
-	li := int32(len(f.links))
-	f.links = append(f.links, Link{A: f.nodes + a, B: f.nodes + b})
-	f.classes = append(f.classes, class)
+	li := int32(f.link(f.nodes+a, f.nodes+b, class))
 	f.swAdj[a] = append(f.swAdj[a], Edge{To: int32(b), Link: li})
 	f.swAdj[b] = append(f.swAdj[b], Edge{To: int32(a), Link: li})
 }
@@ -122,55 +102,23 @@ func (f *fabric) finish(name string) error {
 	return nil
 }
 
-// Nodes implements Topology.
-func (f *fabric) Nodes() int { return f.nodes }
-
-// NumVertices implements Topology.
-func (f *fabric) NumVertices() int { return f.nodes + f.switches }
-
-// Links implements Topology.
-func (f *fabric) Links() []Link { return f.links }
-
-// LinkClasses implements Topology.
-func (f *fabric) LinkClasses() []LinkClass { return f.classes }
-
-// switchOf returns the switch a node attaches to.
-func (f *fabric) switchOf(v int) int { return v / f.perSwitch }
-
-// hopCount is the shared HopCount: two terminal hops around the
+// HopCount implements Topology: two terminal hops around the
 // switch-graph distance (0 for self, 2 for switch-sharing pairs).
-func (f *fabric) hopCount(src, dst int) int {
+func (f *fabric) HopCount(src, dst int) int {
 	if src == dst {
 		return 0
 	}
-	ss, ds := f.switchOf(src), f.switchOf(dst)
+	ss, ds := src/f.perSwitch, dst/f.perSwitch
 	if ss == ds {
 		return 2
 	}
 	return int(f.dist[ss][ds]) + 2
 }
 
-// route is the shared minimal route: greedy descent on the destination's
-// distance table, taking the first distance-decreasing neighbor in link
-// order at every switch — deterministic and exactly hopCount links long.
-func (f *fabric) route(t Topology, src, dst int, buf []int) ([]int, error) {
-	if err := checkEndpoints(t, src, dst); err != nil {
-		return nil, err
-	}
-	buf = buf[:0]
-	if src == dst {
-		return buf, nil
-	}
-	buf = append(buf, f.termLink[src])
-	buf, err := f.switchPath(f.switchOf(src), f.switchOf(dst), buf)
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, f.termLink[dst]), nil
-}
-
 // switchPath appends the switch-to-switch links of the route from switch
-// ss to switch ds.
+// ss to switch ds: greedy descent on ds's distance table, taking the
+// first distance-decreasing neighbor in link order at every switch —
+// deterministic and exactly the distance long.
 func (f *fabric) switchPath(ss, ds int, buf []int) ([]int, error) {
 	d := f.dist[ds]
 	cur := ss
@@ -190,15 +138,6 @@ func (f *fabric) switchPath(ss, ds int, buf []int) ([]int, error) {
 		}
 	}
 	return buf, nil
-}
-
-// accumulateFlows is the shared AccumulateFlows: a route depends only on
-// the switch pair between its terminal links.
-func (f *fabric) accumulateFlows(t Topology, flows Flows, linkBytes []uint64) (FlowLoad, error) {
-	if err := checkLinkBytes(t, linkBytes); err != nil {
-		return FlowLoad{}, err
-	}
-	return accumulateSwitched(f, f.switches, f.perSwitch, f.termLink, f.classes, flows, linkBytes)
 }
 
 // switchDiameter returns the largest switch-graph distance (the network

@@ -23,9 +23,7 @@ type FatTree struct {
 	stages int
 	d      int // downlinks per switch = radix/2
 	nodes  int
-
-	links   []Link
-	classes []LinkClass
+	wiring
 
 	// Link-index lookup tables for deterministic routing. Parallel links
 	// (two links between the same leaf/top or mid/top pair) are distinct
@@ -75,58 +73,41 @@ func NewFatTree(radix, stages int) (*FatTree, error) {
 //	then                       top switches (last stage, stages>=2)
 func (f *FatTree) build() {
 	n, d := f.nodes, f.d
-	f.termLink = make([]int, n)
-
-	addLink := func(a, b int, class LinkClass) int {
-		f.links = append(f.links, Link{A: a, B: b})
-		f.classes = append(f.classes, class)
-		return len(f.links) - 1
-	}
-
 	switch f.stages {
 	case 1:
-		sw := n // the only switch
-		for v := 0; v < n; v++ {
-			f.termLink[v] = addLink(v, sw, ClassTerminal)
-		}
+		f.termLink = f.terminals(n, n) // the only switch
 
 	case 2:
 		leaves := n / d    // d leaf switches
 		tops := leaves / 2 // half as many top switches
 		leafBase := n
 		topBase := n + leaves
-		for v := 0; v < n; v++ {
-			f.termLink[v] = addLink(v, leafBase+v/d, ClassTerminal)
-		}
+		f.termLink = f.terminals(n, d)
 		// Each leaf spreads its d uplinks over the d/2 tops: two
 		// parallel links per (leaf, top) pair.
 		f.midTop = make([]int, 0, leaves*tops*2)
 		for l := 0; l < leaves; l++ {
 			for t := 0; t < tops; t++ {
 				f.midTop = append(f.midTop,
-					addLink(leafBase+l, topBase+t, ClassGlobal),
-					addLink(leafBase+l, topBase+t, ClassGlobal))
+					f.link(leafBase+l, topBase+t, ClassGlobal),
+					f.link(leafBase+l, topBase+t, ClassGlobal))
 			}
 		}
 
 	case 3:
-		leaves := n / d    // d*d leaf switches
-		pods := leaves / d // d pods
-		mids := leaves     // same count as leaves
-		topGroups := d     // one top group per mid index j
+		leaves := n / d // d*d leaf switches
+		mids := leaves  // same count as leaves
 		topsPerGroup := d / 2
 		leafBase := n
 		midBase := n + leaves
 		topBase := n + leaves + mids
-		for v := 0; v < n; v++ {
-			f.termLink[v] = addLink(v, leafBase+v/d, ClassTerminal)
-		}
+		f.termLink = f.terminals(n, d)
 		// Leaf l of pod P connects one link to each mid (P, j).
 		f.leafMid = make([]int, 0, leaves*d)
 		for l := 0; l < leaves; l++ {
 			pod := l / d
 			for j := 0; j < d; j++ {
-				f.leafMid = append(f.leafMid, addLink(leafBase+l, midBase+pod*d+j, ClassLocal))
+				f.leafMid = append(f.leafMid, f.link(leafBase+l, midBase+pod*d+j, ClassLocal))
 			}
 		}
 		// Mid (P, j) connects two parallel links to each top (j, k).
@@ -136,12 +117,10 @@ func (f *FatTree) build() {
 			for k := 0; k < topsPerGroup; k++ {
 				top := topBase + j*topsPerGroup + k
 				f.midTop = append(f.midTop,
-					addLink(midBase+m, top, ClassGlobal),
-					addLink(midBase+m, top, ClassGlobal))
+					f.link(midBase+m, top, ClassGlobal),
+					f.link(midBase+m, top, ClassGlobal))
 			}
 		}
-		_ = pods
-		_ = topGroups
 	}
 }
 
@@ -172,12 +151,6 @@ func (f *FatTree) NumVertices() int {
 		return n + 2*(n/d) + d*(d/2)
 	}
 }
-
-// Links implements Topology.
-func (f *FatTree) Links() []Link { return f.links }
-
-// LinkClasses implements Topology.
-func (f *FatTree) LinkClasses() []LinkClass { return f.classes }
 
 // leafOf returns the leaf-switch index (0-based within the leaf stage) of a
 // node.
@@ -214,7 +187,7 @@ func (f *FatTree) HopCount(src, dst int) int {
 // from the destination ID (d-mod routing), which spreads traffic across
 // uplinks the way static destination-based routing tables do.
 func (f *FatTree) Route(src, dst int, buf []int) ([]int, error) {
-	if err := checkEndpoints(f, src, dst); err != nil {
+	if err := checkEndpoints(f.nodes, src, dst); err != nil {
 		return nil, err
 	}
 	buf = buf[:0]

@@ -71,93 +71,6 @@ func (q divider) div(n int) int {
 	return int(hi)
 }
 
-// switchRouter is implemented by the families switchFlows serves.
-type switchRouter interface {
-	// switchPath appends the switch-to-switch links of the route from
-	// switch ss to switch ds (none when ss == ds).
-	switchPath(ss, ds int, buf []int) ([]int, error)
-}
-
-// switchFlows is AccumulateFlows for the families whose route from node
-// src to node dst is src's terminal link, a switch path that depends only
-// on the switch pair (src/perSwitch, dst/perSwitch), and dst's terminal
-// link: the dragonfly, Slim Fly, Jellyfish and HyperX. The flows of one
-// source switch are summed per destination switch and each of those
-// paths is walked once; terminal links are charged per flow.
-type switchFlows struct {
-	router    switchRouter
-	classes   []LinkClass
-	termLink  []int
-	perSwitch divider
-	links     []uint64
-	load      FlowLoad
-
-	sums     []flowSum // per destination switch, for the current source switch
-	srcBytes uint64    // bytes lastSrc has sent, not yet on its terminal link
-	buf      []int
-	bufArr   [8]int // buf's first backing array: paths are a few links long
-	lastSrc  int    // last source node, so a run of one source divides once
-	src      int    // current source switch, -1 before the first flow
-	err      error
-}
-
-func accumulateSwitched(r switchRouter, switches, perSwitch int, termLink []int, classes []LinkClass,
-	flows Flows, linkBytes []uint64) (FlowLoad, error) {
-	a := &switchFlows{
-		router: r, classes: classes, termLink: termLink, perSwitch: newDivider(perSwitch),
-		links: linkBytes, sums: make([]flowSum, switches), lastSrc: -1, src: -1,
-	}
-	a.buf = a.bufArr[:0]
-	flows(a.visit)
-	a.flushSource()
-	a.routeSums()
-	return a.load, a.err
-}
-
-func (a *switchFlows) visit(src, dst int, bytes, packets, messages uint64) {
-	if src != a.lastSrc {
-		a.flushSource()
-		a.lastSrc = src
-		if ss := a.perSwitch.div(src); ss != a.src {
-			a.routeSums()
-			a.src = ss
-		}
-	}
-	a.sums[a.perSwitch.div(dst)].add(bytes, packets, messages)
-	a.srcBytes += bytes
-	if a.links != nil {
-		a.links[a.termLink[dst]] += bytes
-	}
-}
-
-// flushSource charges the last source's bytes to its terminal link.
-func (a *switchFlows) flushSource() {
-	if a.links != nil && a.lastSrc >= 0 {
-		a.links[a.termLink[a.lastSrc]] += a.srcBytes
-	}
-	a.srcBytes = 0
-}
-
-// routeSums routes the current source switch's sums, one path per
-// destination switch, and clears them.
-func (a *switchFlows) routeSums() {
-	if a.src < 0 || a.err != nil {
-		return
-	}
-	for ds := range a.sums {
-		s := &a.sums[ds]
-		if *s == (flowSum{}) {
-			continue
-		}
-		if a.buf, a.err = a.router.switchPath(a.src, ds, a.buf[:0]); a.err != nil {
-			return
-		}
-		global := chargePath(a.buf, s.bytes, a.links, a.classes)
-		a.load.add(s.bytes, s.packets, s.messages, uint64(len(a.buf)+2), global)
-		*s = flowSum{}
-	}
-}
-
 // routedFlows is AccumulateFlows by one Route walk per flow, for routing
 // that depends on the node pair itself (Valiant's hashed pivot).
 type routedFlows struct {

@@ -17,13 +17,8 @@ const MaxHyperXSwitches = 4096
 // coordinates plus the two terminal hops. All switch-switch links are
 // ClassLocal — the lattice has no hierarchy to split on.
 type HyperX struct {
+	switched
 	s1, s2, s3, t int
-	nodes         int
-
-	links   []Link
-	classes []LinkClass
-
-	termLink []int
 	// dimLink[d] maps (line, a, b) — the orthogonal-coordinate line index
 	// and the two positions along dimension d — to a link index.
 	dimLink [3][]int32
@@ -38,18 +33,8 @@ func NewHyperX(s1, s2, s3, t int) (*HyperX, error) {
 	if sw > MaxHyperXSwitches {
 		return nil, fmt.Errorf("topology: hyperx switch count %d exceeds the supported maximum %d", sw, MaxHyperXSwitches)
 	}
-	h := &HyperX{s1: s1, s2: s2, s3: s3, t: t, nodes: sw * t}
-	addLink := func(a, b int, class LinkClass) int32 {
-		h.links = append(h.links, Link{A: a, B: b})
-		h.classes = append(h.classes, class)
-		return int32(len(h.links) - 1)
-	}
-
-	// Terminal links, node order.
-	h.termLink = make([]int, h.nodes)
-	for v := 0; v < h.nodes; v++ {
-		h.termLink[v] = int(addLink(v, h.nodes+v/t, ClassTerminal))
-	}
+	h := &HyperX{s1: s1, s2: s2, s3: s3, t: t}
+	h.init(h, sw, t)
 
 	// Per-dimension all-to-all, dimension-major, lines in ascending
 	// orthogonal order, pairs in ascending (a, b) order.
@@ -59,7 +44,7 @@ func NewHyperX(s1, s2, s3, t int) (*HyperX, error) {
 			line := z*s2 + y
 			for a := 0; a < s1; a++ {
 				for b := a + 1; b < s1; b++ {
-					li := addLink(h.switchVertex(a, y, z), h.switchVertex(b, y, z), ClassLocal)
+					li := int32(h.link(h.switchVertex(a, y, z), h.switchVertex(b, y, z), ClassLocal))
 					h.dimLink[0][(line*s1+a)*s1+b] = li
 					h.dimLink[0][(line*s1+b)*s1+a] = li
 				}
@@ -72,7 +57,7 @@ func NewHyperX(s1, s2, s3, t int) (*HyperX, error) {
 			line := z*s1 + x
 			for a := 0; a < s2; a++ {
 				for b := a + 1; b < s2; b++ {
-					li := addLink(h.switchVertex(x, a, z), h.switchVertex(x, b, z), ClassLocal)
+					li := int32(h.link(h.switchVertex(x, a, z), h.switchVertex(x, b, z), ClassLocal))
 					h.dimLink[1][(line*s2+a)*s2+b] = li
 					h.dimLink[1][(line*s2+b)*s2+a] = li
 				}
@@ -85,7 +70,7 @@ func NewHyperX(s1, s2, s3, t int) (*HyperX, error) {
 			line := y*s1 + x
 			for a := 0; a < s3; a++ {
 				for b := a + 1; b < s3; b++ {
-					li := addLink(h.switchVertex(x, y, a), h.switchVertex(x, y, b), ClassLocal)
+					li := int32(h.link(h.switchVertex(x, y, a), h.switchVertex(x, y, b), ClassLocal))
 					h.dimLink[2][(line*s3+a)*s3+b] = li
 					h.dimLink[2][(line*s3+b)*s3+a] = li
 				}
@@ -125,18 +110,6 @@ func (h *HyperX) Name() string {
 // Kind implements Topology.
 func (h *HyperX) Kind() string { return "hyperx" }
 
-// Nodes implements Topology.
-func (h *HyperX) Nodes() int { return h.nodes }
-
-// NumVertices implements Topology.
-func (h *HyperX) NumVertices() int { return h.nodes + h.s1*h.s2*h.s3 }
-
-// Links implements Topology.
-func (h *HyperX) Links() []Link { return h.links }
-
-// LinkClasses implements Topology.
-func (h *HyperX) LinkClasses() []LinkClass { return h.classes }
-
 // HopCount implements Topology: two terminal hops plus one switch hop per
 // differing lattice coordinate.
 func (h *HyperX) HopCount(src, dst int) int {
@@ -158,23 +131,9 @@ func (h *HyperX) HopCount(src, dst int) int {
 	return hops
 }
 
-// Route implements Topology: dimension-ordered, correcting x then y then
-// z, each in a single all-to-all hop.
-func (h *HyperX) Route(src, dst int, buf []int) ([]int, error) {
-	if err := checkEndpoints(h, src, dst); err != nil {
-		return nil, err
-	}
-	buf = buf[:0]
-	if src == dst {
-		return buf, nil
-	}
-	buf = append(buf, h.termLink[src])
-	buf, _ = h.switchPath(src/h.t, dst/h.t, buf)
-	return append(buf, h.termLink[dst]), nil
-}
-
 // switchPath appends the switch-to-switch links of the route from switch
-// ss to switch ds.
+// ss to switch ds: dimension-ordered, correcting x then y then z, each in
+// a single all-to-all hop.
 func (h *HyperX) switchPath(ss, ds int, buf []int) ([]int, error) {
 	sx, sy, sz := h.switchCoords(ss)
 	dx, dy, dz := h.switchCoords(ds)
@@ -191,15 +150,6 @@ func (h *HyperX) switchPath(ss, ds int, buf []int) ([]int, error) {
 		buf = append(buf, int(h.dimLink[2][(line*h.s3+sz)*h.s3+dz]))
 	}
 	return buf, nil
-}
-
-// AccumulateFlows implements Topology: a route depends only on the
-// switch pair between its terminal links.
-func (h *HyperX) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
-	if err := checkLinkBytes(h, linkBytes); err != nil {
-		return FlowLoad{}, err
-	}
-	return accumulateSwitched(h, h.s1*h.s2*h.s3, h.t, h.termLink, h.classes, flows, linkBytes)
 }
 
 var _ Topology = (*HyperX)(nil)

@@ -73,7 +73,7 @@ func NewJellyfish(s, r, p int, seed uint64) (*Jellyfish, error) {
 			continue
 		}
 		j := &Jellyfish{s: s, r: r, p: p, seed: seed}
-		j.initFabric(s, p)
+		j.initFabric(j, s, p)
 		for _, e := range edges {
 			j.addSwitchLink(e[0], e[1], ClassGlobal)
 		}
@@ -236,16 +236,5 @@ func (j *Jellyfish) Name() string {
 
 // Kind implements Topology.
 func (j *Jellyfish) Kind() string { return "jellyfish" }
-
-// HopCount implements Topology.
-func (j *Jellyfish) HopCount(src, dst int) int { return j.hopCount(src, dst) }
-
-// Route implements Topology.
-func (j *Jellyfish) Route(src, dst int, buf []int) ([]int, error) { return j.route(j, src, dst, buf) }
-
-// AccumulateFlows implements Topology.
-func (j *Jellyfish) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
-	return j.accumulateFlows(j, flows, linkBytes)
-}
 
 var _ Topology = (*Jellyfish)(nil)

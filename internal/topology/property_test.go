@@ -135,11 +135,13 @@ func TestFatTreeHopParityProperty(t *testing.T) {
 
 // familyCases instantiates one representative of every topology family,
 // paired with its declared switch radix (the maximum ports any vertex may
-// use). Future families added here are covered by the invariant suite
-// below by construction.
+// use) and its nodes per switch k (0 on the direct torus and mesh).
+// Future families added here are covered by the invariant suite below by
+// construction.
 func familyCases(t *testing.T) []struct {
-	topo  Topology
-	radix int
+	topo      Topology
+	radix     int
+	perSwitch int
 } {
 	t.Helper()
 	tor, err := NewTorus(4, 3, 2)
@@ -171,16 +173,17 @@ func familyCases(t *testing.T) []struct {
 		t.Fatal(err)
 	}
 	return []struct {
-		topo  Topology
-		radix int
+		topo      Topology
+		radix     int
+		perSwitch int
 	}{
-		{tor, 6},                    // ≤ 6 neighbor links, integrated router
-		{mesh, 6},                   //
-		{ft, 8},                     // the constructed switch radix
-		{df, (4 - 1) + 2 + 2},       // (a-1) local + h global + p terminals
-		{sf, sf.NetworkRadix() + 2}, // k inter-router + p terminals
-		{jf, 4 + 2},                 // r inter-switch + p terminals
-		{hx, hx.NetworkRadix() + 2}, // per-dim all-to-all + t terminals
+		{tor, 6, 0},                    // ≤ 6 neighbor links, integrated router
+		{mesh, 6, 0},                   //
+		{ft, 8, 4},                     // the constructed switch radix; radix/2 nodes per leaf
+		{df, (4 - 1) + 2 + 2, 2},       // (a-1) local + h global + p terminals
+		{sf, sf.NetworkRadix() + 2, 2}, // k inter-router + p terminals
+		{jf, 4 + 2, 2},                 // r inter-switch + p terminals
+		{hx, hx.NetworkRadix() + 2, 2}, // per-dim all-to-all + t terminals
 	}
 }
 
@@ -228,8 +231,10 @@ func TestAdjacencyBFSMatchesGraph(t *testing.T) {
 
 // Invariant suite over every family: Route length == HopCount == BFS
 // distance with Route a contiguous walk, hop counts symmetric and obeying
-// the triangle inequality, vertex degrees within the declared radix, and
-// LinkClasses() partitioning exactly Links().
+// the triangle inequality, vertex degrees within the declared radix,
+// LinkClasses() partitioning exactly Links(), and on the indirect
+// families the block layout: link v is node v's terminal link to the
+// switch at vertex Nodes()+v/k.
 func TestAllFamiliesRoutingInvariants(t *testing.T) {
 	for _, tc := range familyCases(t) {
 		topo := tc.topo
@@ -255,6 +260,16 @@ func TestAllFamiliesRoutingInvariants(t *testing.T) {
 			}
 			if total != len(topo.Links()) {
 				t.Fatalf("class counts sum to %d, want %d", total, len(topo.Links()))
+			}
+
+			// Nodes in contiguous blocks of k, one block per switch.
+			if k := tc.perSwitch; k > 0 {
+				for v := 0; v < n; v++ {
+					want := Link{A: v, B: n + v/k}
+					if l := topo.Links()[v]; l != want || classes[v] != ClassTerminal {
+						t.Fatalf("link %d is %+v (%s), want node %d's terminal link %+v", v, l, classes[v], v, want)
+					}
+				}
 			}
 
 			// Degrees within the declared radix.

@@ -61,7 +61,7 @@ func NewSlimFly(q, p int) (*SlimFly, error) {
 	}
 
 	s := &SlimFly{q: q, p: p, delta: delta}
-	s.initFabric(2*q*q, p)
+	s.initFabric(s, 2*q*q, p)
 	sw := func(sub, a, b int) int { return sub*q*q + a*q + b }
 
 	// Intra-subgraph links, unordered pairs in ascending (x, y, y') order.
@@ -106,16 +106,5 @@ func (s *SlimFly) Name() string { return fmt.Sprintf("slimfly(%d,%d)", s.q, s.p)
 
 // Kind implements Topology.
 func (s *SlimFly) Kind() string { return "slimfly" }
-
-// HopCount implements Topology.
-func (s *SlimFly) HopCount(src, dst int) int { return s.hopCount(src, dst) }
-
-// Route implements Topology.
-func (s *SlimFly) Route(src, dst int, buf []int) ([]int, error) { return s.route(s, src, dst, buf) }
-
-// AccumulateFlows implements Topology.
-func (s *SlimFly) AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error) {
-	return s.accumulateFlows(s, flows, linkBytes)
-}
 
 var _ Topology = (*SlimFly)(nil)

@@ -93,13 +93,13 @@ type Topology interface {
 	AccumulateFlows(flows Flows, linkBytes []uint64) (FlowLoad, error)
 }
 
-// checkEndpoints validates a node pair against the topology size.
-func checkEndpoints(t Topology, src, dst int) error {
-	if src < 0 || src >= t.Nodes() {
-		return fmt.Errorf("topology: src %d out of range [0,%d)", src, t.Nodes())
+// checkEndpoints validates a node pair against the node count.
+func checkEndpoints(nodes, src, dst int) error {
+	if src < 0 || src >= nodes {
+		return fmt.Errorf("topology: src %d out of range [0,%d)", src, nodes)
 	}
-	if dst < 0 || dst >= t.Nodes() {
-		return fmt.Errorf("topology: dst %d out of range [0,%d)", dst, t.Nodes())
+	if dst < 0 || dst >= nodes {
+		return fmt.Errorf("topology: dst %d out of range [0,%d)", dst, nodes)
 	}
 	return nil
 }

@@ -15,8 +15,7 @@ import "fmt"
 type Torus struct {
 	x, y, z int
 	wrap    bool
-	links   []Link
-	classes []LinkClass
+	wiring
 	// dirLink[node*6+d] is the link index leaving node in direction d
 	// (0 +x, 1 -x, 2 +y, 3 -y, 4 +z, 5 -z); -1 where the dimension has
 	// size one. Precomputed so routing needs no map lookups.
@@ -91,9 +90,7 @@ func (t *Torus) wrapSize(size int) int {
 // tables for both endpoints (in a size-2 dimension the single link serves
 // both directions of both nodes).
 func (t *Torus) addLink(a, b, dirPlus, size int) {
-	li := len(t.links)
-	t.links = append(t.links, Link{A: a, B: b})
-	t.classes = append(t.classes, ClassLocal)
+	li := t.link(a, b, ClassLocal)
 	t.dirLink[a*6+dirPlus] = li
 	t.dirLink[b*6+dirPlus+1] = li
 	if size == 2 {
@@ -122,12 +119,6 @@ func (t *Torus) Nodes() int { return t.x * t.y * t.z }
 // NumVertices implements Topology. Switches are integrated, so the vertex
 // space equals the node space.
 func (t *Torus) NumVertices() int { return t.Nodes() }
-
-// Links implements Topology.
-func (t *Torus) Links() []Link { return t.links }
-
-// LinkClasses implements Topology.
-func (t *Torus) LinkClasses() []LinkClass { return t.classes }
 
 func (t *Torus) id(cx, cy, cz int) int { return (cz*t.y+cy)*t.x + cx }
 
@@ -170,7 +161,7 @@ func absDiff(a, b int) int {
 // (positive on ties, direct on a mesh) is decided once per dimension and
 // the walk is plain stride arithmetic on the node id.
 func (t *Torus) Route(src, dst int, buf []int) ([]int, error) {
-	if err := checkEndpoints(t, src, dst); err != nil {
+	if err := checkEndpoints(t.Nodes(), src, dst); err != nil {
 		return nil, err
 	}
 	buf = buf[:0]

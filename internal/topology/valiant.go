@@ -55,7 +55,7 @@ func (v *Valiant) pivotGroup(src, dst int) int {
 // terminal. Hops that start where they must end (the gateway is already
 // the right router) are skipped, so paths run from 5 to 8 links.
 func (v *Valiant) Route(src, dst int, buf []int) ([]int, error) {
-	if err := checkEndpoints(v, src, dst); err != nil {
+	if err := checkEndpoints(v.nodes, src, dst); err != nil {
 		return nil, err
 	}
 	buf = buf[:0]

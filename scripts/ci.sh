@@ -59,10 +59,11 @@ go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./in
 # them here without it. They pin that a workcache hit allocates only its
 # key, that a congest tolerance probe and a lean simnet replay allocate
 # nothing per message, that a netmodel run allocates no more than its
-# pinned ceilings, and that Greedy's allocation count does not grow with
-# the rank count.
+# pinned ceilings, that Greedy's allocation count does not grow with
+# the rank count, and that Route into a warm buffer allocates nothing on
+# any topology type.
 echo "=== go test (allocation pins, no -race) ==="
-go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping
+go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping ./internal/topology
 
 # Every committed results/ file is an output pin: regenerate both formats
 # of every experiment (the full grid, no -race) and fail on any file that
