@@ -9,9 +9,11 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"netloc/internal/mpi"
 	"netloc/internal/parallel"
@@ -278,84 +280,6 @@ func (m *Matrix) AppendBySource(src int, dsts []int, vols []float64) ([]int, []f
 	return dsts, vols
 }
 
-// Merge adds every recorded entry of other — which must share the rank
-// space and packet size — into m. Entries, totals, and pair counts are
-// exact integer sums, so merging shard matrices reproduces the matrix a
-// single sequential pass over the same events would have built.
-func (m *Matrix) Merge(other *Matrix) error {
-	if other == nil {
-		return nil
-	}
-	if other.ranks != m.ranks {
-		return fmt.Errorf("comm: merge rank mismatch: %d vs %d", other.ranks, m.ranks)
-	}
-	if other.packetSize != m.packetSize {
-		return fmt.Errorf("comm: merge packet-size mismatch: %d vs %d", other.packetSize, m.packetSize)
-	}
-	if other.totalBytes > MaxVolume-m.totalBytes {
-		return fmt.Errorf("comm: merging %d B into %d B passes %d B (MaxVolume)", other.totalBytes, m.totalBytes, uint64(MaxVolume))
-	}
-	for src := 0; src < m.ranks; src++ {
-		if od := other.dense[src]; od != nil {
-			// A dense incoming row makes the merged row at least as
-			// dense; promote before the vector add.
-			if m.dense[src] == nil {
-				m.promoteRow(src)
-			}
-			d := m.dense[src]
-			for dst := range od {
-				if od[dst].Messages == 0 {
-					continue
-				}
-				if d[dst].Messages == 0 {
-					m.pairs++
-				}
-				d[dst].Bytes += od[dst].Bytes
-				d[dst].Messages += od[dst].Messages
-				d[dst].Packets += od[dst].Packets
-			}
-			continue
-		}
-		srow := other.sparse[src]
-		if len(srow) == 0 {
-			continue
-		}
-		if d := m.dense[src]; d != nil {
-			for dst, e := range srow {
-				if d[dst].Messages == 0 {
-					m.pairs++
-				}
-				d[dst].Bytes += e.Bytes
-				d[dst].Messages += e.Messages
-				d[dst].Packets += e.Packets
-			}
-			continue
-		}
-		row := m.sparse[src]
-		if row == nil {
-			row = make(map[int]Entry, len(srow))
-			m.sparse[src] = row
-		}
-		for dst, e := range srow {
-			cur, existed := row[dst]
-			if !existed {
-				m.pairs++
-			}
-			cur.Bytes += e.Bytes
-			cur.Messages += e.Messages
-			cur.Packets += e.Packets
-			row[dst] = cur
-		}
-		if len(row) >= m.denseThreshold() {
-			m.promoteRow(src)
-		}
-	}
-	m.totalBytes += other.totalBytes
-	m.totalMsgs += other.totalMsgs
-	m.totalPkts += other.totalPkts
-	return nil
-}
-
 // Accumulated holds the two matrices of one trace plus accounting totals.
 type Accumulated struct {
 	Meta trace.Meta
@@ -369,15 +293,6 @@ type Accumulated struct {
 	// the traced events (the Table 1 volume accounting).
 	CallerP2PBytes  uint64
 	CallerCollBytes uint64
-
-	// Shards is how many contiguous event shards built the matrices: 1
-	// for a sequential pass, the shard count for AccumulateParallel.
-	// Purely observational — the matrices are exact integer sums either
-	// way.
-	Shards int
-
-	strategy   mpi.Strategy
-	collCounts map[collKey]uint64
 }
 
 // AccumulateOptions tunes accumulation.
@@ -391,156 +306,34 @@ type AccumulateOptions struct {
 
 // Accumulate builds the P2P and wire matrices from a materialized trace.
 func Accumulate(t *trace.Trace, opts AccumulateOptions) (*Accumulated, error) {
-	world, err := mpi.World(t.Meta.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := newAccumulated(t.Meta, opts)
-	if err != nil {
-		return nil, err
-	}
-	var buf []mpi.Message
-	for i := range t.Events {
-		if err := acc.addEvent(t.Events[i], world, &buf); err != nil {
-			return nil, fmt.Errorf("comm: event %d: %w", i, err)
+	i := 0
+	return accumulate(t.Meta, opts, func() (trace.Event, error) {
+		if i == len(t.Events) {
+			return trace.Event{}, io.EOF
 		}
-	}
-	if err := acc.flushCollectives(world, &buf); err != nil {
-		return nil, err
-	}
-	acc.Shards = 1
-	return acc, nil
-}
-
-// minShardEvents is the smallest event count worth sharding; below it
-// the goroutine and merge overhead exceeds the accumulation work.
-const minShardEvents = 2048
-
-// AccumulateParallel builds the same matrices as Accumulate but splits
-// the event stream into contiguous shards, accumulates each shard into
-// a private partial on the runner's workers, and merges the partials in
-// shard order. All accumulation is exact integer arithmetic, so the
-// result is identical to a sequential pass; short traces (or a
-// sequential runner) fall back to Accumulate directly.
-func AccumulateParallel(t *trace.Trace, opts AccumulateOptions, run parallel.Runner) (*Accumulated, error) {
-	shards := run.Workers()
-	if max := len(t.Events) / minShardEvents; shards > max {
-		shards = max
-	}
-	if shards <= 1 {
-		return Accumulate(t, opts)
-	}
-	world, err := mpi.World(t.Meta.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*Accumulated, shards)
-	per := (len(t.Events) + shards - 1) / shards
-	err = run.ForEachErr(shards, func(s int) error {
-		lo, hi := s*per, (s+1)*per
-		if hi > len(t.Events) {
-			hi = len(t.Events)
-		}
-		part, err := newAccumulated(t.Meta, opts)
-		if err != nil {
-			return err
-		}
-		var buf []mpi.Message
-		for i := lo; i < hi; i++ {
-			if err := part.addEvent(t.Events[i], world, &buf); err != nil {
-				return fmt.Errorf("comm: event %d: %w", i, err)
-			}
-		}
-		parts[s] = part
-		return nil
+		i++
+		return t.Events[i-1], nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	acc := parts[0]
-	for _, part := range parts[1:] {
-		if err := acc.merge(part); err != nil {
-			return nil, err
-		}
-	}
-	var buf []mpi.Message
-	if err := acc.flushCollectives(world, &buf); err != nil {
-		return nil, err
-	}
-	acc.Shards = shards
-	return acc, nil
 }
 
-// merge folds another shard's partial accumulation (same trace, same
-// options, collectives not yet flushed) into a.
-func (a *Accumulated) merge(o *Accumulated) error {
-	if err := a.P2P.Merge(o.P2P); err != nil {
-		return err
-	}
-	if err := a.Wire.Merge(o.Wire); err != nil {
-		return err
-	}
-	if err := addVolume(&a.CallerP2PBytes, o.CallerP2PBytes, "point-to-point"); err != nil {
-		return err
-	}
-	if err := addVolume(&a.CallerCollBytes, o.CallerCollBytes, "collective"); err != nil {
-		return err
-	}
-	for k, n := range o.collCounts {
-		a.collCounts[k] += n
-	}
-	return nil
+// AccumulateParallel is Accumulate; the runner is ignored. It remains
+// only because the benchmark module calls it, and goes with the next
+// change to that module.
+//
+// Deprecated: call Accumulate.
+func AccumulateParallel(t *trace.Trace, opts AccumulateOptions, _ parallel.Runner) (*Accumulated, error) {
+	return Accumulate(t, opts)
 }
 
 // AccumulateStream builds the matrices from a streaming trace reader,
 // without materializing the event list.
 func AccumulateStream(r *trace.Reader, opts AccumulateOptions) (*Accumulated, error) {
-	world, err := mpi.World(r.Meta().Ranks)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := newAccumulated(r.Meta(), opts)
-	if err != nil {
-		return nil, err
-	}
-	var buf []mpi.Message
-	for i := 0; ; i++ {
-		e, err := r.Read()
-		if err == io.EOF {
-			if err := acc.flushCollectives(world, &buf); err != nil {
-				return nil, err
-			}
-			acc.Shards = 1
-			return acc, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.addEvent(e, world, &buf); err != nil {
-			return nil, fmt.Errorf("comm: event %d: %w", i, err)
-		}
-	}
-}
-
-func newAccumulated(meta trace.Meta, opts AccumulateOptions) (*Accumulated, error) {
-	p2p, err := NewMatrix(meta.Ranks, opts.PacketSize)
-	if err != nil {
-		return nil, err
-	}
-	wire, err := NewMatrix(meta.Ranks, opts.PacketSize)
-	if err != nil {
-		return nil, err
-	}
-	return &Accumulated{
-		Meta: meta, P2P: p2p, Wire: wire,
-		strategy:   opts.Strategy,
-		collCounts: make(map[collKey]uint64),
-	}, nil
+	return accumulate(r.Meta(), opts, r.Read)
 }
 
 // collKey identifies a collective event shape; identical collective rounds
 // (same caller, op, root, and payload) repeat many times in iterative
-// applications, so Accumulate counts them and expands each distinct shape
+// applications, so accumulate counts them and expands each distinct shape
 // only once, with AddN applying the multiplicity.
 type collKey struct {
 	rank  int
@@ -549,38 +342,98 @@ type collKey struct {
 	bytes uint64
 }
 
-func (a *Accumulated) addEvent(e trace.Event, world *mpi.Comm, buf *[]mpi.Message) error {
-	switch {
-	case e.Op == trace.OpSend:
-		if err := addVolume(&a.CallerP2PBytes, e.Bytes, "point-to-point"); err != nil {
-			return err
-		}
-	case e.Op.IsCollective():
-		if err := addVolume(&a.CallerCollBytes, e.Bytes, "collective"); err != nil {
-			return err
-		}
-		if err := e.Validate(world.Size()); err != nil {
-			return err
-		}
-		a.collCounts[collKey{rank: e.Rank, op: e.Op, root: e.Root, bytes: e.Bytes}]++
-		return nil
-	}
-	msgs, err := mpi.ExpandEvent((*buf)[:0], e, world, mpi.ExpandOptions{Strategy: a.strategy})
+// accumulate is the one event loop behind Accumulate and AccumulateStream:
+// it reads events from next until io.EOF, records point-to-point messages
+// as they come, counts collective shapes, and expands each counted shape
+// into the wire matrix once the stream ends.
+func accumulate(meta trace.Meta, opts AccumulateOptions, next func() (trace.Event, error)) (*Accumulated, error) {
+	world, err := mpi.World(meta.Ranks)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	*buf = msgs
-	for _, msg := range msgs {
-		if err := a.Wire.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
-			return err
+	p2p, err := NewMatrix(meta.Ranks, opts.PacketSize)
+	if err != nil {
+		return nil, err
+	}
+	wire, err := NewMatrix(meta.Ranks, opts.PacketSize)
+	if err != nil {
+		return nil, err
+	}
+	acc := &Accumulated{Meta: meta, P2P: p2p, Wire: wire}
+	expand := mpi.ExpandOptions{Strategy: opts.Strategy}
+	colls := make(map[collKey]uint64)
+	var buf []mpi.Message
+	for i := 0; ; i++ {
+		e, err := next()
+		if err == io.EOF {
+			break
 		}
-		if !msg.FromCollective {
-			if err := a.P2P.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
-				return err
+		if err != nil {
+			return nil, err
+		}
+		if buf, err = acc.addEvent(e, world, expand, colls, buf); err != nil {
+			return nil, fmt.Errorf("comm: event %d: %w", i, err)
+		}
+	}
+	// Shapes expand in sorted order so that a trace whose collectives take
+	// the wire matrix past MaxVolume fails with the same error on every
+	// run.
+	shapes := make([]collKey, 0, len(colls))
+	for k := range colls {
+		shapes = append(shapes, k)
+	}
+	slices.SortFunc(shapes, func(a, b collKey) int {
+		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.op, b.op), cmp.Compare(a.root, b.root), cmp.Compare(a.bytes, b.bytes))
+	})
+	for _, k := range shapes {
+		e := trace.Event{Rank: k.rank, Op: k.op, Peer: -1, Root: k.root, Bytes: k.bytes}
+		if buf, err = mpi.ExpandEvent(buf[:0], e, world, expand); err != nil {
+			return nil, err
+		}
+		count := colls[k]
+		for _, msg := range buf {
+			if err := wire.AddN(msg.Src, msg.Dst, msg.Bytes, count); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return acc, nil
+}
+
+// addEvent records one traced event: a collective is validated and
+// counted by shape in colls, anything else is expanded into buf (returned
+// for reuse) and added to the matrices.
+func (a *Accumulated) addEvent(e trace.Event, world *mpi.Comm, expand mpi.ExpandOptions, colls map[collKey]uint64, buf []mpi.Message) ([]mpi.Message, error) {
+	switch {
+	case e.Op == trace.OpSend:
+		if err := addVolume(&a.CallerP2PBytes, e.Bytes, "point-to-point"); err != nil {
+			return buf, err
+		}
+	case e.Op.IsCollective():
+		if err := addVolume(&a.CallerCollBytes, e.Bytes, "collective"); err != nil {
+			return buf, err
+		}
+		if err := e.Validate(world.Size()); err != nil {
+			return buf, err
+		}
+		colls[collKey{rank: e.Rank, op: e.Op, root: e.Root, bytes: e.Bytes}]++
+		return buf, nil
+	}
+	buf, err := mpi.ExpandEvent(buf[:0], e, world, expand)
+	if err != nil {
+		return buf, err
+	}
+	for _, msg := range buf {
+		if err := a.Wire.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
+			return buf, err
+		}
+		if !msg.FromCollective {
+			if err := a.P2P.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
+				return buf, err
+			}
+		}
+	}
+	return buf, nil
 }
 
 // addVolume adds bytes to a caller-side total, failing past MaxVolume.
@@ -589,25 +442,5 @@ func addVolume(total *uint64, bytes uint64, kind string) error {
 		return fmt.Errorf("comm: %s caller bytes %d + %d pass %d B (MaxVolume)", kind, *total, bytes, uint64(MaxVolume))
 	}
 	*total += bytes
-	return nil
-}
-
-// flushCollectives expands the counted collective shapes into the wire
-// matrix.
-func (a *Accumulated) flushCollectives(world *mpi.Comm, buf *[]mpi.Message) error {
-	for k, count := range a.collCounts {
-		e := trace.Event{Rank: k.rank, Op: k.op, Peer: -1, Root: k.root, Bytes: k.bytes}
-		msgs, err := mpi.ExpandEvent((*buf)[:0], e, world, mpi.ExpandOptions{Strategy: a.strategy})
-		if err != nil {
-			return err
-		}
-		*buf = msgs
-		for _, msg := range msgs {
-			if err := a.Wire.AddN(msg.Src, msg.Dst, msg.Bytes, count); err != nil {
-				return err
-			}
-		}
-	}
-	a.collCounts = make(map[collKey]uint64)
 	return nil
 }

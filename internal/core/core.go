@@ -42,11 +42,11 @@ type Options struct {
 	// Used by tests and the analysis service to bound run time and memory.
 	MaxRanks int
 	// Parallelism caps the worker goroutines one analysis may use for
-	// the experiment-grid fan-out, the per-topology model runs, the
-	// per-rank metric loops, and sharded trace accumulation. Zero means
-	// GOMAXPROCS; 1 runs fully sequentially. Results are identical at
-	// every setting (all fan-out is index-addressed and reductions stay
-	// in index order), so Parallelism never affects cache keys.
+	// the experiment-grid fan-out, the per-topology model runs, and the
+	// per-rank metric loops. Zero means GOMAXPROCS; 1 runs fully
+	// sequentially. Results are identical at every setting (all fan-out
+	// is index-addressed and reductions stay in index order), so
+	// Parallelism never affects cache keys.
 	Parallelism int
 	// Budget optionally shares one worker-token pool across concurrent
 	// analyses: the analysis service passes its request-admission
@@ -180,9 +180,7 @@ type Analysis struct {
 	Acc *comm.Accumulated `json:"-"`
 }
 
-// AnalyzeTrace runs the full pipeline on a materialized trace. Long
-// event streams are accumulated in shards across the options' worker
-// budget and merged; the matrices are exact sums either way. The trace
+// AnalyzeTrace runs the full pipeline on a materialized trace. The trace
 // is treated as caller-supplied: it is never read from or written to
 // Options.Cache, so an uploaded trace claiming a registry app's name
 // cannot poison later registry analyses. Its declared rank count is
@@ -192,48 +190,45 @@ func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
 	if err := opts.CheckRanks(t.Meta.Ranks); err != nil {
 		return nil, err
 	}
-	acc, err := accumulate(t, opts)
+	acc, err := Accumulate(t, opts)
 	if err != nil {
 		return nil, err
 	}
 	return AnalyzeAccumulated(acc, opts)
 }
 
-// CheckRanks refuses a trace's declared rank count before anything is
-// sized by it: the matrices take memory in proportion to it, so a few
-// bytes declaring millions of ranks would otherwise allocate hundreds of
-// megabytes before failing. The count must be within MaxRanks when that
-// is set and, unless topologies are skipped, one topology.Configs can
-// size. Package design applies it to a search's node count too.
+// CheckRanks refuses a rank count before anything is sized by it: the
+// matrices take memory in proportion to it, so a few bytes declaring
+// millions of ranks would otherwise allocate hundreds of megabytes before
+// failing. The count must be within MaxRanks when that is set and, unless
+// topologies are skipped, one topology.Configs can size. Besides a
+// trace's declared ranks, it checks a design search's node count and the
+// service's topology requests, so its errors name the count alone.
 func (o Options) CheckRanks(ranks int) error {
 	if !o.withinCap(ranks) {
-		return fmt.Errorf("core: trace declares %d ranks, outside [1, %d] (MaxRanks)", ranks, o.MaxRanks)
+		return fmt.Errorf("core: %d ranks, outside [1, %d] (MaxRanks)", ranks, o.MaxRanks)
 	}
 	if !o.SkipTopologies {
 		if _, _, _, err := topology.Configs(ranks); err != nil {
-			return fmt.Errorf("core: trace declares %d ranks: %w", ranks, err)
+			return fmt.Errorf("core: %d ranks: %w", ranks, err)
 		}
 	}
 	return nil
 }
 
-// accumulate expands and packetizes a trace into the communication
-// matrices under a stage span. The span ends on every path (a failing
-// expansion must not leave an unterminated span in the debug ring).
-func accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
+// Accumulate is the pipeline's accumulate stage: it expands and
+// packetizes a trace into the communication matrices under an
+// "accumulate" span labelled App/Ranks that counts the events. The span
+// ends on every path (a failing expansion must not leave an unterminated
+// span in the debug ring).
+func Accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 	sp := opts.Span.Start("accumulate")
 	defer sp.End()
 	// The workload label rides along as span metadata so exported traces
 	// (obs.WriteChromeTrace) name the cell each stage worked on.
 	sp.SetLabel(fmt.Sprintf("%s/%d", t.Meta.App, t.Meta.Ranks))
 	sp.Add("events", int64(len(t.Events)))
-	acc, err := comm.AccumulateParallel(t,
-		comm.AccumulateOptions{Strategy: opts.Strategy}, opts.Runner())
-	if err != nil {
-		return nil, err
-	}
-	sp.Add("shards", int64(acc.Shards))
-	return acc, nil
+	return comm.Accumulate(t, comm.AccumulateOptions{Strategy: opts.Strategy})
 }
 
 // AnalyzeAccumulated runs the pipeline on pre-accumulated matrices.
@@ -481,7 +476,7 @@ func AnalyzeApp(name string, ranks int, opts Options) (*Analysis, error) {
 		if err != nil {
 			return nil, err
 		}
-		return accumulate(t, opts)
+		return Accumulate(t, opts)
 	})
 	if err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ func TestAnalyzeTraceRefusesRanksBeforeSizing(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := AnalyzeTrace(hugeTrace(), Options{Parallelism: 1})
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "trace declares 4194304 ranks") {
+	if err == nil || !strings.Contains(err.Error(), "core: 4194304 ranks: ") {
 		t.Fatalf("err = %v, want the declared rank count refused", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {

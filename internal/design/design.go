@@ -490,13 +490,13 @@ func slimFlyConfigs(ranks int, c Constraints) []topology.Config {
 }
 
 // jellyfishConfigs enumerates seeded random regular graphs across
-// endpoint loads p: S = ⌈ranks/p⌉ switches of degree r = min(2p, S-1)
-// (decremented when the port total is odd), wiring seed 1. Degrees below
-// 3 are skipped unless the graph is complete — sparse random graphs risk
-// disconnection, which would abort the sweep. Sorted by (nodes, p).
+// endpoint loads p: S = ⌈ranks/p⌉ switches of degree r = min(2p, S-1),
+// wiring seed 1 (as in topology.JellyfishConfig, the port total S·r is
+// even). Degrees below 3 are skipped unless the graph is complete —
+// sparse random graphs risk disconnection, which would abort the sweep.
+// Sorted by (nodes, p).
 func jellyfishConfigs(ranks int, c Constraints) []topology.Config {
 	var out []topology.Config
-	seen := map[[3]int]bool{}
 	for p := 1; p <= 16; p++ {
 		s := (ranks + p - 1) / p
 		if s < 2 {
@@ -505,14 +505,8 @@ func jellyfishConfigs(ranks int, c Constraints) []topology.Config {
 		if s > topology.MaxJellyfishSwitches {
 			continue
 		}
-		r := 2 * p
-		if r > s-1 {
-			r = s - 1
-		}
-		if s*r%2 != 0 {
-			r--
-		}
-		if r < 1 || (r < 3 && r != s-1) {
+		r := min(2*p, s-1)
+		if r < 3 && r != s-1 {
 			continue
 		}
 		if r+p > c.maxRadix() {
@@ -522,11 +516,6 @@ func jellyfishConfigs(ranks int, c Constraints) []topology.Config {
 		if nodes < ranks || nodes > maxNodeSlack*ranks {
 			continue
 		}
-		key := [3]int{s, r, p}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		out = append(out, topology.Config{
 			Kind: "jellyfish", Size: ranks, Nodes: nodes, S: s, D: r, P: p, Seed: 1,
 		})
@@ -569,18 +558,12 @@ func hyperxConfigs(ranks int, c Constraints) []topology.Config {
 // Attached traces (source "") are never cached: a request payload must
 // not populate artifacts other callers would share.
 func accumulateCached(t *trace.Trace, source string, opts core.Options) (*comm.Accumulated, error) {
-	gen := func() (*comm.Accumulated, error) {
-		sp := opts.Span.Start("accumulate")
-		defer sp.End()
-		sp.Add("events", int64(len(t.Events)))
-		return comm.AccumulateParallel(t, comm.AccumulateOptions{Strategy: opts.Strategy}, opts.Runner())
-	}
 	if source == "" {
-		return gen()
+		return core.Accumulate(t, opts)
 	}
 	return opts.Cache.Accumulated(workcache.AccKey{
 		Source: source, App: t.Meta.App, Ranks: t.Meta.Ranks, Strategy: opts.Strategy,
-	}, gen)
+	}, func() (*comm.Accumulated, error) { return core.Accumulate(t, opts) })
 }
 
 // Search runs the design search to completion. See SearchContext.

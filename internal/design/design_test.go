@@ -268,7 +268,7 @@ func TestSearchUnknownApp(t *testing.T) {
 // service answers with a 400.
 func TestSearchHonoursRankCaps(t *testing.T) {
 	_, err := Search(Request{App: "milc", Ranks: 512}, core.Options{MaxRanks: 64})
-	if err == nil || !strings.Contains(err.Error(), "design: core: trace declares 512 ranks, outside [1, 64] (MaxRanks)") {
+	if err == nil || !strings.Contains(err.Error(), "design: core: 512 ranks, outside [1, 64] (MaxRanks)") {
 		t.Fatalf("milc/512 under MaxRanks 64: err = %v, want 512 refused naming the cap", err)
 	}
 
@@ -276,7 +276,7 @@ func TestSearchHonoursRankCaps(t *testing.T) {
 	// would otherwise be extrapolated by GenerateAt first.
 	cache := workcache.New(0)
 	_, err = Search(Request{App: "LULESH", Ranks: 64000}, core.Options{Parallelism: 1, Cache: cache})
-	if err == nil || !strings.HasPrefix(err.Error(), "design: core: trace declares 64000 ranks") {
+	if err == nil || !strings.HasPrefix(err.Error(), "design: core: 64000 ranks") {
 		t.Fatalf("LULESH/64000: err = %v, want the rank count refused", err)
 	}
 	if st := cache.Stats(); st.Misses != 0 {
@@ -293,7 +293,7 @@ func TestSearchHonoursRankCaps(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err = Search(Request{Trace: huge}, core.Options{Parallelism: 1})
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.HasPrefix(err.Error(), "design: core: trace declares 4194304 ranks") {
+	if err == nil || !strings.HasPrefix(err.Error(), "design: core: 4194304 ranks") {
 		t.Fatalf("4,194,304-rank trace: err = %v, want the declared rank count refused", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {

@@ -191,7 +191,7 @@ func TestStoreValidatesBeforeSpawn(t *testing.T) {
 		want string
 	}{
 		{Request{App: "milc", Ranks: -1}, core.Options{}, "non-positive node count"},
-		{Request{App: "milc", Ranks: 512}, core.Options{MaxRanks: 64}, "design: core: trace declares 512 ranks, outside [1, 64]"},
+		{Request{App: "milc", Ranks: 512}, core.Options{MaxRanks: 64}, "design: core: 512 ranks, outside [1, 64]"},
 	} {
 		_, err := store.Submit(tc.req, tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

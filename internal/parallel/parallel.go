@@ -10,12 +10,12 @@
 //     order never leaks into results, and floating-point reductions are
 //     performed by the caller in index order.
 //   - Composition. All fan-out levels (experiment grid, per-topology
-//     runs, per-rank metric loops, sharded accumulation) share one
-//     Budget of worker tokens. Extra workers are admitted with
-//     TryAcquire, never blocking, so nested loops degrade to the
-//     calling goroutine instead of oversubscribing or deadlocking. The
-//     analysis service passes its request-admission budget here, making
-//     request-level and intra-request parallelism draw from one pool.
+//     runs, per-rank metric loops) share one Budget of worker tokens.
+//     Extra workers are admitted with TryAcquire, never blocking, so
+//     nested loops degrade to the calling goroutine instead of
+//     oversubscribing or deadlocking. The analysis service passes its
+//     request-admission budget here, making request-level and
+//     intra-request parallelism draw from one pool.
 package parallel
 
 import (

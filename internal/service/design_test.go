@@ -161,7 +161,7 @@ func TestDesignValidationErrors(t *testing.T) {
 // search, the trace upload and job submission alike.
 func TestDesignHonoursServerMaxRanks(t *testing.T) {
 	ts := newTestServer(t, Options{Analysis: core.Options{MaxRanks: 64}})
-	const want = "trace declares 512 ranks, outside [1, 64] (MaxRanks)"
+	const want = "core: 512 ranks, outside [1, 64] (MaxRanks)"
 	for _, endpoint := range []string{"/v1/design", "/v1/design/jobs"} {
 		status, body := postJSON(t, ts, endpoint, `{"app": "milc", "ranks": 512}`)
 		if status != http.StatusBadRequest || !strings.Contains(string(body), want) {

@@ -24,18 +24,32 @@ var latencyBucketsMs = []float64{
 // the same range a queued request would block.
 var queueWaitBucketsMs = []float64{0, 0.1, 1, 5, 25, 100, 500, 2500, 10000}
 
-// pipelineCountNames are the span work counts the registry folds into
-// monotonic pipeline counters after each computation: how much work the
-// service has done, not just how many requests it served.
-var pipelineCountNames = []string{
-	"events", "shards", "peers", "packets", "packet_hops", "sim_messages", "sim_hops",
-	"design_configs", "design_candidates",
+// countBlock is one /metrics block of span work counts, which the
+// registry folds into monotonic counters after each computation: how
+// much work the service has done, not just how many requests it served.
+// A count feeds the series netloc_<name>_<key>_total, whose HELP text is
+// help with the count substituted, and the JSON key <key> of the block.
+type countBlock struct {
+	name, help string
+	counts     []string
 }
 
-// congestCountNames are the temporal-simulator work counts; they get
-// their own netloc_congest_* series (and "congest" snapshot block) so
-// congestion-study load is visible separately from the static pipeline.
-var congestCountNames = []string{"congest_sims", "congest_messages", "congest_probes"}
+// key is a count's name within its block: the name without the block's
+// prefix, so congest_sims is the congest block's sims.
+func (b countBlock) key(count string) string { return strings.TrimPrefix(count, b.name+"_") }
+
+// countBlocks lists every span count /metrics reports. The temporal
+// simulator's counts have a block of their own, so congestion-study load
+// is visible separately from the static pipeline.
+var countBlocks = []countBlock{
+	{"pipeline", "Pipeline work units (%s) processed.", []string{
+		"events", "peers", "packets", "packet_hops", "sim_messages", "sim_hops",
+		"design_configs", "design_candidates",
+	}},
+	{"congest", "Temporal congestion-simulator work units (%s) processed.", []string{
+		"congest_sims", "congest_messages", "congest_probes",
+	}},
+}
 
 // endpointMetrics groups one endpoint's series.
 type endpointMetrics struct {
@@ -55,11 +69,10 @@ type metricsRegistry struct {
 	computations *obs.Counter
 	cache        *workcache.LRU[[]byte]
 
-	queueWait *obs.Histogram
-	pipeline  map[string]*obs.Counter
-	congest   map[string]*obs.Counter
-	slowRuns  map[string]*obs.Counter
-	workcache *workcache.Cache
+	queueWait  *obs.Histogram
+	spanCounts map[string]*obs.Counter // by count name, from countBlocks
+	slowRuns   map[string]*obs.Counter
+	workcache  *workcache.Cache
 
 	// Run-event / slow-run configuration, set once by configureRuns
 	// before the server starts serving.
@@ -78,12 +91,11 @@ type metricsRegistry struct {
 func newMetricsRegistry(endpoints []string, cache *workcache.LRU[[]byte]) *metricsRegistry {
 	reg := obs.NewRegistry()
 	m := &metricsRegistry{
-		reg:       reg,
-		endpoints: make(map[string]*endpointMetrics, len(endpoints)),
-		cache:     cache,
-		pipeline:  make(map[string]*obs.Counter, len(pipelineCountNames)),
-		congest:   make(map[string]*obs.Counter, len(congestCountNames)),
-		slowRuns:  make(map[string]*obs.Counter, len(endpoints)),
+		reg:        reg,
+		endpoints:  make(map[string]*endpointMetrics, len(endpoints)),
+		cache:      cache,
+		spanCounts: make(map[string]*obs.Counter),
+		slowRuns:   make(map[string]*obs.Counter, len(endpoints)),
 	}
 	m.inFlight = reg.Gauge("netloc_http_inflight", "Requests currently being served.")
 	reg.CounterFunc("netloc_cache_hits_total", "Result-cache hits.",
@@ -102,11 +114,10 @@ func newMetricsRegistry(endpoints []string, cache *workcache.LRU[[]byte]) *metri
 		}
 		m.slowRuns[ep] = reg.Counter("netloc_slow_runs_total", "Computed runs slower than the endpoint's slow-run threshold.", obs.Label{Key: "endpoint", Value: ep})
 	}
-	for _, name := range pipelineCountNames {
-		m.pipeline[name] = reg.Counter("netloc_pipeline_"+name+"_total", "Pipeline work units ("+name+") processed.")
-	}
-	for _, name := range congestCountNames {
-		m.congest[name] = reg.Counter("netloc_"+name+"_total", "Temporal congestion-simulator work units ("+name+") processed.")
+	for _, b := range countBlocks {
+		for _, name := range b.counts {
+			m.spanCounts[name] = reg.Counter("netloc_"+b.name+"_"+b.key(name)+"_total", fmt.Sprintf(b.help, name))
+		}
 	}
 	return m
 }
@@ -215,8 +226,8 @@ func (m *metricsRegistry) completeRun(d obs.SpanData, ev obs.RunEvent) {
 // configured logger).
 func (m *metricsRegistry) logRun(ev obs.RunEvent) { obs.LogRun(m.log, ev) }
 
-// absorbRun folds a finished run's span work counts into the pipeline
-// counters (unknown count keys are ignored).
+// absorbRun folds a finished run's span work counts into their counters
+// (unknown count keys are ignored).
 func (m *metricsRegistry) absorbRun(d obs.SpanData) {
 	totals := map[string]int64{}
 	var walk func(obs.SpanData)
@@ -230,10 +241,7 @@ func (m *metricsRegistry) absorbRun(d obs.SpanData) {
 	}
 	walk(d)
 	for k, v := range totals {
-		if c, ok := m.pipeline[k]; ok && v > 0 {
-			c.Add(v)
-		}
-		if c, ok := m.congest[k]; ok && v > 0 {
+		if c, ok := m.spanCounts[k]; ok && v > 0 {
 			c.Add(v)
 		}
 	}
@@ -272,16 +280,6 @@ func (m *metricsRegistry) snapshot(engine parallel.BudgetStats) map[string]any {
 			"latency_ms": histogramJSON(ep.latency),
 		}
 	}
-	pipeline := map[string]any{}
-	for _, name := range pipelineCountNames {
-		pipeline[name] = m.pipeline[name].Value()
-	}
-	congest := map[string]any{}
-	for _, name := range congestCountNames {
-		// Snapshot keys drop the series' "congest_" prefix: the block is
-		// already named congest.
-		congest[strings.TrimPrefix(name, "congest_")] = m.congest[name].Value()
-	}
 	slow := map[string]any{}
 	for name, c := range m.slowRuns {
 		slow[name] = c.Value()
@@ -313,10 +311,15 @@ func (m *metricsRegistry) snapshot(engine parallel.BudgetStats) map[string]any {
 			"degraded":      engine.Degraded,
 			"queue_wait_ms": histogramJSON(m.queueWait),
 		},
-		"pipeline":  pipeline,
-		"congest":   congest,
 		"slow_runs": slow,
 		"endpoints": eps,
+	}
+	for _, b := range countBlocks {
+		block := map[string]any{}
+		for _, name := range b.counts {
+			block[b.key(name)] = m.spanCounts[name].Value()
+		}
+		doc[b.name] = block
 	}
 	if m.runtime != nil {
 		// Additive: the block exists only when the sampler was opted in,

@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -617,6 +619,59 @@ func TestPipelineCountersAbsorbed(t *testing.T) {
 	}
 	if doc.Pipeline["events"] == 0 || doc.Pipeline["packets"] == 0 {
 		t.Errorf("pipeline counters not absorbed: %v", doc.Pipeline)
+	}
+}
+
+// TestSpanCountSeriesAreExact pins the whole set of span-count series on
+// both /metrics surfaces after an analysis, a congestion study and a
+// design search: the JSON pipeline and congest blocks hold exactly these
+// keys, and the Prometheus text exposes exactly these series.
+func TestSpanCountSeriesAreExact(t *testing.T) {
+	want := map[string][]string{
+		"pipeline": {"design_candidates", "design_configs", "events", "packet_hops", "packets", "peers", "sim_hops", "sim_messages"},
+		"congest":  {"messages", "probes", "sims"},
+	}
+	ts := newTestServer(t, Options{})
+	getOK(t, ts, "/v1/analyze?app=LULESH&ranks=64&topo=torus")
+	for path, body := range map[string]string{
+		"/v1/congestion": smallCongestionBody,
+		"/v1/design":     `{"app": "milc", "ranks": 16, "constraints": {"max_candidates": 1}, "families": ["torus"]}`,
+	} {
+		if status, resp := postJSON(t, ts, path, body); status != http.StatusOK {
+			t.Fatalf("POST %s: %d: %s", path, status, resp)
+		}
+	}
+
+	var doc map[string]any
+	if err := json.Unmarshal(getOK(t, ts, "/metrics"), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var wantSeries []string
+	for block, keys := range want {
+		var got []string
+		for k := range doc[block].(map[string]any) {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, keys) {
+			t.Errorf("JSON %s block keys = %v, want %v", block, got, keys)
+		}
+		for _, k := range keys {
+			wantSeries = append(wantSeries, "netloc_"+block+"_"+k+"_total")
+		}
+	}
+	sort.Strings(wantSeries)
+
+	var gotSeries []string
+	for _, line := range strings.Split(string(getOK(t, ts, "/metrics?format=prom")), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if strings.HasPrefix(name, "netloc_pipeline_") || strings.HasPrefix(name, "netloc_congest_") {
+			gotSeries = append(gotSeries, name)
+		}
+	}
+	sort.Strings(gotSeries)
+	if !slices.Equal(gotSeries, wantSeries) {
+		t.Errorf("Prometheus span-count series = %v, want %v", gotSeries, wantSeries)
 	}
 }
 

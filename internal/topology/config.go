@@ -252,8 +252,9 @@ func SlimFlyConfig(ranks int) (Config, error) {
 }
 
 // JellyfishConfig returns a near-balanced Jellyfish covering the ranks:
-// p ≈ ∛ranks nodes per switch, degree 2p (clamped to the switch count and
-// an even port total), wiring seed 1.
+// p ≈ ∛ranks nodes per switch, degree 2p clamped to the other s-1
+// switches, wiring seed 1. The port total s·r is even as a regular graph
+// needs: 2p is even, and so is s-1 whenever s is odd.
 func JellyfishConfig(ranks int) (Config, error) {
 	if ranks <= 0 {
 		return Config{}, fmt.Errorf("topology: non-positive rank count %d", ranks)
@@ -269,17 +270,7 @@ func JellyfishConfig(ranks int) (Config, error) {
 	if s > MaxJellyfishSwitches {
 		return Config{}, fmt.Errorf("topology: %d ranks exceed the largest jellyfish configuration", ranks)
 	}
-	r := 2 * p
-	if r > s-1 {
-		r = s - 1
-	}
-	if s*r%2 != 0 {
-		r--
-	}
-	if r < 1 {
-		return Config{}, fmt.Errorf("topology: no valid jellyfish degree for %d ranks", ranks)
-	}
-	return Config{Kind: "jellyfish", Size: ranks, Nodes: s * p, S: s, D: r, P: p, Seed: 1}, nil
+	return Config{Kind: "jellyfish", Size: ranks, Nodes: s * p, S: s, D: min(2*p, s-1), P: p, Seed: 1}, nil
 }
 
 // hyperXTerminalLadder lists the per-switch endpoint counts the sizing

@@ -5,8 +5,8 @@
 // The paper's tables and figures sweep a (workload × scale × topology ×
 // mapping) grid, but the expensive inputs — the generated synthetic trace,
 // the accumulated communication matrices, and the built topologies —
-// depend only on (app, ranks), (app, ranks, packet size, expansion
-// strategy), and the topology's structural parameters respectively.
+// depend only on (app, ranks), (app, ranks, expansion strategy), and the
+// topology's structural parameters respectively.
 // Without a cache, every experiment re-derives them per cell; with one,
 // the first run pays and every other experiment, design candidate, and
 // service request above it shares the artifact.
@@ -14,9 +14,8 @@
 // Cached values are shared read-only: traces and accumulated matrices are
 // immutable after construction everywhere in the pipeline, and all
 // derived analysis is exact integer or index-ordered arithmetic, so a
-// cached artifact produces byte-identical reports to a fresh one. The
-// scheduling-dependent Accumulated.Shards field is the one exception and
-// is deliberately excluded from every report.
+// cached artifact produces byte-identical reports to a fresh one, and no
+// artifact depends on how it was scheduled.
 //
 // Concurrency: every accessor goes through one LRU (lru.go), the same
 // deduplicating store that holds the analysis service's marshaled

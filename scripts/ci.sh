@@ -39,8 +39,10 @@ echo "=== go test -race (parallel engine, forced workers) ==="
 # replays one shared simnet Wire from several goroutines;
 # Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun add the telemetry
 # sampler goroutine, trace exporter, and run-event/slow-run plumbing.
+# internal/comm is not listed: trace accumulation is one sequential loop
+# that starts no goroutines, and none of its tests match the pattern.
 go test -race -timeout 30m -run 'Parallel|Determin|Budget|ForEach|Singleflight|LRU|Concurrent|Span|Registry|Job|Jellyfish|SlimFly|HyperX|Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun' \
-    ./internal/parallel ./internal/comm ./internal/metrics ./internal/core ./internal/service ./internal/obs ./internal/design ./internal/workcache ./internal/congest ./internal/simnet ./internal/topology .
+    ./internal/parallel ./internal/metrics ./internal/core ./internal/service ./internal/obs ./internal/design ./internal/workcache ./internal/congest ./internal/simnet ./internal/topology .
 
 # Golden Chrome-trace shape gate: the exported trace must stay a valid
 # JSON array with pid/tid on every event and monotonic timestamps, or
@@ -57,13 +59,14 @@ go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./in
 # Allocation pins are built only without -race (the race runtime
 # allocates on its own), so the -race runs above never reach them: run
 # them here without it. They pin that a workcache hit allocates only its
-# key, that a congest tolerance probe and a lean simnet replay allocate
-# nothing per message, that a netmodel run allocates no more than its
-# pinned ceilings, that Greedy's allocation count does not grow with
-# the rank count, and that Route into a warm buffer allocates nothing on
-# any topology type.
+# key, that trace accumulation's allocation count does not grow with the
+# messages per rank pair, that a congest tolerance probe and a lean
+# simnet replay allocate nothing per message, that a netmodel run
+# allocates no more than its pinned ceilings, that Greedy's allocation
+# count does not grow with the rank count, and that Route into a warm
+# buffer allocates nothing on any topology type.
 echo "=== go test (allocation pins, no -race) ==="
-go test -run 'Alloc' ./internal/workcache ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping ./internal/topology
+go test -run 'Alloc' ./internal/workcache ./internal/comm ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping ./internal/topology
 
 # Every committed results/ file is an output pin: regenerate both formats
 # of every experiment (the full grid, no -race) and fail on any file that
