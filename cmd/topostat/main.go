@@ -15,25 +15,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
+	"netloc/internal/core"
 	"netloc/internal/topology"
 )
-
-// sizers lists every family with its configuration selector, in the
-// fixed output order: the paper trio first, then the extreme-scale
-// families.
-var sizers = []struct {
-	kind string
-	fn   func(int) (topology.Config, error)
-}{
-	{"torus", topology.TorusConfig},
-	{"fattree", topology.FatTreeConfig},
-	{"dragonfly", topology.DragonflyConfig},
-	{"slimfly", topology.SlimFlyConfig},
-	{"jellyfish", topology.JellyfishConfig},
-	{"hyperx", topology.HyperXConfig},
-}
 
 func main() {
 	var (
@@ -48,37 +35,34 @@ func main() {
 }
 
 func run(w io.Writer, size int, kind string) error {
-	// Size every requested family before describing any, so an invalid
+	// Size every requested family (core.ConfigFor, in core.AnalysisKinds
+	// order: the paper trio first) before describing any, so an invalid
 	// size fails fast instead of after an expensive histogram. On the
-	// all-families listing an extreme-scale sizer with no valid
-	// configuration is noted and skipped; a paper-trio sizer error, or
-	// any error on an explicitly requested family, aborts the run.
+	// all-families listing an extreme-scale family with no valid
+	// configuration is noted and skipped; a paper family's sizing error,
+	// or any error on an explicitly requested family, aborts the run.
 	type block struct {
 		kind string
 		cfg  topology.Config
 		skip error
 	}
 	var blocks []block
-	for _, s := range sizers {
-		if kind != "" && s.kind != kind {
+	for _, k := range core.AnalysisKinds() {
+		if kind != "" && k != kind {
 			continue
 		}
-		cfg, err := s.fn(size)
+		cfg, err := core.ConfigFor(k, size)
 		if err != nil {
-			if kind == "" && s.kind != "torus" && s.kind != "fattree" && s.kind != "dragonfly" {
-				blocks = append(blocks, block{kind: s.kind, skip: err})
+			if kind == "" && !slices.Contains(core.PaperKinds(), k) {
+				blocks = append(blocks, block{kind: k, skip: err})
 				continue
 			}
 			return err
 		}
-		blocks = append(blocks, block{kind: s.kind, cfg: cfg})
+		blocks = append(blocks, block{kind: k, cfg: cfg})
 	}
 	if len(blocks) == 0 {
-		kinds := make([]string, len(sizers))
-		for i, s := range sizers {
-			kinds[i] = s.kind
-		}
-		return fmt.Errorf("unknown kind %q (known: %s)", kind, strings.Join(kinds, ", "))
+		return fmt.Errorf("unknown kind %q (known: %s)", kind, strings.Join(core.AnalysisKinds(), ", "))
 	}
 	for _, b := range blocks {
 		if b.skip != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"netloc/internal/core"
 )
 
 func TestRunAllKinds(t *testing.T) {
@@ -14,13 +16,13 @@ func TestRunAllKinds(t *testing.T) {
 	// extreme-scale families in fixed order.
 	out := b.String()
 	last := -1
-	for _, s := range sizers {
-		i := strings.Index(out, s.kind+" (")
+	for _, kind := range core.AnalysisKinds() {
+		i := strings.Index(out, kind+" (")
 		if i < 0 {
-			t.Fatalf("family %s missing from the listing:\n%s", s.kind, out)
+			t.Fatalf("family %s missing from the listing:\n%s", kind, out)
 		}
 		if i < last {
-			t.Fatalf("family %s out of order in the listing", s.kind)
+			t.Fatalf("family %s out of order in the listing", kind)
 		}
 		last = i
 	}

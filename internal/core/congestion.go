@@ -53,7 +53,7 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 		refs = CongestionWorkloads
 	}
 	if len(families) == 0 {
-		families = paperKinds
+		families = PaperKinds()
 	}
 	if len(policies) == 0 {
 		policies = congest.Policies()

@@ -66,11 +66,11 @@ type Options struct {
 	// satisfy later registry lookups.
 	Cache *workcache.Cache
 	// Span optionally attaches an observability span: the pipeline
-	// records each stage (generate, accumulate, mpi_metrics, mapping,
-	// netmodel, simnet) as a child with its duration and work counts,
-	// and experiment drivers wrap each grid cell. Purely observational:
-	// results are byte-identical with or without a span (a nil span is
-	// a no-op).
+	// records each stage (generate, accumulate, mpi_metrics, topology,
+	// mapping, netmodel, simnet) as a child with its duration and work
+	// counts, and experiment drivers wrap each grid cell. Purely
+	// observational: results are byte-identical with or without a span
+	// (a nil span is a no-op).
 	Span *obs.Span
 }
 
@@ -260,9 +260,8 @@ func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) 
 		eng := opts.engine()
 		var err error
 		a.RankDistance, err = eng.RankDistance(acc.P2P, q)
-		if err == nil {
-			a.RankLocality, err = eng.RankLocality(acc.P2P, q)
-		}
+		// metrics.RankLocality's rule, without its second distance pass.
+		a.RankLocality = 100 / max(a.RankDistance, 1)
 		if err == nil {
 			a.Selectivity, err = eng.Selectivity(acc.P2P, q)
 		}
@@ -273,15 +272,15 @@ func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) 
 	}
 
 	if !opts.SkipTopologies {
-		if err := a.runTopologies(paperKinds, MappingConsecutive, opts); err != nil {
+		if err := a.runTopologies(PaperKinds(), MappingConsecutive, opts); err != nil {
 			return nil, err
 		}
 	}
 	return a, nil
 }
 
-// paperKinds are the paper's three topology families, in table order.
-var paperKinds = []string{"torus", "fattree", "dragonfly"}
+// PaperKinds lists the paper's three topology families, in table order.
+func PaperKinds() []string { return []string{"torus", "fattree", "dragonfly"} }
 
 // runTopologies is the topology fan-out of AnalyzeAccumulated and
 // AnalyzeAppOn: it sizes every kind for the analysis' rank count (the
@@ -297,7 +296,11 @@ func (a *Analysis) runTopologies(kinds []string, mappingName string, opts Option
 		}
 	}
 	results, err := runGrid(opts.Runner(), len(cfgs), func(i int) (*TopoResult, error) {
-		res, err := runTopology(a.Acc, cfgs[i], mappingName, opts)
+		topo, err := Topology(cfgs[i], opts)
+		var res *TopoResult
+		if err == nil {
+			res, _, err = Model(a.Acc, cfgs[i], topo, mappingName, opts)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: %s on %s%s: %w", a.App, cfgs[i].Kind, cfgs[i], err)
 		}
@@ -372,9 +375,7 @@ func BuildMapping(name string, acc *comm.Accumulated, topo topology.Topology) (*
 
 // AnalysisKinds lists the topology kinds AnalyzeAppOn accepts: the
 // paper's three families plus the extreme-scale additions.
-func AnalysisKinds() []string {
-	return []string{"torus", "fattree", "dragonfly", "slimfly", "jellyfish", "hyperx"}
-}
+func AnalysisKinds() []string { return append(PaperKinds(), "slimfly", "jellyfish", "hyperx") }
 
 // ConfigFor returns the sized configuration of one topology kind for a
 // rank count: the Table 2 entry for the paper's families, the ladder
@@ -397,30 +398,41 @@ func ConfigFor(kind string, ranks int) (topology.Config, error) {
 	return topology.Config{}, fmt.Errorf("core: unknown topology %q (known: %v)", kind, AnalysisKinds())
 }
 
-func runTopology(acc *comm.Accumulated, cfg topology.Config, mappingName string, opts Options) (*TopoResult, error) {
-	topo, err := opts.Cache.Topology(cfg, cfg.Build)
-	if err != nil {
-		return nil, err
-	}
+// Topology is the pipeline's topology stage: the built topology of cfg
+// from the artifact cache, built on a miss under a "topology" span
+// labelled with the configuration.
+func Topology(cfg topology.Config, opts Options) (topology.Topology, error) {
+	return opts.Cache.Topology(cfg, func() (topology.Topology, error) {
+		sp := opts.Span.Start("topology")
+		defer sp.End()
+		sp.SetLabel(cfg.Kind + cfg.String())
+		return cfg.Build()
+	})
+}
+
+// Model is the pipeline's model stage on the built topology of cfg: it
+// maps the ranks under the named mapping (the "mapping" span) and drives
+// the wire matrix through the static network model (the "netmodel"
+// span). It returns the topology block and the mapping it ran under.
+func Model(acc *comm.Accumulated, cfg topology.Config, topo topology.Topology, mappingName string, opts Options) (*TopoResult, *mapping.Mapping, error) {
 	msp := opts.Span.Start("mapping")
 	msp.SetLabel(mappingName)
 	mp, err := BuildMapping(mappingName, acc, topo)
 	msp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nsp := opts.Span.Start("netmodel")
+	defer nsp.End()
 	nsp.SetLabel(cfg.Kind)
 	res, err := netmodel.Run(acc.Wire, topo, mp, netmodel.Options{WallTime: acc.Meta.WallTime, TrackLinks: true})
 	if err != nil {
-		nsp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	nsp.Add("packets", int64(res.Packets))
 	nsp.Add("packet_hops", int64(res.PacketHops))
 	nsp.Add("used_links", int64(res.UsedLinks))
 	nsp.Add("max_link_bytes", int64(res.MaxLinkBytes))
-	nsp.End()
 	return &TopoResult{
 		Config:           cfg,
 		PacketHops:       res.PacketHops,
@@ -430,7 +442,7 @@ func runTopology(acc *comm.Accumulated, cfg topology.Config, mappingName string,
 		UtilizationValid: res.UtilizationValid,
 		UsedLinks:        res.UsedLinks,
 		GlobalMsgShare:   res.GlobalMsgShare,
-	}, nil
+	}, mp, nil
 }
 
 // AnalyzeAppOn analyzes one workload configuration on a selected topology
@@ -446,7 +458,7 @@ func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	kinds := paperKinds
+	kinds := PaperKinds()
 	if topoKind != "" && topoKind != "all" {
 		kinds = []string{topoKind}
 	}
@@ -492,22 +504,29 @@ func (o Options) accKey(app string, ranks int) workcache.AccKey {
 	return workcache.AccKey{Source: workcache.SourceGenerate, App: app, Ranks: ranks, Strategy: o.Strategy}
 }
 
-// generateTrace runs (or re-uses the cached result of) a registry app's
-// exact-scale generator under a "generate" stage span. The span ends on
-// every path, including a failing generator.
-func generateTrace(app *workloads.App, ranks int, opts Options) (*trace.Trace, error) {
-	k := workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: ranks}
-	return opts.Cache.Trace(k, func() (*trace.Trace, error) {
+// Generate is the pipeline's generate stage: the trace of key from the
+// artifact cache, made by gen on a miss under a "generate" span labelled
+// App/Ranks that counts the events. The span ends on every path,
+// including a failing generator.
+func Generate(key workcache.TraceKey, gen func() (*trace.Trace, error), opts Options) (*trace.Trace, error) {
+	return opts.Cache.Trace(key, func() (*trace.Trace, error) {
 		sp := opts.Span.Start("generate")
 		defer sp.End()
-		sp.SetLabel(fmt.Sprintf("%s/%d", app.Name, ranks))
-		t, err := app.Generate(ranks)
+		sp.SetLabel(fmt.Sprintf("%s/%d", key.App, key.Ranks))
+		t, err := gen()
 		if err != nil {
 			return nil, err
 		}
 		sp.Add("events", int64(len(t.Events)))
 		return t, nil
 	})
+}
+
+// generateTrace is Generate of a registry app at one of its configured
+// scales.
+func generateTrace(app *workloads.App, ranks int, opts Options) (*trace.Trace, error) {
+	return Generate(workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: ranks},
+		func() (*trace.Trace, error) { return app.Generate(ranks) }, opts)
 }
 
 // ErrNoSuchExperiment is returned by RunExperiment for unknown IDs.

@@ -246,12 +246,13 @@ func TestAnalysisSpansRecordStages(t *testing.T) {
 		}
 	}
 	walk(tr.Runs()[0].Root)
-	for _, stage := range []string{"generate", "accumulate", "mpi_metrics", "mapping", "netmodel"} {
+	for _, stage := range []string{"generate", "accumulate", "mpi_metrics", "topology", "mapping", "netmodel"} {
 		if stages[stage] == 0 {
 			t.Errorf("stage %q not recorded (got %v)", stage, stages)
 		}
 	}
-	if stages["netmodel"] != 3 || stages["mapping"] != 3 {
+	// Without an artifact cache every topology is built, once per family.
+	if stages["topology"] != 3 || stages["netmodel"] != 3 || stages["mapping"] != 3 {
 		t.Errorf("per-topology stages = %v, want 3 each", stages)
 	}
 	if counts["events"] == 0 || counts["packets"] == 0 {

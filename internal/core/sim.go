@@ -43,7 +43,7 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 	if len(refs) == 0 {
 		refs = SimWorkloads
 	}
-	return familyRows(refs, paperKinds, opts, func(ref WorkloadRef, w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]SimRow, error) {
+	return familyRows(refs, PaperKinds(), opts, func(ref WorkloadRef, w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]SimRow, error) {
 		// The span ends via defer on every path: a failing simulation must
 		// not leave an unterminated span in the debug ring.
 		ssp := cell.Start("simnet")
@@ -88,7 +88,7 @@ func familyRows[R any](refs []WorkloadRef, families []string, opts Options,
 		}
 		var out []R
 		for _, cfg := range cfgs {
-			topo, err := o.Cache.Topology(cfg, cfg.Build)
+			topo, err := Topology(cfg, o)
 			if err != nil {
 				return nil, err
 			}

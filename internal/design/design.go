@@ -34,7 +34,6 @@ import (
 
 	"netloc/internal/comm"
 	"netloc/internal/core"
-	"netloc/internal/netmodel"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
@@ -313,15 +312,15 @@ func Candidates(ranks int, families []string, c Constraints) ([]topology.Config,
 		case "mesh":
 			out = append(out, gridConfigs("mesh", ranks, c)...)
 		case "fattree":
-			out = append(out, fatTreeConfigs(ranks, c)...)
+			out = append(out, ladderConfigs(ranks, c, fatTreeRadixLadder, topology.FatTreeAt)...)
 		case "dragonfly":
 			out = append(out, dragonflyConfigs(ranks, c)...)
 		case "slimfly":
-			out = append(out, slimFlyConfigs(ranks, c)...)
+			out = append(out, ladderConfigs(ranks, c, topology.SlimFlyQLadder, topology.SlimFlyAt)...)
 		case "jellyfish":
-			out = append(out, jellyfishConfigs(ranks, c)...)
+			out = append(out, ladderConfigs(ranks, c, jellyfishLoadLadder, jellyfishAt)...)
 		case "hyperx":
-			out = append(out, hyperxConfigs(ranks, c)...)
+			out = append(out, ladderConfigs(ranks, c, hyperXLoadLadder, topology.HyperXAt)...)
 		default:
 			return nil, fmt.Errorf("design: unknown family %q (known: %v)", fam, Families())
 		}
@@ -330,11 +329,10 @@ func Candidates(ranks int, families []string, c Constraints) ([]topology.Config,
 }
 
 // gridConfigs enumerates 3D grids x >= y >= z with x*y*z >= ranks and at
-// most 2x overprovisioning, smallest volume (then most cubic) first.
-// Torus/mesh routers need 6 neighbor ports plus the injection port, so
-// the family is infeasible under a radix cap below 7.
+// most 2x overprovisioning, smallest volume (then most cubic) first. The
+// family is infeasible under a radix cap below a grid router's radix.
 func gridConfigs(kind string, ranks int, c Constraints) []topology.Config {
-	if c.maxRadix() < 7 {
+	if (topology.Config{Kind: kind}).SwitchRadix() > c.maxRadix() {
 		return nil
 	}
 	type dims struct{ x, y, z int }
@@ -383,6 +381,14 @@ func gridConfigs(kind string, ranks int, c Constraints) []topology.Config {
 	return out
 }
 
+// keeps reports whether an enumerated configuration fits the radix cap
+// without provisioning more than maxNodeSlack times the ranks; a
+// single-switch fat tree is kept however much it overprovisions.
+func (c Constraints) keeps(cfg topology.Config, ranks int) bool {
+	return cfg.SwitchRadix() <= c.maxRadix() &&
+		(cfg.Nodes <= maxNodeSlack*ranks || cfg.Kind == "fattree" && cfg.Stages == 1)
+}
+
 // trimConfigs orders one family's configurations by node count and keeps
 // the first maxCandidates. The enumerators list configurations in
 // ascending parameter order, so the stable sort breaks node-count ties
@@ -395,45 +401,43 @@ func trimConfigs(out []topology.Config, c Constraints) []topology.Config {
 	return out
 }
 
-// fatTreeRadixLadder are the switch radices the fat-tree sweep tries
-// (common commercial port counts).
-var fatTreeRadixLadder = []int{4, 8, 12, 16, 24, 32, 48, 64}
-
-// fatTreeConfigs enumerates the smallest covering fat tree per feasible
-// radix (Solnushkin's design space: radix and stage count), sorted by
-// (nodes, radix).
-func fatTreeConfigs(ranks int, c Constraints) []topology.Config {
+// ladderConfigs sizes one family at every ladder parameter through its
+// topology constructor (topology.FatTreeAt, SlimFlyAt, JellyfishAt or
+// HyperXAt) and keeps what the constraints admit, sorted by (nodes,
+// parameter).
+func ladderConfigs(ranks int, c Constraints, ladder []int, at func(ranks, param int) (topology.Config, bool)) []topology.Config {
 	var out []topology.Config
-	for _, radix := range fatTreeRadixLadder {
-		if radix > c.maxRadix() {
-			continue
+	for _, param := range ladder {
+		if cfg, ok := at(ranks, param); ok && c.keeps(cfg, ranks) {
+			out = append(out, cfg)
 		}
-		d := radix / 2
-		var stages, nodes int
-		switch {
-		case ranks <= radix:
-			stages, nodes = 1, radix
-		case ranks <= d*d:
-			stages, nodes = 2, d*d
-		case ranks <= d*d*d:
-			stages, nodes = 3, d*d*d
-		default:
-			continue // radix too small for <= 3 stages
-		}
-		if nodes > maxNodeSlack*ranks && stages > 1 {
-			continue
-		}
-		out = append(out, topology.Config{
-			Kind: "fattree", Size: ranks, Nodes: nodes, Radix: radix, Stages: stages,
-		})
 	}
 	return trimConfigs(out, c)
 }
 
+// fatTreeRadixLadder are the switch radices the fat-tree sweep tries
+// (common commercial port counts): the smallest covering fat tree per
+// radix is Solnushkin's design space of radix and stage count.
+var fatTreeRadixLadder = []int{4, 8, 12, 16, 24, 32, 48, 64}
+
+// jellyfishLoadLadder are the endpoint loads p the Jellyfish sweep tries.
+var jellyfishLoadLadder = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+
+// hyperXLoadLadder are the terminal counts the HyperX sweep tries.
+var hyperXLoadLadder = []int{2, 4, 8, 16, 32}
+
+// jellyfishAt is topology.JellyfishAt without degrees below 3 unless the
+// graph is complete: sparse random graphs risk disconnection, which would
+// abort the sweep.
+func jellyfishAt(ranks, p int) (topology.Config, bool) {
+	cfg, ok := topology.JellyfishAt(ranks, p)
+	return cfg, ok && (cfg.D >= 3 || cfg.D == cfg.S-1)
+}
+
 // dragonflyConfigs enumerates near-balanced dragonflies (a ≈ 2h, p ≈ h,
-// Kim's balancing rule) whose router radix p+(a-1)+h fits the cap and
-// whose node count covers the ranks without gross overprovisioning,
-// sorted by (nodes, a, h, p).
+// Kim's balancing rule) whose router radix fits the cap and whose node
+// count covers the ranks without gross overprovisioning, sorted by
+// (nodes, a, h, p).
 func dragonflyConfigs(ranks int, c Constraints) []topology.Config {
 	var out []topology.Config
 	for a := 2; a <= 24; a++ {
@@ -442,112 +446,13 @@ func dragonflyConfigs(ranks int, c Constraints) []topology.Config {
 				continue // keep near-balanced: a ≈ 2h
 			}
 			for p := h; p <= h+1; p++ {
-				radix := p + (a - 1) + h
-				if radix > c.maxRadix() {
-					continue
-				}
 				nodes := a * p * (a*h + 1)
-				if nodes < ranks || nodes > maxNodeSlack*ranks {
-					continue
+				cfg := topology.Config{Kind: "dragonfly", Size: ranks, Nodes: nodes, A: a, H: h, P: p}
+				if nodes >= ranks && c.keeps(cfg, ranks) {
+					out = append(out, cfg)
 				}
-				out = append(out, topology.Config{
-					Kind: "dragonfly", Size: ranks, Nodes: nodes, A: a, H: h, P: p,
-				})
 			}
 		}
-	}
-	return trimConfigs(out, c)
-}
-
-// slimFlyConfigs enumerates ladder Slim Flies whose router count covers
-// the ranks with at most the balanced endpoint load p ≤ ⌈k/2⌉ and whose
-// radix k+p fits the cap, sorted by (nodes, q).
-func slimFlyConfigs(ranks int, c Constraints) []topology.Config {
-	var out []topology.Config
-	for _, q := range topology.SlimFlyQLadder {
-		routers := 2 * q * q
-		delta := 1
-		if q%4 == 3 {
-			delta = -1
-		}
-		k := (3*q - delta) / 2
-		p := (ranks + routers - 1) / routers
-		if p > (k+1)/2 {
-			continue // endpoint load beyond balanced — q too small
-		}
-		if k+p > c.maxRadix() {
-			continue
-		}
-		nodes := routers * p
-		if nodes > maxNodeSlack*ranks {
-			continue
-		}
-		out = append(out, topology.Config{
-			Kind: "slimfly", Size: ranks, Nodes: nodes, Q: q, P: p,
-		})
-	}
-	return trimConfigs(out, c)
-}
-
-// jellyfishConfigs enumerates seeded random regular graphs across
-// endpoint loads p: S = ⌈ranks/p⌉ switches of degree r = min(2p, S-1),
-// wiring seed 1 (as in topology.JellyfishConfig, the port total S·r is
-// even). Degrees below 3 are skipped unless the graph is complete —
-// sparse random graphs risk disconnection, which would abort the sweep.
-// Sorted by (nodes, p).
-func jellyfishConfigs(ranks int, c Constraints) []topology.Config {
-	var out []topology.Config
-	for p := 1; p <= 16; p++ {
-		s := (ranks + p - 1) / p
-		if s < 2 {
-			s = 2
-		}
-		if s > topology.MaxJellyfishSwitches {
-			continue
-		}
-		r := min(2*p, s-1)
-		if r < 3 && r != s-1 {
-			continue
-		}
-		if r+p > c.maxRadix() {
-			continue
-		}
-		nodes := s * p
-		if nodes < ranks || nodes > maxNodeSlack*ranks {
-			continue
-		}
-		out = append(out, topology.Config{
-			Kind: "jellyfish", Size: ranks, Nodes: nodes, S: s, D: r, P: p, Seed: 1,
-		})
-	}
-	return trimConfigs(out, c)
-}
-
-// hyperxConfigs enumerates near-square two-dimensional HyperX lattices
-// across the terminal ladder, radix (s1-1)+(s2-1)+t under the cap,
-// sorted by (nodes, t).
-func hyperxConfigs(ranks int, c Constraints) []topology.Config {
-	var out []topology.Config
-	for _, t := range []int{2, 4, 8, 16, 32} {
-		sw := (ranks + t - 1) / t
-		s1 := 1
-		for s1*s1 < sw {
-			s1++
-		}
-		s2 := (sw + s1 - 1) / s1
-		if s1*s2 > topology.MaxHyperXSwitches {
-			continue
-		}
-		if (s1-1)+(s2-1)+t > c.maxRadix() {
-			continue
-		}
-		nodes := s1 * s2 * t
-		if nodes < ranks || nodes > maxNodeSlack*ranks {
-			continue
-		}
-		out = append(out, topology.Config{
-			Kind: "hyperx", Size: ranks, Nodes: nodes, X: s1, Y: s2, Z: 1, P: t,
-		})
 	}
 	return trimConfigs(out, c)
 }
@@ -669,18 +574,21 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 	return sheet, nil
 }
 
-// evaluateConfig builds one configuration, prices it, filters it against
-// the cost caps, and scores it under every requested mapping. The per-
-// config work is fully sequential so the parallel fan-out above stays
-// index-deterministic. The sheet reads only the simulation's makespan
-// and link utilization, so the Wire replays without per-message
-// bookkeeping (simnet.Wire.Load).
+// evaluateConfig builds one configuration (core.Topology), prices it,
+// filters it against the cost caps, and scores it under every requested
+// mapping: core.Model for the static model, then a simnet replay of the
+// Wire. The per-config work is fully sequential so the parallel fan-out
+// above stays index-deterministic. The stages record their spans under a
+// "candidate" span. The sheet reads only the simulation's makespan and
+// link utilization, so the Wire replays without per-message bookkeeping
+// (simnet.Wire.Load).
 func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, w *simnet.Wire, acc *comm.Accumulated, opts core.Options) (configOutcome, error) {
 	span := opts.Span.Start("candidate")
 	span.SetLabel(cfg.Kind + cfg.String())
 	defer span.End()
+	opts.Span = span
 
-	topo, err := opts.Cache.Topology(cfg, cfg.Build)
+	topo, err := core.Topology(cfg, opts)
 	if err != nil {
 		return configOutcome{}, err
 	}
@@ -697,20 +605,19 @@ func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, w *si
 		if err := ctx.Err(); err != nil {
 			return configOutcome{}, err
 		}
-		mp, err := core.BuildMapping(mapName, acc, topo)
-		if err != nil {
-			return configOutcome{}, fmt.Errorf("mapping %s: %w", mapName, err)
+		nm, mp, err := core.Model(acc, cfg, topo, mapName, opts)
+		var sim *simnet.Stats
+		if err == nil {
+			ssp := span.Start("simnet")
+			ssp.SetLabel(mapName)
+			if sim, err = w.Load(topo, mp, simnet.Options{}); err == nil {
+				ssp.Add("sim_messages", int64(sim.Messages))
+			}
+			ssp.End()
 		}
-		nm, err := netmodel.Run(acc.Wire, topo, mp, netmodel.Options{WallTime: acc.Meta.WallTime, TrackLinks: true})
 		if err != nil {
-			return configOutcome{}, fmt.Errorf("netmodel under %s: %w", mapName, err)
+			return configOutcome{}, fmt.Errorf("%s mapping: %w", mapName, err)
 		}
-		sim, err := w.Load(topo, mp, simnet.Options{})
-		if err != nil {
-			return configOutcome{}, fmt.Errorf("simnet under %s: %w", mapName, err)
-		}
-		span.Add("packets", int64(nm.Packets))
-		span.Add("sim_messages", int64(sim.Messages))
 		rows = append(rows, Row{
 			Name:              cfg.Kind + cfg.String() + "+" + mapName,
 			Family:            cfg.Kind,

@@ -2,11 +2,15 @@ package design
 
 import (
 	"encoding/json"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"netloc/internal/core"
+	"netloc/internal/obs"
+	"netloc/internal/topology"
 	"netloc/internal/trace"
 	"netloc/internal/workcache"
 )
@@ -463,4 +467,103 @@ func TestJellyfishSearchDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSearchSpanTree checks the stage spans of a search without an
+// artifact cache: the root holds the generate and accumulate stages and
+// one candidate per configuration; every unfiltered candidate holds its
+// topology build and, per mapping, the mapping, netmodel and simnet
+// stages; a cost-filtered candidate holds only its build and its filtered
+// count; and every span has ended.
+func TestSearchSpanTree(t *testing.T) {
+	req := smallRequest()
+	req.Families = []string{"torus", "fattree", "dragonfly"}
+	req.Mappings = DefaultMappings()
+	cfgs, err := Candidates(req.Ranks, req.Families, req.Constraints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cap the switches at the fewest any candidate has, so the search
+	// keeps some candidates and filters the others.
+	fewest, most := math.MaxInt, 0
+	labels := map[string]bool{}
+	for _, cfg := range cfgs {
+		topo, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := topology.CostOf(topo).Switches
+		fewest, most = min(fewest, sw), max(most, sw)
+		labels[cfg.Kind+cfg.String()] = true
+	}
+	if fewest == most {
+		t.Fatalf("every candidate has %d switches: the cap filters all or none", fewest)
+	}
+	req.Constraints.MaxSwitches = fewest
+
+	root := obs.NewTracer(1).StartRun("design")
+	sheet, err := Search(req, core.Options{Parallelism: 2, Span: root})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := root.Data()
+	var walk func(s obs.SpanData)
+	walk = func(s obs.SpanData) {
+		if !s.Ended {
+			t.Errorf("span %s (%s) never ended", s.Name, s.Label)
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(d)
+	if n := len(d.Children); n != 2+len(cfgs) || d.Children[0].Name != "generate" || d.Children[1].Name != "accumulate" {
+		t.Fatalf("root children %v, want generate, accumulate and %d candidates", spanNames(d.Children), len(cfgs))
+	}
+	var filtered int
+	for _, c := range d.Children[2:] {
+		if c.Name != "candidate" || !labels[c.Label] {
+			t.Fatalf("root child %s (%s), want a candidate of %v", c.Name, c.Label, labels)
+		}
+		delete(labels, c.Label)
+		if c.Counts["filtered"] == 1 {
+			filtered++
+			if names := spanNames(c.Children); !slices.Equal(names, []string{"topology"}) || len(c.Counts) != 1 {
+				t.Errorf("filtered candidate %s: children %v, counts %v; want a topology build and the filtered count", c.Label, names, c.Counts)
+			}
+			continue
+		}
+		want := []string{"topology"}
+		for range req.Mappings {
+			want = append(want, "mapping", "netmodel", "simnet")
+		}
+		if names := spanNames(c.Children); !slices.Equal(names, want) || len(c.Counts) != 0 {
+			t.Errorf("candidate %s: children %v, counts %v; want %v and no counts", c.Label, names, c.Counts, want)
+			continue
+		}
+		if c.Children[0].Label != c.Label {
+			t.Errorf("candidate %s: topology span labelled %q", c.Label, c.Children[0].Label)
+		}
+		for i, m := range req.Mappings {
+			mp, nm, sim := c.Children[1+3*i], c.Children[2+3*i], c.Children[3+3*i]
+			if mp.Label != m || sim.Label != m {
+				t.Errorf("candidate %s: mapping %d spans labelled %q and %q, want %q", c.Label, i, mp.Label, sim.Label, m)
+			}
+			if nm.Counts["packets"] == 0 || nm.Counts["packet_hops"] == 0 || sim.Counts["sim_messages"] == 0 {
+				t.Errorf("candidate %s under %s: netmodel counts %v, simnet counts %v", c.Label, m, nm.Counts, sim.Counts)
+			}
+		}
+	}
+	if filtered == 0 || filtered != sheet.Filtered || len(sheet.Rows) == 0 {
+		t.Errorf("%d candidate spans filtered, sheet filtered %d of %d with %d rows", filtered, sheet.Filtered, sheet.Configs, len(sheet.Rows))
+	}
+}
+
+func spanNames(spans []obs.SpanData) []string {
+	names := make([]string, len(spans))
+	for i, s := range spans {
+		names[i] = s.Name
+	}
+	return names
 }

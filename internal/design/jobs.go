@@ -26,7 +26,6 @@ type SearchFunc func(ctx context.Context, req Request, opts core.Options) (*Shee
 type Job struct {
 	ID string
 
-	store  *Store
 	cancel context.CancelFunc
 	doneCh chan struct{}
 
@@ -159,7 +158,6 @@ func (s *Store) Submit(req Request, opts core.Options) (*Job, error) {
 	s.submitted++
 	job := &Job{
 		ID:     fmt.Sprintf("design-%d", s.seq),
-		store:  s,
 		cancel: cancel,
 		doneCh: make(chan struct{}),
 		state:  StateRunning,

@@ -2,6 +2,7 @@ package design
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,15 +33,18 @@ const sourceMILC = "milc"
 
 // resolveTrace produces the workload trace for a canonicalized request:
 // an attached trace verbatim, a design-only synthetic generator, or the
-// named registry app (case-insensitively) at the requested scale —
-// exactly when configured, extrapolated otherwise.
+// named registry app (case-insensitively) at the requested scale through
+// App.GenerateAt, which builds the configured trace at a configured scale
+// and extrapolates otherwise. Generated traces come through the
+// pipeline's generate stage (core.Generate).
 //
 // The returned source names which generator produced the trace (a
 // workcache source constant), or "" for an attached trace. Attached
 // traces are never cached — request payloads must not be able to
 // poison artifacts shared with other callers — and generated ones are
 // keyed by source so an extrapolated trace can never satisfy an
-// exact-scale lookup.
+// exact-scale lookup: a configured scale shares the core experiments'
+// "gen" slot, any other scale is keyed "genat".
 func resolveTrace(req Request, opts core.Options) (*trace.Trace, string, error) {
 	if req.Trace != nil {
 		if err := req.Trace.Validate(); err != nil {
@@ -48,32 +52,24 @@ func resolveTrace(req Request, opts core.Options) (*trace.Trace, string, error) 
 		}
 		return req.Trace, "", nil
 	}
-	name := strings.ToLower(req.App)
-	if name == "milc" {
-		t, err := opts.Cache.Trace(workcache.TraceKey{Source: sourceMILC, App: "milc", Ranks: req.Ranks},
-			func() (*trace.Trace, error) { return milcTrace(req.Ranks) })
+	key := workcache.TraceKey{Source: sourceMILC, App: "milc", Ranks: req.Ranks}
+	gen := func() (*trace.Trace, error) { return milcTrace(req.Ranks) }
+	if !strings.EqualFold(req.App, "milc") {
+		app, err := lookupFold(req.App)
 		if err != nil {
 			return nil, "", err
 		}
-		return t, sourceMILC, nil
+		key = workcache.TraceKey{Source: workcache.SourceGenerateAt, App: app.Name, Ranks: req.Ranks}
+		if slices.Contains(app.RankCounts(), req.Ranks) {
+			key.Source = workcache.SourceGenerate
+		}
+		gen = func() (*trace.Trace, error) { return app.GenerateAt(req.Ranks) }
 	}
-	app, err := lookupFold(req.App)
+	t, err := core.Generate(key, gen, opts)
 	if err != nil {
 		return nil, "", err
 	}
-	// Exact configured scales share the core experiments' cache slots;
-	// the extrapolated fallback keys separately.
-	t, err := opts.Cache.Trace(workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: req.Ranks},
-		func() (*trace.Trace, error) { return app.Generate(req.Ranks) })
-	if err == nil {
-		return t, workcache.SourceGenerate, nil
-	}
-	t, err = opts.Cache.Trace(workcache.TraceKey{Source: workcache.SourceGenerateAt, App: app.Name, Ranks: req.Ranks},
-		func() (*trace.Trace, error) { return app.GenerateAt(req.Ranks) })
-	if err != nil {
-		return nil, "", err
-	}
-	return t, workcache.SourceGenerateAt, nil
+	return t, key.Source, nil
 }
 
 // knownApp reports whether a design request may name this workload, so

@@ -66,15 +66,8 @@ func ParseStrategy(s string) (Strategy, error) {
 func binomialChildren(r, root, n int) []int {
 	v := (r - root + n) % n // virtual rank, root at 0
 	var children []int
-	// Children of v are v + 2^k for each k where 2^k > lowest set bit
-	// span... standard construction: v's children are v | (1<<k) for
-	// k from (position after v's lowest set bit context). Using the
-	// common iterative form: for mask = 1; mask < n; mask <<= 1, v gets
-	// child v+mask iff v < mask*... Simpler equivalent: v's children are
-	// v + m for each power of two m with m > v's least significant set
-	// bit... The classic rule: rank v receives from v - 2^floor(log2(v))
-	// and sends to v + 2^k for all 2^k with v + 2^k < n and 2^k > v's
-	// highest set bit.
+	// v sends to v + 2^k for every 2^k above v's highest set bit with
+	// v + 2^k < n.
 	hb := highestBit(v)
 	for m := nextPow2After(hb, v); m < n; m <<= 1 {
 		c := v + m
@@ -126,12 +119,10 @@ func subtreeSize(v, n int) int {
 		if c >= n {
 			break
 		}
-		size += subtreeSizeBounded(c, n)
+		size += subtreeSize(c, n)
 	}
 	return size
 }
-
-func subtreeSizeBounded(v, n int) int { return subtreeSize(v, n) }
 
 // expandStrategic dispatches a collective event to the selected
 // algorithmic expansion, translating between global ranks and

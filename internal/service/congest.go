@@ -51,7 +51,7 @@ func (r *CongestionRequest) canonicalize() error {
 		}
 	}
 	if len(r.Families) == 0 {
-		r.Families = []string{"torus", "fattree", "dragonfly"}
+		r.Families = core.PaperKinds()
 	}
 	kinds := core.AnalysisKinds()
 	for _, fam := range r.Families {
@@ -119,7 +119,7 @@ type CongestionResult struct {
 // counters.
 func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 	var req CongestionRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()

@@ -36,7 +36,7 @@ func (s *Server) designSearch(ctx context.Context, req design.Request, opts core
 // of silently designing against defaults.
 func (s *Server) decodeDesignRequest(w http.ResponseWriter, r *http.Request) (design.Request, error) {
 	var req design.Request
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -98,7 +98,7 @@ func (s *Server) handleDesignTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
 	t, err := trace.ReadTrace(body)
 	if err != nil {

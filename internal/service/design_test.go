@@ -440,3 +440,31 @@ func TestDesignMetricsCounters(t *testing.T) {
 		}
 	}
 }
+
+// spaces is an endless body of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestBodyCapBoundsJSONRequests pins the POST body cap, which bounds JSON
+// requests as well as uploaded traces: a design body of whitespace one
+// byte past 64 MiB answers 400 and runs no computation.
+func TestBodyCapBoundsJSONRequests(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	before := metricsSnapshot(t, ts)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/design", io.LimitReader(spaces{}, 64<<20+1)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "request body too large") {
+		t.Errorf("body one byte past the cap: status %d %s, want 400 naming the cap", rec.Code, rec.Body)
+	}
+	if after := metricsSnapshot(t, ts); after.Compute.Executed != before.Compute.Executed {
+		t.Errorf("an oversized body ran a computation: executed %d -> %d", before.Compute.Executed, after.Compute.Executed)
+	}
+}

@@ -81,22 +81,20 @@ import (
 	"netloc/internal/workloads"
 )
 
-// Options configures a Server.
+// maxBodyBytes bounds every POST body, JSON requests and uploaded traces
+// alike; a longer body answers 400.
+const maxBodyBytes = 64 << 20
+
+// Options configures a Server. Every server bounds POST bodies to 64 MiB,
+// keeps design.DefaultJobCapacity design jobs and
+// workcache.DefaultMaxEntries workload artifacts (generated traces,
+// accumulated matrices and built topologies).
 type Options struct {
 	// CacheEntries bounds the LRU result cache; 256 when zero.
 	CacheEntries int
 	// Workers bounds concurrent trace generation/simulation;
 	// GOMAXPROCS when zero.
 	Workers int
-	// MaxUploadBytes bounds POSTed trace bodies; 64 MiB when zero.
-	MaxUploadBytes int64
-	// DesignJobs bounds the async design-job store;
-	// design.DefaultJobCapacity when zero.
-	DesignJobs int
-	// ArtifactEntries bounds the workload artifact cache shared by every
-	// analysis (generated traces and accumulated matrices);
-	// workcache.DefaultMaxEntries when zero.
-	ArtifactEntries int
 	// Log, when set, enables structured request logging: one record per
 	// request with its request ID, endpoint, status, and latency, plus
 	// one canonical "run_complete" event per completed run (cache state,
@@ -150,16 +148,14 @@ var endpointNames = []string{
 	"design", "design_jobs", "congestion", "debug",
 }
 
-// New constructs a Server with the given options.
+// New constructs a Server with the given options, filling in the
+// zero-value defaults of CacheEntries and Workers.
 func New(opts Options) *Server {
 	if opts.CacheEntries == 0 {
 		opts.CacheEntries = 256
 	}
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.MaxUploadBytes == 0 {
-		opts.MaxUploadBytes = 64 << 20
 	}
 	cache := workcache.NewLRU[[]byte](opts.CacheEntries)
 	s := &Server{
@@ -169,9 +165,9 @@ func New(opts Options) *Server {
 		budget:  parallel.NewBudget(opts.Workers),
 		metrics: newMetricsRegistry(endpointNames, cache),
 		tracer:  obs.NewTracer(obs.DefaultTracerRuns),
-		work:    workcache.New(opts.ArtifactEntries),
+		work:    workcache.New(workcache.DefaultMaxEntries),
 	}
-	s.jobs = design.NewStore(opts.DesignJobs)
+	s.jobs = design.NewStore(design.DefaultJobCapacity)
 	s.jobs.Search = s.designSearch
 	s.metrics.bindEngine(s.budget, s.tracer)
 	s.metrics.bindDesignJobs(s.jobs)
@@ -214,8 +210,8 @@ func (s *Server) Close() {
 // Handler returns the service's http.Handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Options returns the server's effective configuration, with zero-value
-// defaults (cache size, workers, upload cap) filled in.
+// Options returns the server's effective configuration, with the
+// zero-value defaults of CacheEntries and Workers filled in.
 func (s *Server) Options() Options { return s.opts }
 
 // ServeHTTP implements http.Handler directly.
@@ -735,8 +731,8 @@ type TopologiesResult struct {
 	HyperX    *TopoInfo `json:"hyperx,omitempty"`
 }
 
-func topoInfo(cfg topology.Config, cache *workcache.Cache) (TopoInfo, error) {
-	t, err := cache.Topology(cfg, cfg.Build)
+func topoInfo(cfg topology.Config, opts core.Options) (TopoInfo, error) {
+	t, err := core.Topology(cfg, opts)
 	if err != nil {
 		return TopoInfo{}, err
 	}
@@ -775,19 +771,20 @@ func (s *Server) handleTopologies(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("topo?ranks=%d", ranks)
-	b, err := s.cached(r, runDims{Ranks: ranks}, key, func(*obs.Span) (any, error) {
+	b, err := s.cached(r, runDims{Ranks: ranks}, key, func(sp *obs.Span) (any, error) {
 		tor, ft, df, err := topology.Configs(ranks)
 		if err != nil {
 			return nil, err
 		}
+		opts := core.Options{Cache: s.work, Span: sp}
 		out := TopologiesResult{Ranks: ranks}
-		if out.Torus, err = topoInfo(tor, s.work); err != nil {
+		if out.Torus, err = topoInfo(tor, opts); err != nil {
 			return nil, err
 		}
-		if out.FatTree, err = topoInfo(ft, s.work); err != nil {
+		if out.FatTree, err = topoInfo(ft, opts); err != nil {
 			return nil, err
 		}
-		if out.Dragonfly, err = topoInfo(df, s.work); err != nil {
+		if out.Dragonfly, err = topoInfo(df, opts); err != nil {
 			return nil, err
 		}
 		extra := []struct {
@@ -803,7 +800,7 @@ func (s *Server) handleTopologies(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				continue // no valid configuration at this size: omit the block
 			}
-			info, err := topoInfo(cfg, s.work)
+			info, err := topoInfo(cfg, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -827,7 +824,7 @@ func (s *Server) handleTraceAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
 	t, err := trace.ReadTrace(body)
 	if err != nil {

@@ -77,6 +77,29 @@ func (c Config) String() string {
 	return "?"
 }
 
+// SwitchRadix returns the ports of one switch of the configuration,
+// terminal and network ports together: 7 for a torus or mesh router (six
+// neighbours and one injection port), the radix of a fat tree,
+// p+(a-1)+h for a dragonfly, k+p for a Slim Fly (k = (3q−δ)/2), d+p for
+// a Jellyfish and (x-1)+(y-1)+(z-1)+p for a HyperX.
+func (c Config) SwitchRadix() int {
+	switch c.Kind {
+	case "torus", "mesh":
+		return 7
+	case "fattree":
+		return c.Radix
+	case "dragonfly":
+		return c.P + (c.A - 1) + c.H
+	case "slimfly":
+		return (3*c.Q-slimFlyDelta(c.Q))/2 + c.P
+	case "jellyfish":
+		return c.D + c.P
+	case "hyperx":
+		return (c.X - 1) + (c.Y - 1) + (c.Z - 1) + c.P
+	}
+	return 0
+}
+
 // Kinds lists every buildable topology kind, paper families first.
 func Kinds() []string {
 	return []string{"torus", "mesh", "fattree", "dragonfly", "slimfly", "jellyfish", "hyperx"}
@@ -167,19 +190,30 @@ func FatTreeConfig(ranks int) (Config, error) {
 	if ranks <= 0 {
 		return Config{}, fmt.Errorf("topology: non-positive rank count %d", ranks)
 	}
+	if c, ok := FatTreeAt(ranks, FatTreeRadix); ok {
+		return c, nil
+	}
 	d := FatTreeRadix / 2
+	return Config{}, fmt.Errorf("topology: %d ranks exceed the largest fat-tree configuration (%d)", ranks, d*d*d)
+}
+
+// FatTreeAt returns the smallest fat tree of the given switch radix that
+// covers the ranks: one switch, or two or three stages of d = radix/2
+// down-ports per switch (d² or d³ nodes). It is not ok past d³ ranks.
+func FatTreeAt(ranks, radix int) (Config, bool) {
+	d := radix / 2
 	var stages, nodes int
 	switch {
-	case ranks <= FatTreeRadix:
-		stages, nodes = 1, FatTreeRadix
+	case ranks <= radix:
+		stages, nodes = 1, radix
 	case ranks <= d*d:
 		stages, nodes = 2, d*d
 	case ranks <= d*d*d:
 		stages, nodes = 3, d*d*d
 	default:
-		return Config{}, fmt.Errorf("topology: %d ranks exceed the largest fat-tree configuration (%d)", ranks, d*d*d)
+		return Config{}, false
 	}
-	return Config{Kind: "fattree", Size: ranks, Nodes: nodes, Radix: FatTreeRadix, Stages: stages}, nil
+	return Config{Kind: "fattree", Size: ranks, Nodes: nodes, Radix: radix, Stages: stages}, true
 }
 
 // dragonflyLadder lists the balanced (a = 2h = 2p) configurations the study
@@ -229,32 +263,35 @@ func Configs(ranks int) (torus, fattree, dragonfly Config, err error) {
 var SlimFlyQLadder = []int{5, 7, 11, 13, 17, 19, 23, 25}
 
 // SlimFlyConfig returns the smallest ladder Slim Fly covering the ranks:
-// the first field order q whose 2q² routers reach the rank count with at
-// most the balanced endpoint load p ≤ ⌈k/2⌉.
+// the first field order q that SlimFlyAt accepts.
 func SlimFlyConfig(ranks int) (Config, error) {
 	if ranks <= 0 {
 		return Config{}, fmt.Errorf("topology: non-positive rank count %d", ranks)
 	}
 	for _, q := range SlimFlyQLadder {
-		routers := 2 * q * q
-		delta := 1
-		if q%4 == 3 {
-			delta = -1
+		if c, ok := SlimFlyAt(ranks, q); ok {
+			return c, nil
 		}
-		k := (3*q - delta) / 2
-		p := (ranks + routers - 1) / routers
-		if p > (k+1)/2 {
-			continue
-		}
-		return Config{Kind: "slimfly", Size: ranks, Nodes: routers * p, Q: q, P: p}, nil
 	}
 	return Config{}, fmt.Errorf("topology: %d ranks exceed the largest slim fly configuration", ranks)
 }
 
+// SlimFlyAt returns the Slim Fly of field order q whose 2q² routers cover
+// the ranks with the fewest endpoints each, p = ⌈ranks/2q²⌉. It is not ok
+// past the balanced endpoint load p ≤ ⌈k/2⌉ (k = (3q−δ)/2, the network
+// degree).
+func SlimFlyAt(ranks, q int) (Config, bool) {
+	routers := 2 * q * q
+	k := (3*q - slimFlyDelta(q)) / 2
+	p := (ranks + routers - 1) / routers
+	if p > (k+1)/2 {
+		return Config{}, false
+	}
+	return Config{Kind: "slimfly", Size: ranks, Nodes: routers * p, Q: q, P: p}, true
+}
+
 // JellyfishConfig returns a near-balanced Jellyfish covering the ranks:
-// p ≈ ∛ranks nodes per switch, degree 2p clamped to the other s-1
-// switches, wiring seed 1. The port total s·r is even as a regular graph
-// needs: 2p is even, and so is s-1 whenever s is odd.
+// JellyfishAt with p ≈ ∛ranks nodes per switch.
 func JellyfishConfig(ranks int) (Config, error) {
 	if ranks <= 0 {
 		return Config{}, fmt.Errorf("topology: non-positive rank count %d", ranks)
@@ -263,14 +300,23 @@ func JellyfishConfig(ranks int) (Config, error) {
 	for p*p*p < ranks {
 		p++
 	}
-	s := (ranks + p - 1) / p
-	if s < 2 {
-		s = 2
+	if c, ok := JellyfishAt(ranks, p); ok {
+		return c, nil
 	}
+	return Config{}, fmt.Errorf("topology: %d ranks exceed the largest jellyfish configuration", ranks)
+}
+
+// JellyfishAt returns the Jellyfish with p nodes per switch covering the
+// ranks: s = max(⌈ranks/p⌉, 2) switches of degree 2p clamped to the other
+// s-1 switches, wiring seed 1. The port total s·d is even as a regular
+// graph needs: 2p is even, and so is s-1 whenever s is odd. It is not ok
+// past MaxJellyfishSwitches.
+func JellyfishAt(ranks, p int) (Config, bool) {
+	s := max((ranks+p-1)/p, 2)
 	if s > MaxJellyfishSwitches {
-		return Config{}, fmt.Errorf("topology: %d ranks exceed the largest jellyfish configuration", ranks)
+		return Config{}, false
 	}
-	return Config{Kind: "jellyfish", Size: ranks, Nodes: s * p, S: s, D: min(2*p, s-1), P: p, Seed: 1}, nil
+	return Config{Kind: "jellyfish", Size: ranks, Nodes: s * p, S: s, D: min(2*p, s-1), P: p, Seed: 1}, true
 }
 
 // hyperXTerminalLadder lists the per-switch endpoint counts the sizing
@@ -278,28 +324,35 @@ func JellyfishConfig(ranks int) (Config, error) {
 var hyperXTerminalLadder = []int{4, 8, 16, 32}
 
 // HyperXConfig returns a near-square two-dimensional HyperX covering the
-// ranks: the first terminal count whose lattice fits the radix-48 switch
-// budget shared with the fat-tree study.
+// ranks: the first terminal count whose lattice (HyperXAt) fits the
+// radix-48 switch budget shared with the fat-tree study.
 func HyperXConfig(ranks int) (Config, error) {
 	if ranks <= 0 {
 		return Config{}, fmt.Errorf("topology: non-positive rank count %d", ranks)
 	}
 	for _, t := range hyperXTerminalLadder {
-		sw := (ranks + t - 1) / t
-		s1 := 1
-		for s1*s1 < sw {
-			s1++
+		if c, ok := HyperXAt(ranks, t); ok && c.SwitchRadix() <= FatTreeRadix {
+			return c, nil
 		}
-		s2 := (sw + s1 - 1) / s1
-		if s1*s2 > MaxHyperXSwitches {
-			continue
-		}
-		if (s1-1)+(s2-1)+t > FatTreeRadix {
-			continue
-		}
-		return Config{Kind: "hyperx", Size: ranks, Nodes: s1 * s2 * t, X: s1, Y: s2, Z: 1, P: t}, nil
 	}
 	return Config{}, fmt.Errorf("topology: %d ranks exceed the largest hyperx configuration", ranks)
+}
+
+// HyperXAt returns the near-square two-dimensional HyperX with t nodes per
+// switch covering the ranks: s1 = ⌈√⌈ranks/t⌉⌉ switches in one dimension
+// and the fewest s2 that cover the rest in the other. It is not ok past
+// MaxHyperXSwitches.
+func HyperXAt(ranks, t int) (Config, bool) {
+	sw := (ranks + t - 1) / t
+	s1 := 1
+	for s1*s1 < sw {
+		s1++
+	}
+	s2 := (sw + s1 - 1) / s1
+	if s1*s2 > MaxHyperXSwitches {
+		return Config{}, false
+	}
+	return Config{Kind: "hyperx", Size: ranks, Nodes: s1 * s2 * t, X: s1, Y: s2, Z: 1, P: t}, true
 }
 
 // PaperSizes returns the rank counts of Table 2 in ascending order.

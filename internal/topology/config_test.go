@@ -258,3 +258,49 @@ func TestKindsAllBuildable(t *testing.T) {
 		}
 	}
 }
+
+// TestSwitchRadixMatchesBuiltPorts checks SwitchRadix, the radix the
+// design search caps, against the built graphs: the most ports any switch
+// uses, counting a torus or mesh router's injection port, is exactly the
+// configuration's radix.
+func TestSwitchRadixMatchesBuiltPorts(t *testing.T) {
+	cfgs := []Config{
+		{Kind: "torus", X: 4, Y: 4, Z: 3},
+		{Kind: "mesh", X: 4, Y: 3, Z: 3},
+		{Kind: "dragonfly", A: 6, H: 3, P: 2},
+	}
+	for _, ranks := range []int{48, 300, 1000} {
+		for _, at := range []struct {
+			size  func(ranks, param int) (Config, bool)
+			param int
+		}{{FatTreeAt, 24}, {SlimFlyAt, 13}, {JellyfishAt, 4}, {HyperXAt, 8}} {
+			cfg, ok := at.size(ranks, at.param)
+			if !ok {
+				t.Fatalf("no configuration for %d ranks at parameter %d", ranks, at.param)
+			}
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	for _, cfg := range cfgs {
+		topo, err := cfg.Build()
+		if err != nil {
+			t.Fatalf("%s%s: %v", cfg.Kind, cfg, err)
+		}
+		ports := make([]int, topo.NumVertices())
+		for _, l := range topo.Links() {
+			ports[l.A]++
+			ports[l.B]++
+		}
+		first, inject := topo.Nodes(), 0
+		if first == topo.NumVertices() { // routers are the nodes
+			first, inject = 0, 1
+		}
+		most := 0
+		for _, p := range ports[first:] {
+			most = max(most, p+inject)
+		}
+		if most != cfg.SwitchRadix() {
+			t.Errorf("%s%s: busiest switch uses %d ports, SwitchRadix %d", cfg.Kind, cfg, most, cfg.SwitchRadix())
+		}
+	}
+}

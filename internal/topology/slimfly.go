@@ -39,10 +39,7 @@ func NewSlimFly(q, p int) (*SlimFly, error) {
 	if err != nil {
 		return nil, err
 	}
-	delta := 1
-	if q%4 == 3 {
-		delta = -1
-	}
+	delta := slimFlyDelta(q)
 	w := (q - delta) / 4
 
 	// Generator sets as membership tables; both are closed under negation
@@ -92,6 +89,15 @@ func NewSlimFly(q, p int) (*SlimFly, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// slimFlyDelta returns δ of field order q: 1 for q ≡ 1 (mod 4), -1 for
+// q ≡ 3.
+func slimFlyDelta(q int) int {
+	if q%4 == 3 {
+		return -1
+	}
+	return 1
 }
 
 // Params returns (q, p).
