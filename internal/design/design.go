@@ -575,13 +575,14 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 }
 
 // evaluateConfig builds one configuration (core.Topology), prices it,
-// filters it against the cost caps, and scores it under every requested
-// mapping: core.Model for the static model, then a simnet replay of the
-// Wire. The per-config work is fully sequential so the parallel fan-out
-// above stays index-deterministic. The stages record their spans under a
-// "candidate" span. The sheet reads only the simulation's makespan and
-// link utilization, so the Wire replays without per-message bookkeeping
-// (simnet.Wire.Load).
+// filters it against the cost caps, takes its path statistics
+// (topology.PathStats), and scores it under every requested mapping:
+// core.Model for the static model, then a simnet replay of the Wire. The
+// per-config work is fully sequential so the parallel fan-out above
+// stays index-deterministic. The stages record their spans, pathstats
+// among them, under a "candidate" span. The sheet reads only the
+// simulation's makespan and link utilization, so the Wire replays
+// without per-message bookkeeping (simnet.Wire.Load).
 func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, w *simnet.Wire, acc *comm.Accumulated, opts core.Options) (configOutcome, error) {
 	span := opts.Span.Start("candidate")
 	span.SetLabel(cfg.Kind + cfg.String())
@@ -598,7 +599,9 @@ func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, w *si
 		span.Add("filtered", 1)
 		return configOutcome{filtered: true}, nil
 	}
-	mpl, maxHops := pathStats(topo)
+	psp := span.Start("pathstats")
+	mpl, maxHops := topology.PathStats(topo)
+	psp.End()
 
 	rows := make([]Row, 0, len(req.Mappings))
 	for _, mapName := range req.Mappings {
@@ -638,29 +641,6 @@ func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, w *si
 		})
 	}
 	return configOutcome{rows: rows}, nil
-}
-
-// pathStats computes the mean path length and diameter over all ordered
-// compute-node pairs (uniform traffic, the objective of the minimal-MPL
-// search). HopCount is symmetric on every family
-// (TestAllFamiliesRoutingInvariants), so each unordered pair is counted
-// once and doubled: the total is an exact integer either way.
-func pathStats(topo topology.Topology) (mpl float64, maxHops int) {
-	n := topo.Nodes()
-	if n < 2 {
-		return 0, 0
-	}
-	var total uint64
-	for s := 0; s < n; s++ {
-		for d := s + 1; d < n; d++ {
-			h := topo.HopCount(s, d)
-			total += uint64(h)
-			if h > maxHops {
-				maxHops = h
-			}
-		}
-	}
-	return float64(2*total) / float64(n*(n-1)), maxHops
 }
 
 // rankRows scores every row against the sheet's best values, sorts by

@@ -472,8 +472,8 @@ func TestJellyfishSearchDeterministicAcrossWorkers(t *testing.T) {
 // TestSearchSpanTree checks the stage spans of a search without an
 // artifact cache: the root holds the generate and accumulate stages and
 // one candidate per configuration; every unfiltered candidate holds its
-// topology build and, per mapping, the mapping, netmodel and simnet
-// stages; a cost-filtered candidate holds only its build and its filtered
+// topology build, its path statistics and, per mapping, the mapping,
+// netmodel and simnet stages; a cost-filtered candidate holds only its build and its filtered
 // count; and every span has ended.
 func TestSearchSpanTree(t *testing.T) {
 	req := smallRequest()
@@ -534,7 +534,7 @@ func TestSearchSpanTree(t *testing.T) {
 			}
 			continue
 		}
-		want := []string{"topology"}
+		want := []string{"topology", "pathstats"}
 		for range req.Mappings {
 			want = append(want, "mapping", "netmodel", "simnet")
 		}
@@ -546,7 +546,7 @@ func TestSearchSpanTree(t *testing.T) {
 			t.Errorf("candidate %s: topology span labelled %q", c.Label, c.Children[0].Label)
 		}
 		for i, m := range req.Mappings {
-			mp, nm, sim := c.Children[1+3*i], c.Children[2+3*i], c.Children[3+3*i]
+			mp, nm, sim := c.Children[2+3*i], c.Children[3+3*i], c.Children[4+3*i]
 			if mp.Label != m || sim.Label != m {
 				t.Errorf("candidate %s: mapping %d spans labelled %q and %q, want %q", c.Label, i, mp.Label, sim.Label, m)
 			}
@@ -566,4 +566,49 @@ func spanNames(spans []obs.SpanData) []string {
 		names[i] = s.Name
 	}
 	return names
+}
+
+// allPairsPathStats is the loop topology.PathStats replaced: every
+// unordered node pair scored once, the total doubled.
+func allPairsPathStats(topo topology.Topology) (mpl float64, maxHops int) {
+	n := topo.Nodes()
+	if n < 2 {
+		return 0, 0
+	}
+	var total uint64
+	for s := 0; s < n; s++ {
+		for d := s + 1; d < n; d++ {
+			h := topo.HopCount(s, d)
+			total += uint64(h)
+			maxHops = max(maxHops, h)
+		}
+	}
+	return float64(2*total) / float64(n*(n-1)), maxHops
+}
+
+// The sheet's path statistics equal the all-pairs loop bit for bit on
+// every configuration a search enumerates at 8, 64, 100 and 512 ranks.
+func TestPathStatsMatchesAllPairs(t *testing.T) {
+	kinds := map[string]int{}
+	for _, ranks := range []int{8, 64, 100, 512} {
+		cfgs, err := Candidates(ranks, Families(), Constraints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range cfgs {
+			topo, err := cfg.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mpl, hops := topology.PathStats(topo)
+			wantMPL, wantHops := allPairsPathStats(topo)
+			if math.Float64bits(mpl) != math.Float64bits(wantMPL) || hops != wantHops {
+				t.Errorf("%s: PathStats (%v, %d), all pairs (%v, %d)", topo.Name(), mpl, hops, wantMPL, wantHops)
+			}
+			kinds[cfg.Kind]++
+		}
+	}
+	if len(kinds) != len(Families()) {
+		t.Errorf("candidates cover %v, want every family of %v", kinds, Families())
+	}
 }

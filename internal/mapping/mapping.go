@@ -13,6 +13,12 @@
 // matrix at comm.MaxVolume bytes, so a mapping depends only on the
 // traffic, never on the order it was recorded or summed in. Ties go to
 // the lowest rank and node.
+//
+// Greedy, which the design search runs on every candidate, scores a
+// step's free nodes through two exact shortcuts that package topology
+// states: one node per block of nodes with equal hop counts
+// (topology.BlockSize), and on a torus or mesh per-axis cost rows
+// (Torus.AxisSum). Its tables equal those of the search without them.
 package mapping
 
 import (
@@ -183,12 +189,25 @@ func rankGraph(m *comm.Matrix) [][]partner {
 // the paper's discussion motivates ("assign groups of heavily communicating
 // ranks to nearby physical entities"). Ties go to the lowest rank and the
 // lowest node.
+//
+// Two exact shortcuts keep a step from scoring every free node against
+// every partner. The free nodes of one block (topology.BlockSize) cost
+// the same, so only a block's first free node, its lowest, is scored. On
+// a torus or mesh a hop count is a sum of per-axis distances, so one pass
+// over the partners fills an axis row and a node's cost is three lookups
+// (Torus.AxisSum).
 func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 	ranks, nodes := m.Ranks(), topo.Nodes()
 	if nodes < ranks {
 		return nil, fmt.Errorf("mapping: topology %s has %d nodes for %d ranks", topo.Name(), nodes, ranks)
 	}
 	graph := rankGraph(m)
+	block := topology.BlockSize(topo)
+	torus, onAxes := topo.(*topology.Torus)
+	var row []uint64 // the partners' axis row on a torus or mesh
+	if onAxes {
+		row = torus.AxisRow()
+	}
 
 	nodeOf := make([]int, ranks)
 	nodeUsed := make([]bool, nodes)
@@ -233,6 +252,12 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 				anchors = append(anchors, p)
 			}
 		}
+		if onAxes {
+			clear(row)
+			for _, a := range anchors {
+				torus.AddAxisDistances(row, nodeOf[a.rank], a.bytes)
+			}
+		}
 		// Best free node: minimize weighted hops to the placed partners;
 		// without any, the first free node.
 		bestNode, bestCost := -1, uint64(0)
@@ -241,8 +266,12 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 				continue
 			}
 			var cost uint64
-			for _, a := range anchors {
-				cost += a.bytes * uint64(topo.HopCount(node, nodeOf[a.rank]))
+			if onAxes {
+				cost = torus.AxisSum(row, node)
+			} else {
+				for _, a := range anchors {
+					cost += a.bytes * uint64(topo.HopCount(node, nodeOf[a.rank]))
+				}
 			}
 			if bestNode == -1 || cost < bestCost {
 				bestNode, bestCost = node, cost
@@ -250,6 +279,7 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 			if len(anchors) == 0 {
 				break
 			}
+			node += block - 1 - node%block // the block's other free nodes cost the same
 		}
 		place(next, bestNode)
 	}

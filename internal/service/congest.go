@@ -119,7 +119,7 @@ type CongestionResult struct {
 // counters.
 func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 	var req CongestionRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxJSONBytes)
 	defer body.Close()
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()

@@ -36,7 +36,7 @@ func (s *Server) designSearch(ctx context.Context, req design.Request, opts core
 // of silently designing against defaults.
 func (s *Server) decodeDesignRequest(w http.ResponseWriter, r *http.Request) (design.Request, error) {
 	var req design.Request
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxJSONBytes)
 	defer body.Close()
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()

@@ -451,20 +451,31 @@ func (spaces) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestBodyCapBoundsJSONRequests pins the POST body cap, which bounds JSON
-// requests as well as uploaded traces: a design body of whitespace one
-// byte past 64 MiB answers 400 and runs no computation.
+// TestBodyCapBoundsJSONRequests pins the JSON body cap, 1 MiB, far
+// below the 64 MiB trace upload cap: a design or congestion body of
+// whitespace one byte past it answers 400 naming the cap and runs no
+// computation, while a design body of exactly 1 MiB is read whole and
+// answers its validation error.
 func TestBodyCapBoundsJSONRequests(t *testing.T) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	before := metricsSnapshot(t, ts)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/design", io.LimitReader(spaces{}, 64<<20+1)))
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "request body too large") {
-		t.Errorf("body one byte past the cap: status %d %s, want 400 naming the cap", rec.Code, rec.Body)
+	for _, path := range []string{"/v1/design", "/v1/congestion"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, io.LimitReader(spaces{}, 1<<20+1)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "request body too large") {
+			t.Errorf("%s body one byte past the cap: status %d %s, want 400 naming the cap", path, rec.Code, rec.Body)
+		}
 	}
 	if after := metricsSnapshot(t, ts); after.Compute.Executed != before.Compute.Executed {
 		t.Errorf("an oversized body ran a computation: executed %d -> %d", before.Compute.Executed, after.Compute.Executed)
+	}
+	invalid := `{"app":"LULESH","ranks":0}`
+	atCap := io.MultiReader(io.LimitReader(spaces{}, 1<<20-int64(len(invalid))), strings.NewReader(invalid))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/design", atCap))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "non-positive node count 0") {
+		t.Errorf("design body at the cap: status %d %s, want 400 naming the rank count", rec.Code, rec.Body)
 	}
 }

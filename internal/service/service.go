@@ -81,14 +81,20 @@ import (
 	"netloc/internal/workloads"
 )
 
-// maxBodyBytes bounds every POST body, JSON requests and uploaded traces
-// alike; a longer body answers 400.
-const maxBodyBytes = 64 << 20
+// maxBodyBytes bounds an uploaded trace (/v1/traces/analyze and
+// /v1/design/trace), and maxJSONBytes a JSON request (/v1/design,
+// /v1/design/jobs and /v1/congestion), which is read whole before any
+// worker token is taken; a longer body answers 400.
+const (
+	maxBodyBytes = 64 << 20
+	maxJSONBytes = 1 << 20
+)
 
-// Options configures a Server. Every server bounds POST bodies to 64 MiB,
-// keeps design.DefaultJobCapacity design jobs and
-// workcache.DefaultMaxEntries workload artifacts (generated traces,
-// accumulated matrices and built topologies).
+// Options configures a Server. Every server bounds uploaded traces to
+// 64 MiB and JSON request bodies to 1 MiB, keeps
+// design.DefaultJobCapacity design jobs and workcache.DefaultMaxEntries
+// workload artifacts (generated traces, accumulated matrices and built
+// topologies).
 type Options struct {
 	// CacheEntries bounds the LRU result cache; 256 when zero.
 	CacheEntries int

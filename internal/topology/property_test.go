@@ -344,6 +344,97 @@ func TestAllFamiliesRoutingInvariants(t *testing.T) {
 	}
 }
 
+// The two facts Greedy and PathStats build on. On every family, nodes
+// split into BlockSize blocks (each case's nodes per switch, one node on
+// the torus and mesh, a leaf's nodes on the fat tree and every node at
+// one stage) whose nodes have equal HopCount to every other node; and a
+// torus or mesh HopCount is the sum of its axis distances, weighted or
+// not. Valiant shares its dragonfly's router blocks but not their hop
+// counts, so its blocks are single nodes: with the dragonfly's the rule
+// breaks.
+func TestBlockAndAxisHopCounts(t *testing.T) {
+	type blockCase struct {
+		topo Topology
+		size int
+	}
+	var cases []blockCase
+	for _, tc := range familyCases(t) {
+		cases = append(cases, blockCase{tc.topo, max(tc.perSwitch, 1)})
+	}
+	for _, c := range []struct{ radix, stages, size int }{{6, 1, 6}, {6, 3, 3}} {
+		ft, err := NewFatTree(c.radix, c.stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, blockCase{ft, c.size})
+	}
+	df, err := NewDragonfly(4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := NewValiant(df, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, blockCase{val, 1})
+	for _, c := range cases {
+		if b := BlockSize(c.topo); b != c.size {
+			t.Errorf("%s: BlockSize %d, want %d", c.topo.Name(), b, c.size)
+		}
+		if broken := blockRuleBreaks(t, c.topo, c.size); broken != 0 {
+			t.Errorf("%s: %d (node, third node) pairs break the block rule at block size %d", c.topo.Name(), broken, c.size)
+		}
+		tor, ok := c.topo.(*Torus)
+		if !ok {
+			continue
+		}
+		n := tor.Nodes()
+		row, weighted := tor.AxisRow(), tor.AxisRow()
+		for d := 0; d < n; d++ {
+			clear(row)
+			tor.AddAxisDistances(row, d, 1)
+			tor.AddAxisDistances(weighted, d, uint64(d+1))
+			for s := 0; s < n; s++ {
+				if got, want := tor.AxisSum(row, s), uint64(tor.HopCount(s, d)); got != want {
+					t.Fatalf("%s: axis distances from %d to %d sum to %d, HopCount %d", tor.Name(), s, d, got, want)
+				}
+			}
+		}
+		for s := 0; s < n; s++ {
+			var want uint64
+			for d := 0; d < n; d++ {
+				want += uint64(d+1) * uint64(tor.HopCount(s, d))
+			}
+			if got := tor.AxisSum(weighted, s); got != want {
+				t.Fatalf("%s: weighted axis sum at %d is %d, weighted hops %d", tor.Name(), s, got, want)
+			}
+		}
+	}
+	if broken := blockRuleBreaks(t, val, BlockSize(df)); broken == 0 {
+		t.Errorf("%s keeps the block rule at its dragonfly's block size %d: the exclusion is not needed", val.Name(), BlockSize(df))
+	}
+}
+
+// blockRuleBreaks counts the (node, third node) pairs at which a node's
+// HopCount, either way, differs from the first node's of its block.
+func blockRuleBreaks(t *testing.T, topo Topology, size int) int {
+	t.Helper()
+	n := topo.Nodes()
+	if n%size != 0 {
+		t.Fatalf("%s: %d nodes do not split into blocks of %d", topo.Name(), n, size)
+	}
+	broken := 0
+	for u := 0; u < n; u++ {
+		first := u - u%size
+		for w := 0; w < n; w++ {
+			if w != u && w != first && (topo.HopCount(u, w) != topo.HopCount(first, w) || topo.HopCount(w, u) != topo.HopCount(w, first)) {
+				broken++
+			}
+		}
+	}
+	return broken
+}
+
 // Property: every topology's Diameter bounds all pairwise hop counts and
 // is attained by some pair.
 func TestDiameterProperty(t *testing.T) {

@@ -133,3 +133,82 @@ func Diameter(t Topology) int {
 	}
 	return max
 }
+
+// BlockSize returns the size of a topology's node blocks: Nodes() splits
+// into contiguous blocks of that many nodes, and two nodes of one block
+// have equal HopCount to every other node, so a search over nodes may
+// score one node per block. A block is a switch's nodes on the dragonfly,
+// Slim Fly, Jellyfish and HyperX, a leaf switch's on the fat tree (all
+// nodes at one stage), and one node on the torus and mesh, whose nodes
+// are their own routers. Valiant shares its dragonfly's router blocks
+// but not their hop counts, since it hashes its pivot per node pair: it
+// has blocks of one node, as has any type not named here.
+func BlockSize(t Topology) int {
+	switch t := t.(type) {
+	case *FatTree:
+		if t.stages == 1 {
+			return t.nodes
+		}
+		return t.d
+	case *Dragonfly:
+		return t.perSwitch
+	case *SlimFly:
+		return t.perSwitch
+	case *Jellyfish:
+		return t.perSwitch
+	case *HyperX:
+		return t.perSwitch
+	case *Valiant:
+		return 1
+	}
+	return 1
+}
+
+// PathStats returns the mean hop count over ordered pairs of distinct
+// compute nodes (the mean path length under uniform traffic) and the
+// largest hop count, both 0 below two nodes. The hop total is an exact
+// integer summed without visiting every pair: per axis on the torus and
+// mesh (a coordinate pair on an axis of size k recurs (Nodes()/k)² times
+// among the node pairs), and elsewhere once per pair of blocks
+// (BlockSize) and once inside each block, weighted by the node pairs
+// each stands for. Each unordered pair is scored once and counted for
+// both orders: HopCount is symmetric under minimal routing
+// (TestAllFamiliesRoutingInvariants).
+func PathStats(t Topology) (mean float64, maxHops int) {
+	n := t.Nodes()
+	if n < 2 {
+		return 0, 0
+	}
+	var total uint64
+	if tor, ok := t.(*Torus); ok {
+		for _, size := range [3]int{tor.x, tor.y, tor.z} {
+			var sum uint64
+			axisMax := 0
+			for a := 0; a < size; a++ {
+				for b := 0; b < size; b++ {
+					d := tor.axisDist(a, b, size)
+					sum += uint64(d)
+					axisMax = max(axisMax, d)
+				}
+			}
+			per := uint64(n / size)
+			total += per * per * sum
+			maxHops += axisMax
+		}
+	} else {
+		b := BlockSize(t)
+		for s := 0; s < n; s += b {
+			if b > 1 {
+				h := t.HopCount(s, s+1)
+				total += uint64(b * (b - 1) * h)
+				maxHops = max(maxHops, h)
+			}
+			for d := s + b; d < n; d += b {
+				h := t.HopCount(s, d)
+				total += uint64(2 * b * b * h)
+				maxHops = max(maxHops, h)
+			}
+		}
+	}
+	return float64(total) / float64(n*(n-1)), maxHops
+}

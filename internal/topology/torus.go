@@ -139,14 +139,47 @@ func ringDist(a, b, size int) int {
 	return d
 }
 
-// HopCount implements Topology.
+// axisDist returns the hop distance between coordinates a and b on an
+// axis of the given size: the shorter way round on a torus, the
+// difference on a mesh.
+func (t *Torus) axisDist(a, b, size int) int {
+	if t.wrap {
+		return ringDist(a, b, size)
+	}
+	return absDiff(a, b)
+}
+
+// HopCount implements Topology: the sum of the per-axis distances.
 func (t *Torus) HopCount(src, dst int) int {
 	sx, sy, sz := t.coords(src)
 	dx, dy, dz := t.coords(dst)
-	if !t.wrap {
-		return absDiff(sx, dx) + absDiff(sy, dy) + absDiff(sz, dz)
+	return t.axisDist(sx, dx, t.x) + t.axisDist(sy, dy, t.y) + t.axisDist(sz, dz, t.z)
+}
+
+// AxisRow returns a zeroed axis row: one value per coordinate, the X
+// coordinates first, then the Y, then the Z.
+func (t *Torus) AxisRow() []uint64 { return make([]uint64, t.x+t.y+t.z) }
+
+// AddAxisDistances adds w times the distance from node's coordinate to
+// every coordinate of the same axis into row, an axis row.
+func (t *Torus) AddAxisDistances(row []uint64, node int, w uint64) {
+	base := 0
+	for i, size := range [3]int{t.x, t.y, t.z} {
+		c := int(t.coordTab[node*3+i])
+		for j := 0; j < size; j++ {
+			row[base+j] += w * uint64(t.axisDist(c, j, size))
+		}
+		base += size
 	}
-	return ringDist(sx, dx, t.x) + ringDist(sy, dy, t.y) + ringDist(sz, dz, t.z)
+}
+
+// AxisSum returns the sum of row's values at node's three coordinates.
+// A hop count is a sum of per-axis distances, so once AddAxisDistances
+// has added nodes n1..nk with weights w1..wk, AxisSum(row, v) is the sum
+// of wi × HopCount(v, ni).
+func (t *Torus) AxisSum(row []uint64, node int) uint64 {
+	c := t.coordTab[node*3 : node*3+3]
+	return row[c[0]] + row[t.x+int(c[1])] + row[t.x+t.y+int(c[2])]
 }
 
 func absDiff(a, b int) int {
@@ -239,8 +272,8 @@ type torusFlows struct {
 	load  FlowLoad
 	src   int      // current source node, -1 before the first flow
 	vec   []uint64 // bytes bound for each node from src; nil without links
-	// dist holds src's ring distances to every X coordinate, then every
-	// Y, then every Z, so a hop count is three lookups.
+	// dist is src's axis row (AddAxisDistances), so a hop count is
+	// three lookups.
 	dist []uint64
 }
 
@@ -249,28 +282,13 @@ func (a *torusFlows) visit(src, dst int, bytes, packets, messages uint64) {
 	if src != a.src {
 		a.sweep()
 		a.src = src
-		sx, sy, sz := t.coords(src)
-		t.ringDistances(a.dist[:t.x], sx, t.x)
-		t.ringDistances(a.dist[t.x:t.x+t.y], sy, t.y)
-		t.ringDistances(a.dist[t.x+t.y:], sz, t.z)
+		clear(a.dist)
+		t.AddAxisDistances(a.dist, src, 1)
 	}
-	c := t.coordTab[dst*3 : dst*3+3]
-	h := a.dist[c[0]] + a.dist[t.x+int(c[1])] + a.dist[t.x+t.y+int(c[2])]
+	h := t.AxisSum(a.dist, dst)
 	a.load.add(bytes, packets, messages, h, false) // a torus has no global links
 	if a.vec != nil {
 		a.vec[dst] += bytes
-	}
-}
-
-// ringDistances fills dist[c] with the hop distance from coordinate s to
-// c in a dimension of the given size.
-func (t *Torus) ringDistances(dist []uint64, s, size int) {
-	for c := range dist {
-		if t.wrap {
-			dist[c] = uint64(ringDist(s, c, size))
-		} else {
-			dist[c] = uint64(absDiff(s, c))
-		}
 	}
 }
 

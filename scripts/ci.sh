@@ -2,8 +2,8 @@
 # Full CI gate: static checks, build, the race-enabled test suite (which
 # exercises the deduplicating cache behind both the artifact store and
 # the service's result cache through internal/workcache's LRU storm
-# tests), the benchmark module's vet and tests, and the example smoke
-# tests.
+# tests), the benchmark module's vet and tests, and the examples, whose
+# output must equal their committed examples/<name>/testdata/output.txt.
 set -e
 cd "$(dirname "$0")/.."
 
