@@ -6,6 +6,8 @@
 package comm
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"netloc/internal/trace"
@@ -14,7 +16,7 @@ import (
 // Accumulate allocates per matrix row and per collective shape, never
 // per event: repeating every message of a trace k times leaves its
 // allocation count unchanged, for point-to-point sends (sparse rows) and
-// for coalesced allreduce rounds (dense rows) alike.
+// for coalesced allreduce rounds (one uniform term per row) alike.
 func TestAccumulateAllocsDoNotGrowWithMessages(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -37,5 +39,40 @@ func TestAccumulateAllocsDoNotGrowWithMessages(t *testing.T) {
 				t.Errorf("%s: Accumulate allocated %v objects at %d messages per pair and %v at 5", c.name, n, k, first)
 			}
 		}
+	}
+}
+
+// A collective that reaches every other rank costs memory per rank, not
+// per pair: one 8-byte allreduce per rank, at four times the ranks, may
+// allocate about four times as much (at most five), while its wire
+// matrix still reports all n(n−1) pairs. Expanded into pairs, the
+// allocation grows with the square of the ranks (16.2 MB at 512 ranks,
+// 262 MB at 2,048).
+func TestAccumulateAllreduceAllocsGrowWithRanksNotPairs(t *testing.T) {
+	allocated := func(ranks int) uint64 {
+		tr := collectiveTrace(ranks, 1)
+		for i := range tr.Events {
+			tr.Events[i].Bytes = 8
+		}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			acc, err := Accumulate(tr, AccumulateOptions{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ranks * (ranks - 1); acc.Wire.Pairs() != want {
+				t.Fatalf("%d ranks: %d wire pairs, want %d", ranks, acc.Wire.Pairs(), want)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := allocated(512), allocated(2048)
+	t.Logf("one allreduce per rank: %d B at 512 ranks, %d B at 2,048", small, large)
+	if large > 5*small {
+		t.Errorf("Accumulate allocated %d B at 2,048 ranks, %.1f times the %d B at 512", large, float64(large)/float64(small), small)
 	}
 }

@@ -6,6 +6,12 @@
 // are computed from) and the full wire matrix including expanded
 // collectives (what the topology-level metrics — packet hops, utilization —
 // are computed from). Accumulate builds both in one streaming pass.
+//
+// A collective that sends one message from its caller to every other rank
+// (under the paper's direct translation: allreduce, allgather, alltoall,
+// reduce-scatter, and bcast or scatter at the root) is stored as one
+// uniform term on the caller's wire row, not as ranks−1 pairs; every
+// reader still reports the fully expanded matrix.
 package comm
 
 import (
@@ -53,26 +59,50 @@ type Entry struct {
 	Packets  uint64
 }
 
+// Plus returns the sum of two entries.
+func (e Entry) Plus(o Entry) Entry {
+	return Entry{Bytes: e.Bytes + o.Bytes, Messages: e.Messages + o.Messages, Packets: e.Packets + o.Packets}
+}
+
 // Matrix is a communication matrix over ranks 0..Ranks-1, stored row-wise
 // (one destination row per source rank) so that per-source queries — which
 // the rank-level metrics issue for every rank — touch only that rank's
 // partners rather than the whole pair set.
 //
-// Each row starts as a sparse destination map; once a row's population
-// crosses denseThreshold (collective expansion fills rows toward all-to-all
-// density) it is promoted to a dense per-destination slice, where an entry
-// is present iff Messages != 0. Dense rows turn the AddN hot path into an
-// array index instead of a map assignment, which is where the accumulation
-// grid spent most of its allocations.
+// A row's own entries start as a sparse destination map; once the map
+// holds denseThreshold destinations the row is promoted to a dense
+// per-destination slice, where an entry is present iff Messages != 0.
+// Dense rows turn the AddN hot path into an array index instead of a map
+// assignment, which is where the accumulation grid spent most of its
+// allocations.
+//
+// Accumulate may also give a wire row a uniform term: one Entry added to
+// every destination except the source. When accumulation ends, each sparse
+// row that carries a term is frozen into a slice sorted by destination,
+// cut from one backing array per matrix, so that readers merge the term in
+// ascending destination order without map lookups. Rows without a term
+// keep their map or dense layout. A matrix built with NewMatrix and Add
+// has no terms.
 type Matrix struct {
 	ranks      int
 	packetSize int
 	sparse     []map[int]Entry
 	dense      [][]Entry
+	// uniform holds each row's uniform term, nil until accumulate adds
+	// the first; frozen holds the frozen rows, nil until accumulate ends.
+	uniform    []Entry
+	frozen     [][]DstEntry
 	pairs      int
 	totalBytes uint64
 	totalMsgs  uint64
 	totalPkts  uint64
+}
+
+// DstEntry is one entry of a frozen row: a destination rank and its own
+// traffic, without the row's uniform term.
+type DstEntry struct {
+	Dst int
+	Entry
 }
 
 // NewMatrix creates an empty matrix. packetSize <= 0 selects
@@ -98,14 +128,35 @@ func (m *Matrix) denseThreshold() int {
 	return t
 }
 
-// promoteRow converts a sparse row into its dense representation.
+// promoteRow converts a sparse or frozen row into its dense representation.
 func (m *Matrix) promoteRow(src int) {
 	d := make([]Entry, m.ranks)
 	for dst, e := range m.sparse[src] {
 		d[dst] = e
 	}
-	m.dense[src] = d
-	m.sparse[src] = nil
+	if f := m.frozenRow(src); f != nil {
+		for _, e := range f {
+			d[e.Dst] = e.Entry
+		}
+		m.frozen[src] = nil
+	}
+	m.dense[src], m.sparse[src] = d, nil
+}
+
+// term returns src's uniform term, zero when the row has none.
+func (m *Matrix) term(src int) Entry {
+	if m.uniform == nil {
+		return Entry{}
+	}
+	return m.uniform[src]
+}
+
+// frozenRow returns src's frozen entries, nil when the row is not frozen.
+func (m *Matrix) frozenRow(src int) []DstEntry {
+	if m.frozen == nil {
+		return nil
+	}
+	return m.frozen[src]
 }
 
 // Ranks returns the rank-space size of the matrix.
@@ -143,9 +194,14 @@ func (m *Matrix) AddN(src, dst int, bytes uint64, n uint64) error {
 			n, bytes, src, dst, uint64(MaxVolume))
 	}
 	pkts := m.PacketsFor(bytes) * n
+	// A pair that the row's uniform term reaches is counted already.
+	counted := m.term(src).Messages != 0
+	if counted && m.frozen != nil && m.dense[src] == nil {
+		m.promoteRow(src) // a frozen row takes new entries densely
+	}
 	if d := m.dense[src]; d != nil {
 		e := &d[dst]
-		if e.Messages == 0 {
+		if e.Messages == 0 && !counted {
 			m.pairs++
 		}
 		e.Bytes += bytes * n
@@ -158,7 +214,7 @@ func (m *Matrix) AddN(src, dst int, bytes uint64, n uint64) error {
 			m.sparse[src] = row
 		}
 		e, existed := row[dst]
-		if !existed {
+		if !existed && !counted {
 			m.pairs++
 		}
 		e.Bytes += bytes * n
@@ -173,6 +229,71 @@ func (m *Matrix) AddN(src, dst int, bytes uint64, n uint64) error {
 	m.totalMsgs += n
 	m.totalPkts += pkts
 	return nil
+}
+
+// addUniform records n >= 1 rounds of a collective shape that sends a
+// message of the given size from src to every other rank, as src's
+// uniform term. Only accumulate calls it, before it freezes the matrix.
+func (m *Matrix) addUniform(src int, bytes, n uint64) error {
+	others := uint64(m.ranks - 1)
+	hi, perDst := bits.Mul64(bytes, n)
+	hi2, vol := bits.Mul64(perDst, others)
+	if hi != 0 || hi2 != 0 || vol > MaxVolume-m.totalBytes {
+		return fmt.Errorf("comm: %d rounds of %d B from rank %d to each of the %d other ranks take the matrix past %d B (MaxVolume)",
+			n, bytes, src, others, uint64(MaxVolume))
+	}
+	if m.uniform == nil {
+		m.uniform = make([]Entry, m.ranks)
+	}
+	u := &m.uniform[src]
+	if u.Messages == 0 {
+		// The term reaches every other rank: the pairs the row did not
+		// hold yet are new.
+		own := len(m.sparse[src])
+		for _, e := range m.dense[src] {
+			if e.Messages != 0 {
+				own++
+			}
+		}
+		m.pairs += m.ranks - 1 - own
+	}
+	pkts := m.PacketsFor(bytes) * n
+	u.Bytes += perDst
+	u.Messages += n
+	u.Packets += pkts
+	m.totalBytes += vol
+	m.totalMsgs += n * others
+	m.totalPkts += pkts * others
+	return nil
+}
+
+// freeze stores each sparse row that carries a uniform term as a slice
+// sorted by destination, all cut from one backing array. Rows without a
+// term keep their map or dense layout.
+func (m *Matrix) freeze() {
+	if m.uniform == nil {
+		return
+	}
+	n := 0
+	for src, u := range m.uniform {
+		if u.Messages != 0 {
+			n += len(m.sparse[src])
+		}
+	}
+	all := make([]DstEntry, 0, n)
+	m.frozen = make([][]DstEntry, m.ranks)
+	for src, u := range m.uniform {
+		if u.Messages == 0 || len(m.sparse[src]) == 0 {
+			continue
+		}
+		start := len(all)
+		for dst, e := range m.sparse[src] {
+			all = append(all, DstEntry{Dst: dst, Entry: e})
+		}
+		row := all[start:len(all):len(all)]
+		slices.SortFunc(row, func(a, b DstEntry) int { return cmp.Compare(a.Dst, b.Dst) })
+		m.frozen[src], m.sparse[src] = row, nil
+	}
 }
 
 // Pairs returns the number of ordered rank pairs with recorded traffic.
@@ -192,15 +313,25 @@ func (m *Matrix) Lookup(src, dst int) Entry {
 	if src < 0 || src >= m.ranks || dst < 0 || dst >= m.ranks {
 		return Entry{}
 	}
+	var e Entry
 	if d := m.dense[src]; d != nil {
-		return d[dst]
+		e = d[dst]
+	} else if f := m.frozenRow(src); f != nil {
+		if i, ok := slices.BinarySearchFunc(f, dst, func(x DstEntry, dst int) int { return cmp.Compare(x.Dst, dst) }); ok {
+			e = f[i].Entry
+		}
+	} else {
+		e = m.sparse[src][dst]
 	}
-	return m.sparse[src][dst]
+	if dst == src {
+		return e
+	}
+	return e.Plus(m.term(src))
 }
 
 // Each calls fn for every (pair, entry) with recorded traffic, in
-// ascending source order; destination order within a source is
-// unspecified.
+// ascending source order; destinations within a source come in EachDst's
+// order.
 func (m *Matrix) Each(fn func(k Key, e Entry)) {
 	for src := 0; src < m.ranks; src++ {
 		m.EachDst(src, func(dst int, e Entry) {
@@ -210,73 +341,88 @@ func (m *Matrix) Each(fn func(k Key, e Entry)) {
 }
 
 // EachDst calls fn for every recorded destination of the given source
-// rank; destination order is unspecified. It is the allocation-free
+// rank, with the row's uniform term merged in. Dense rows and rows with a
+// uniform term are visited in ascending destination order; the order of a
+// sparse row without one is unspecified. It is the allocation-free
 // alternative to BySource for callers that stream rather than slice.
 func (m *Matrix) EachDst(src int, fn func(dst int, e Entry)) {
 	if src < 0 || src >= m.ranks {
 		return
 	}
-	if d := m.dense[src]; d != nil {
-		for dst := range d {
-			if d[dst].Messages != 0 {
-				fn(dst, d[dst])
-			}
+	row, ok := m.Row(src)
+	if !ok {
+		for dst, e := range m.sparse[src] {
+			fn(dst, e)
 		}
 		return
 	}
-	for dst, e := range m.sparse[src] {
-		fn(dst, e)
+	frozen := row.Sorted
+	for dst := 0; dst < m.ranks; dst++ {
+		var e Entry
+		if row.Dense != nil {
+			e = row.Dense[dst]
+		} else if len(frozen) > 0 && frozen[0].Dst == dst {
+			e, frozen = frozen[0].Entry, frozen[1:]
+		}
+		if dst != src {
+			e = e.Plus(row.Uniform)
+		}
+		if e.Messages != 0 {
+			fn(dst, e)
+		}
 	}
 }
 
-// DenseRow returns src's row indexed by destination rank when the row is
-// stored densely, and nil when it is sparse; EachDst visits either. A
-// destination without traffic has a zero Entry. The slice is the
-// matrix's own; do not modify it.
-func (m *Matrix) DenseRow(src int) []Entry {
+// RowView is one source row read in place. When Dense is non-nil it holds
+// the row's own entries indexed by destination rank, a destination without
+// its own traffic having a zero Entry; otherwise Sorted lists them in
+// ascending destination order. Uniform, which may be zero, is added to
+// every destination except the source. The slices are the matrix's own; do
+// not modify them.
+type RowView struct {
+	Dense   []Entry
+	Sorted  []DstEntry
+	Uniform Entry
+}
+
+// Row returns src's row for reading in place. It returns false for a
+// sparse row without a uniform term, which only EachDst visits.
+func (m *Matrix) Row(src int) (RowView, bool) {
 	if src < 0 || src >= m.ranks {
-		return nil
+		return RowView{}, false
 	}
-	return m.dense[src]
+	u := m.term(src)
+	if m.dense[src] == nil && u.Messages == 0 {
+		return RowView{}, false
+	}
+	return RowView{Dense: m.dense[src], Sorted: m.frozenRow(src), Uniform: u}, true
 }
 
 // BySource returns, for the given source rank, the destination ranks it
-// sends to and the per-destination byte volumes (parallel slices, order
-// unspecified).
+// sends to and the per-destination byte volumes (parallel slices, in
+// EachDst's order).
 func (m *Matrix) BySource(src int) (dsts []int, vols []float64) {
 	return m.AppendBySource(src, nil, nil)
 }
 
 // AppendBySource appends the destination ranks and per-destination byte
-// volumes of src onto the given slices (which may be nil) and returns
-// them, letting per-rank metric loops reuse scratch buffers instead of
-// allocating a fresh pair per rank. When the row is empty the inputs are
-// returned unchanged, so a nil-in/nil-out call matches BySource.
+// volumes of src, in EachDst's order, onto the given slices (which may be
+// nil) and returns them, letting per-rank metric loops reuse scratch
+// buffers instead of allocating a fresh pair per rank. When the row is
+// empty the inputs are returned unchanged, so a nil-in/nil-out call
+// matches BySource.
 func (m *Matrix) AppendBySource(src int, dsts []int, vols []float64) ([]int, []float64) {
 	if src < 0 || src >= m.ranks {
 		return dsts, vols
 	}
-	if d := m.dense[src]; d != nil {
-		for dst := range d {
-			if d[dst].Messages != 0 {
-				dsts = append(dsts, dst)
-				vols = append(vols, float64(d[dst].Bytes))
-			}
-		}
-		return dsts, vols
-	}
-	row := m.sparse[src]
-	if len(row) == 0 {
-		return dsts, vols
-	}
-	if dsts == nil {
+	if row := m.sparse[src]; dsts == nil && len(row) > 0 {
 		dsts = make([]int, 0, len(row))
 		vols = make([]float64, 0, len(row))
 	}
-	for dst, e := range row {
+	m.EachDst(src, func(dst int, e Entry) {
 		dsts = append(dsts, dst)
 		vols = append(vols, float64(e.Bytes))
-	}
+	})
 	return dsts, vols
 }
 
@@ -306,14 +452,7 @@ type AccumulateOptions struct {
 
 // Accumulate builds the P2P and wire matrices from a materialized trace.
 func Accumulate(t *trace.Trace, opts AccumulateOptions) (*Accumulated, error) {
-	i := 0
-	return accumulate(t.Meta, opts, func() (trace.Event, error) {
-		if i == len(t.Events) {
-			return trace.Event{}, io.EOF
-		}
-		i++
-		return t.Events[i-1], nil
-	})
+	return accumulate(t.Meta, opts, func() ([]trace.Event, error) { return t.Events, io.EOF })
 }
 
 // AccumulateParallel is Accumulate; the runner is ignored. It remains
@@ -326,9 +465,20 @@ func AccumulateParallel(t *trace.Trace, opts AccumulateOptions, _ parallel.Runne
 }
 
 // AccumulateStream builds the matrices from a streaming trace reader,
-// without materializing the event list.
+// without materializing the event list: it reads the events into one
+// reused buffer of 256.
 func AccumulateStream(r *trace.Reader, opts AccumulateOptions) (*Accumulated, error) {
-	return accumulate(r.Meta(), opts, r.Read)
+	buf := make([]trace.Event, 256)
+	return accumulate(r.Meta(), opts, func() ([]trace.Event, error) {
+		for n := range buf {
+			e, err := r.Read()
+			if err != nil {
+				return buf[:n], err
+			}
+			buf[n] = e
+		}
+		return buf, nil
+	})
 }
 
 // collKey identifies a collective event shape; identical collective rounds
@@ -342,11 +492,14 @@ type collKey struct {
 	bytes uint64
 }
 
-// accumulate is the one event loop behind Accumulate and AccumulateStream:
-// it reads events from next until io.EOF, records point-to-point messages
+// accumulate is the one event loop behind Accumulate and AccumulateStream.
+// It takes batches of events from next (which returns io.EOF, or another
+// error, with the events it read last), records point-to-point messages
 // as they come, counts collective shapes, and expands each counted shape
-// into the wire matrix once the stream ends.
-func accumulate(meta trace.Meta, opts AccumulateOptions, next func() (trace.Event, error)) (*Accumulated, error) {
+// into the wire matrix once the stream ends: into a uniform term when it
+// sends one message to every other rank (reachesAll). Then the wire
+// matrix is frozen.
+func accumulate(meta trace.Meta, opts AccumulateOptions, next func() ([]trace.Event, error)) (*Accumulated, error) {
 	world, err := mpi.World(meta.Ranks)
 	if err != nil {
 		return nil, err
@@ -363,16 +516,19 @@ func accumulate(meta trace.Meta, opts AccumulateOptions, next func() (trace.Even
 	expand := mpi.ExpandOptions{Strategy: opts.Strategy}
 	colls := make(map[collKey]uint64)
 	var buf []mpi.Message
-	for i := 0; ; i++ {
-		e, err := next()
-		if err == io.EOF {
+	for i := 0; ; {
+		batch, readErr := next()
+		for j := range batch {
+			if buf, err = acc.addEvent(&batch[j], world, expand, colls, buf); err != nil {
+				return nil, fmt.Errorf("comm: event %d: %w", i, err)
+			}
+			i++
+		}
+		if readErr == io.EOF {
 			break
 		}
-		if err != nil {
-			return nil, err
-		}
-		if buf, err = acc.addEvent(e, world, expand, colls, buf); err != nil {
-			return nil, fmt.Errorf("comm: event %d: %w", i, err)
+		if readErr != nil {
+			return nil, readErr
 		}
 	}
 	// Shapes expand in sorted order so that a trace whose collectives take
@@ -385,25 +541,50 @@ func accumulate(meta trace.Meta, opts AccumulateOptions, next func() (trace.Even
 	slices.SortFunc(shapes, func(a, b collKey) int {
 		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.op, b.op), cmp.Compare(a.root, b.root), cmp.Compare(a.bytes, b.bytes))
 	})
-	for _, k := range shapes {
+	seen := make([]int, meta.Ranks)
+	for i, k := range shapes {
 		e := trace.Event{Rank: k.rank, Op: k.op, Peer: -1, Root: k.root, Bytes: k.bytes}
 		if buf, err = mpi.ExpandEvent(buf[:0], e, world, expand); err != nil {
 			return nil, err
 		}
 		count := colls[k]
+		if reachesAll(buf, k.rank, seen, i+1) {
+			if err := wire.addUniform(k.rank, buf[0].Bytes, count); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		for _, msg := range buf {
 			if err := wire.AddN(msg.Src, msg.Dst, msg.Bytes, count); err != nil {
 				return nil, err
 			}
 		}
 	}
+	wire.freeze()
 	return acc, nil
+}
+
+// reachesAll reports whether msgs sends one message of one size from src
+// to every other rank: one message per other rank, all from src with
+// equal bytes, to distinct destinations other than src. seen holds one
+// mark per rank, none equal to stamp, and is left marked with stamp.
+func reachesAll(msgs []mpi.Message, src int, seen []int, stamp int) bool {
+	if len(msgs) == 0 || len(msgs) != len(seen)-1 {
+		return false
+	}
+	for _, msg := range msgs {
+		if msg.Src != src || msg.Bytes != msgs[0].Bytes || msg.Dst == src || seen[msg.Dst] == stamp {
+			return false
+		}
+		seen[msg.Dst] = stamp
+	}
+	return true
 }
 
 // addEvent records one traced event: a collective is validated and
 // counted by shape in colls, anything else is expanded into buf (returned
 // for reuse) and added to the matrices.
-func (a *Accumulated) addEvent(e trace.Event, world *mpi.Comm, expand mpi.ExpandOptions, colls map[collKey]uint64, buf []mpi.Message) ([]mpi.Message, error) {
+func (a *Accumulated) addEvent(e *trace.Event, world *mpi.Comm, expand mpi.ExpandOptions, colls map[collKey]uint64, buf []mpi.Message) ([]mpi.Message, error) {
 	switch {
 	case e.Op == trace.OpSend:
 		if err := addVolume(&a.CallerP2PBytes, e.Bytes, "point-to-point"); err != nil {
@@ -419,7 +600,7 @@ func (a *Accumulated) addEvent(e trace.Event, world *mpi.Comm, expand mpi.Expand
 		colls[collKey{rank: e.Rank, op: e.Op, root: e.Root, bytes: e.Bytes}]++
 		return buf, nil
 	}
-	buf, err := mpi.ExpandEvent(buf[:0], e, world, expand)
+	buf, err := mpi.ExpandEvent(buf[:0], *e, world, expand)
 	if err != nil {
 		return buf, err
 	}

@@ -2,10 +2,13 @@ package comm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"netloc/internal/mpi"
 	"netloc/internal/trace"
 )
 
@@ -264,27 +267,83 @@ func TestAccumulateDominanceProperty(t *testing.T) {
 // matrix through the streaming accessors (EachDst, AppendBySource) and
 // the reference ones (Each, BySource), on both sides of the
 // dense-promotion threshold: hot rows (promoted to the dense slice) and
-// sparse rows must report identical contents.
+// sparse rows must report identical contents. An accumulated wire matrix
+// adds uniform rows (a term only, a term plus sparse entries, a term plus
+// a dense row); as built, all dense, and frozen again, it must read like
+// the pair-by-pair expansion of its trace.
 func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 	const ranks = 96 // threshold = 24: rows below stay sparse, above go dense
 	m := mustMatrix(t, ranks, 0)
 	rng := rand.New(rand.NewSource(7))
+	tr := &trace.Trace{Meta: trace.Meta{App: "rows", Ranks: ranks, WallTime: 1}}
 	for src := 0; src < ranks; src++ {
 		dsts := 3 + rng.Intn(8) // sparse
 		if src%2 == 0 {
 			dsts = 30 + rng.Intn(40) // past the threshold: promoted
+		}
+		if src%4 == 3 {
+			dsts = 0
 		}
 		for j := 0; j < dsts; j++ {
 			dst := rng.Intn(ranks)
 			if dst == src {
 				continue
 			}
-			if err := m.Add(src, dst, uint64(1+rng.Intn(1<<16))); err != nil {
+			bytes := uint64(1 + rng.Intn(1<<16))
+			if err := m.Add(src, dst, bytes); err != nil {
 				t.Fatal(err)
 			}
+			tr.Events = append(tr.Events, trace.Event{Rank: src, Op: trace.OpSend, Peer: dst, Root: -1, Bytes: bytes})
+		}
+		if src%4 != 0 {
+			tr.Events = append(tr.Events, trace.Event{Rank: src, Op: trace.OpAllreduce, Peer: -1, Root: -1, Bytes: uint64(src)})
 		}
 	}
+	checkRowAccessors(t, "added", m)
+	acc, err := Accumulate(tr, AccumulateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := expandEach(t, tr, mpi.StrategyDirect)
+	sameMatrix(t, "accumulated", acc.Wire, want)
+	for _, dense := range []bool{true, false} {
+		acc.Wire.Relayout(dense)
+		sameMatrix(t, fmt.Sprintf("relaid out (dense %v)", dense), acc.Wire, want)
+	}
+}
 
+// Adding to an accumulated matrix keeps every reader exact: a frozen row
+// that takes more traffic is stored densely, and a pair that the row's
+// uniform term already reaches is not counted again.
+func TestAddAfterAccumulate(t *testing.T) {
+	acc, err := Accumulate(testTrace(), AccumulateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := acc.Wire
+	if err := w.Add(0, 1, 8); err != nil { // the row's frozen entry
+		t.Fatal(err)
+	}
+	if err := w.Add(0, 2, 50); err != nil { // reached by the term only
+		t.Fatal(err)
+	}
+	if got, want := w.Lookup(0, 1), (Entry{Bytes: 8192 + 100 + 8, Messages: 3, Packets: 4}); got != want {
+		t.Errorf("0->1 = %+v, want %+v", got, want)
+	}
+	if got, want := w.Lookup(0, 2), (Entry{Bytes: 150, Messages: 2, Packets: 2}); got != want {
+		t.Errorf("0->2 = %+v, want %+v", got, want)
+	}
+	if w.Pairs() != 12 || w.TotalBytes() != 8192+1200+58 || w.TotalMessages() != 1+12+2 {
+		t.Errorf("pairs %d, %d B, %d messages; want 12, %d B, 15", w.Pairs(), w.TotalBytes(), w.TotalMessages(), 8192+1200+58)
+	}
+	checkRowAccessors(t, "added after accumulating", w)
+}
+
+// checkRowAccessors compares, row by row, what EachDst and
+// AppendBySource report with what Each and BySource report.
+func checkRowAccessors(t *testing.T, name string, m *Matrix) {
+	t.Helper()
+	ranks := m.Ranks()
 	// Reference: every pair seen by Each, grouped by source.
 	type row map[int]Entry
 	want := make([]row, ranks)
@@ -298,32 +357,32 @@ func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 		got := row{}
 		m.EachDst(src, func(dst int, e Entry) {
 			if _, dup := got[dst]; dup {
-				t.Fatalf("src %d: EachDst visited dst %d twice", src, dst)
+				t.Fatalf("%s: src %d: EachDst visited dst %d twice", name, src, dst)
 			}
 			got[dst] = e
 		})
 		if len(got) != len(want[src]) {
-			t.Fatalf("src %d: EachDst saw %d dsts, Each saw %d", src, len(got), len(want[src]))
+			t.Fatalf("%s: src %d: EachDst saw %d dsts, Each saw %d", name, src, len(got), len(want[src]))
 		}
 		for dst, e := range want[src] {
-			if got[dst] != e {
-				t.Fatalf("src %d->%d: EachDst entry %+v != Each entry %+v", src, dst, got[dst], e)
+			if got[dst] != e || m.Lookup(src, dst) != e {
+				t.Fatalf("%s: src %d->%d: EachDst entry %+v, Lookup %+v != Each entry %+v", name, src, dst, got[dst], m.Lookup(src, dst), e)
 			}
 		}
 
 		bd, bv := m.BySource(src)
 		ad, av := m.AppendBySource(src, scratchD[:0], scratchV[:0])
-		if len(ad) != len(bd) || len(av) != len(bv) {
-			t.Fatalf("src %d: AppendBySource lengths (%d,%d) != BySource (%d,%d)",
-				src, len(ad), len(av), len(bd), len(bv))
+		if len(ad) != len(bd) || len(av) != len(bv) || len(bd) != len(want[src]) {
+			t.Fatalf("%s: src %d: AppendBySource lengths (%d,%d) != BySource (%d,%d)",
+				name, src, len(ad), len(av), len(bd), len(bv))
 		}
 		bySrc := map[int]float64{}
 		for i, d := range bd {
 			bySrc[d] = bv[i]
 		}
 		for i, d := range ad {
-			if bySrc[d] != av[i] {
-				t.Fatalf("src %d dst %d: AppendBySource vol %g != BySource %g", src, d, av[i], bySrc[d])
+			if bySrc[d] != av[i] || float64(want[src][d].Bytes) != av[i] {
+				t.Fatalf("%s: src %d dst %d: AppendBySource vol %g != BySource %g", name, src, d, av[i], bySrc[d])
 			}
 		}
 	}
@@ -358,7 +417,10 @@ func TestAddNRejectsVolumePastCeiling(t *testing.T) {
 
 // Two 2^63-byte sends used to wrap the wire volume to the third send's
 // 1,000 bytes, and two 2^63-byte barriers (which put nothing on the
-// wire) the caller-side collective total to 0; both must fail.
+// wire) the caller-side collective total to 0; both must fail. So must
+// an allreduce of MaxVolume bytes over 65,538 ranks: its caller total and
+// bytes × rounds stay at the ceiling, but × (ranks−1) passes 2^64, where
+// it would wrap to 2^48. Each fails the same way on every run.
 func TestAccumulateRejectsWrappingVolume(t *testing.T) {
 	meta := trace.Meta{App: "t", Ranks: 2, WallTime: 1}
 	sends := &trace.Trace{Meta: meta, Events: []trace.Event{
@@ -370,10 +432,20 @@ func TestAccumulateRejectsWrappingVolume(t *testing.T) {
 		{Rank: 0, Op: trace.OpBarrier, Peer: -1, Root: -1, Bytes: 1 << 63},
 		{Rank: 1, Op: trace.OpBarrier, Peer: -1, Root: -1, Bytes: 1 << 63},
 	}}
-	for name, tr := range map[string]*trace.Trace{"sends": sends, "barriers": barriers} {
-		if acc, err := Accumulate(tr, AccumulateOptions{}); err == nil {
+	wide := &trace.Trace{Meta: trace.Meta{App: "t", Ranks: 1<<16 + 2, WallTime: 1}, Events: []trace.Event{
+		{Rank: 0, Op: trace.OpAllreduce, Peer: -1, Root: -1, Bytes: MaxVolume},
+	}}
+	for name, tr := range map[string]*trace.Trace{"sends": sends, "barriers": barriers, "wide allreduce": wide} {
+		acc, err := Accumulate(tr, AccumulateOptions{})
+		if err == nil {
 			t.Fatalf("%s: accepted with wire volume %d B, caller totals %d/%d B",
 				name, acc.Wire.TotalBytes(), acc.CallerP2PBytes, acc.CallerCollBytes)
+		}
+		if !strings.Contains(err.Error(), "MaxVolume") {
+			t.Errorf("%s: error %q does not name MaxVolume", name, err)
+		}
+		if _, again := Accumulate(tr, AccumulateOptions{}); again == nil || again.Error() != err.Error() {
+			t.Errorf("%s: failed with %v, then with %v", name, err, again)
 		}
 	}
 }

@@ -176,10 +176,12 @@ func (r Request) prepare(opts core.Options) (Request, error) {
 // configuration at all; services map it to a 400.
 var ErrNoCandidates = errors.New("design: no feasible candidates")
 
-// Validate checks a canonicalized request the way the service validates
-// rank parameters: structured errors listing the admissible values,
-// never a panic or a silent empty sheet.
+// Validate canonicalizes the request (defaults filled in, as the search
+// does) and checks it the way the service validates rank parameters:
+// structured errors listing the admissible values, never a panic or a
+// silent empty sheet.
 func (r Request) Validate() error {
+	r = r.withDefaults()
 	if r.Trace == nil {
 		if r.App == "" {
 			return errors.New("design: missing app (or trace) in request")

@@ -115,40 +115,45 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 	}
 	// Sources go in rank order, so a consecutive mapping hands the
 	// topology its flows grouped by source node and source switch. Dense
-	// rows, which hold almost every pair of the large configurations,
-	// are read in place rather than through EachDst's callback.
+	// rows and rows with a uniform term, which hold almost every pair of
+	// the large configurations, are read in place rather than through
+	// EachDst's callback.
 	nodeOf := mp.NodeTable()
 	load, err := topo.AccumulateFlows(func(visit func(src, dst int, bytes, packets, messages uint64)) {
 		var inter, intra, msgs, pkts uint64
+		ns := 0
+		flow := func(dst int, e comm.Entry) {
+			if nd := nodeOf[dst]; nd != ns {
+				inter += e.Bytes
+				msgs += e.Messages
+				pkts += e.Packets
+				visit(ns, nd, e.Bytes, e.Packets, e.Messages)
+			} else {
+				intra += e.Bytes
+			}
+		}
 		for src := 0; src < m.Ranks(); src++ {
-			ns := nodeOf[src]
-			if row := m.DenseRow(src); row != nil {
-				for dst := range row {
-					e := &row[dst]
-					if e.Messages == 0 {
-						continue
-					}
-					if nd := nodeOf[dst]; nd != ns {
-						inter += e.Bytes
-						msgs += e.Messages
-						pkts += e.Packets
-						visit(ns, nd, e.Bytes, e.Packets, e.Messages)
-					} else {
-						intra += e.Bytes
-					}
-				}
+			ns = nodeOf[src]
+			row, ok := m.Row(src)
+			if !ok {
+				m.EachDst(src, flow)
 				continue
 			}
-			m.EachDst(src, func(dst int, e comm.Entry) {
-				if nd := nodeOf[dst]; nd != ns {
-					inter += e.Bytes
-					msgs += e.Messages
-					pkts += e.Packets
-					visit(ns, nd, e.Bytes, e.Packets, e.Messages)
-				} else {
-					intra += e.Bytes
+			sorted := row.Sorted
+			for dst := 0; dst < m.Ranks(); dst++ {
+				var e comm.Entry
+				if row.Dense != nil {
+					e = row.Dense[dst]
+				} else if len(sorted) > 0 && sorted[0].Dst == dst {
+					e, sorted = sorted[0].Entry, sorted[1:]
 				}
-			})
+				if dst != src {
+					e = e.Plus(row.Uniform)
+				}
+				if e.Messages != 0 {
+					flow(dst, e)
+				}
+			}
 		}
 		res.InterNodeBytes, res.IntraNodeBytes, res.Messages, res.Packets = inter, intra, msgs, pkts
 	}, res.LinkBytes)

@@ -31,9 +31,11 @@ func (s *Server) designSearch(ctx context.Context, req design.Request, opts core
 	return sheet, err
 }
 
-// decodeDesignRequest reads the JSON body of a design request. Unknown
-// fields are rejected so typos in constraint names fail loudly instead
-// of silently designing against defaults.
+// decodeDesignRequest reads the JSON body of a design request and checks
+// it as the search will (Validate, then the server's rank cap), so that a
+// bad request answers 400 before admission: it takes no worker token and
+// runs nothing. Unknown fields are rejected so typos in constraint names
+// fail loudly instead of silently designing against defaults.
 func (s *Server) decodeDesignRequest(w http.ResponseWriter, r *http.Request) (design.Request, error) {
 	var req design.Request
 	body := http.MaxBytesReader(w, r.Body, maxJSONBytes)
@@ -42,6 +44,12 @@ func (s *Server) decodeDesignRequest(w http.ResponseWriter, r *http.Request) (de
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("service: bad design request body: %w", err)
+	}
+	if err := req.Validate(); err != nil {
+		return req, err
+	}
+	if err := s.opts.Analysis.CheckRanks(req.Ranks); err != nil {
+		return req, fmt.Errorf("design: %w", err)
 	}
 	return req, nil
 }

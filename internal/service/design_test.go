@@ -455,7 +455,7 @@ func (spaces) Read(p []byte) (int, error) {
 // below the 64 MiB trace upload cap: a design or congestion body of
 // whitespace one byte past it answers 400 naming the cap and runs no
 // computation, while a design body of exactly 1 MiB is read whole and
-// answers its validation error.
+// answers its validation error, also before any computation runs.
 func TestBodyCapBoundsJSONRequests(t *testing.T) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
@@ -477,5 +477,8 @@ func TestBodyCapBoundsJSONRequests(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/design", atCap))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "non-positive node count 0") {
 		t.Errorf("design body at the cap: status %d %s, want 400 naming the rank count", rec.Code, rec.Body)
+	}
+	if after := metricsSnapshot(t, ts); after.Compute.Executed != before.Compute.Executed {
+		t.Errorf("an invalid design body ran a computation: executed %d -> %d", before.Compute.Executed, after.Compute.Executed)
 	}
 }

@@ -54,13 +54,14 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 # (seeds only — no fuzzing engine) so a corpus entry that starts
 # crashing fails CI before any long fuzz run would find it.
 echo "=== go test (fuzz seed corpora) ==="
-go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./internal/dumpi
+go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./internal/dumpi ./internal/comm
 
 # Allocation pins are built only without -race (the race runtime
 # allocates on its own), so the -race runs above never reach them: run
 # them here without it. They pin that a workcache hit allocates only its
 # key, that trace accumulation's allocation count does not grow with the
-# messages per rank pair, that a congest tolerance probe and a lean
+# messages per rank pair and an allreduce's allocation grows with the
+# ranks, not the rank pairs, that a congest tolerance probe and a lean
 # simnet replay allocate nothing per message, that a netmodel run
 # allocates no more than its pinned ceilings, that Greedy's allocation
 # count does not grow with the rank count, and that Route into a warm
