@@ -39,7 +39,7 @@ func main() {
 	// Pencil FFT: every rank transposes within its row communicator,
 	// then within its column communicator. Expand the allgather-pattern
 	// transposes on those sub-communicators into wire messages.
-	pencil, err := comm.NewMatrix(ranks, 0)
+	pencil, err := comm.NewBuilder(ranks, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func main() {
 
 	// Reference: the paper's BigFFT pattern — the same volume as one
 	// global all-to-all on MPI_COMM_WORLD.
-	global, err := comm.NewMatrix(ranks, 0)
+	global, err := comm.NewBuilder(ranks, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func main() {
 		name string
 		m    *comm.Matrix
 	}{
-		{"pencil (row+col sub-comms)", pencil},
-		{"global all-to-all", global},
+		{"pencil (row+col sub-comms)", pencil.Matrix()},
+		{"global all-to-all", global.Matrix()},
 	} {
 		res, err := netmodel.Run(c.m, topo, mp, netmodel.Options{WallTime: 1, TrackLinks: true})
 		if err != nil {

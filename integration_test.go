@@ -212,7 +212,7 @@ func TestMappingPipelineImprovesScrambledPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := comm.NewMatrix(64, 0)
+	builder, err := comm.NewBuilder(64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,12 @@ func TestMappingPipelineImprovesScrambledPattern(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		if p := rev6(i); p != i {
-			if err := m.Add(i, p, 100000); err != nil {
+			if err := builder.Add(i, p, 100000); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	m := builder.Matrix()
 	cons, err := mapping.Consecutive(64, 64)
 	if err != nil {
 		t.Fatal(err)

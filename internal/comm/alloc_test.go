@@ -76,3 +76,37 @@ func TestAccumulateAllreduceAllocsGrowWithRanksNotPairs(t *testing.T) {
 		t.Errorf("Accumulate allocated %d B at 2,048 ranks, %.1f times the %d B at 512", large, float64(large)/float64(small), small)
 	}
 }
+
+// Builder.Matrix sorts every sparse row into one backing array, so ending
+// a build makes the same few allocations at 64 sparse rows and at 4,096.
+func TestBuilderMatrixAllocsDoNotGrowWithRows(t *testing.T) {
+	const runs = 3
+	allocs := func(ranks int) float64 {
+		builders := make([]*Builder, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range builders {
+			b, err := NewBuilder(ranks, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for src := 0; src < ranks; src++ {
+				for _, d := range []int{1, 7, 31} {
+					if err := b.Add(src, (src+d)%ranks, 64); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			builders[i] = b
+		}
+		// A collection that starts during the measurement may start the
+		// collector's worker goroutines, which count as allocations.
+		runtime.GC()
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			builders[next].Matrix()
+			next++
+		})
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Errorf("Builder.Matrix made %v allocations at 64 sparse rows and %v at 4,096", small, large)
+	}
+}

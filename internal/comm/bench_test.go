@@ -60,8 +60,8 @@ func BenchmarkAccumulateCollective(b *testing.B) {
 	}
 }
 
-func BenchmarkMatrixAdd(b *testing.B) {
-	m, err := NewMatrix(1024, 0)
+func BenchmarkBuilderAdd(b *testing.B) {
+	m, err := NewBuilder(1024, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,15 +74,16 @@ func BenchmarkMatrixAdd(b *testing.B) {
 }
 
 func BenchmarkMatrixBySource(b *testing.B) {
-	m, err := NewMatrix(1024, 0)
+	builder, err := NewBuilder(1024, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for r := 0; r < 1024; r++ {
 		for k := 1; k <= 26; k++ {
-			_ = m.Add(r, (r+k)%1024, 4096)
+			_ = builder.Add(r, (r+k)%1024, 4096)
 		}
 	}
+	m := builder.Matrix()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dsts, _ := m.BySource(i % 1024)

@@ -5,7 +5,8 @@
 // hardware-agnostic MPI-level metrics — rank locality, selectivity, peers —
 // are computed from) and the full wire matrix including expanded
 // collectives (what the topology-level metrics — packet hops, utilization —
-// are computed from). Accumulate builds both in one streaming pass.
+// are computed from). Accumulate builds both in one streaming pass, each
+// through a Builder, whose Matrix method hands the matrix over read-only.
 //
 // A collective that sends one message from its caller to every other rank
 // (under the paper's direct translation: allreduce, allgather, alltoall,
@@ -16,6 +17,7 @@ package comm
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -64,99 +66,195 @@ func (e Entry) Plus(o Entry) Entry {
 	return Entry{Bytes: e.Bytes + o.Bytes, Messages: e.Messages + o.Messages, Packets: e.Packets + o.Packets}
 }
 
-// Matrix is a communication matrix over ranks 0..Ranks-1, stored row-wise
-// (one destination row per source rank) so that per-source queries — which
-// the rank-level metrics issue for every rank — touch only that rank's
-// partners rather than the whole pair set.
+// Matrix is a read-only communication matrix over ranks 0..Ranks-1,
+// stored row-wise (one destination row per source rank) so that
+// per-source queries — which the rank-level metrics issue for every rank
+// — touch only that rank's partners rather than the whole pair set. A
+// Builder writes it, and nothing writes to it once Builder.Matrix has
+// returned it, so it may be shared between goroutines.
 //
-// A row's own entries start as a sparse destination map; once the map
-// holds denseThreshold destinations the row is promoted to a dense
-// per-destination slice, where an entry is present iff Messages != 0.
-// Dense rows turn the AddN hot path into an array index instead of a map
-// assignment, which is where the accumulation grid spent most of its
-// allocations.
-//
-// Accumulate may also give a wire row a uniform term: one Entry added to
-// every destination except the source. When accumulation ends, each sparse
-// row that carries a term is frozen into a slice sorted by destination,
-// cut from one backing array per matrix, so that readers merge the term in
-// ascending destination order without map lookups. Rows without a term
-// keep their map or dense layout. A matrix built with NewMatrix and Add
-// has no terms.
+// A row's own entries are either sorted by destination, or dense: one
+// Entry per destination rank, present iff Messages != 0. A row may also
+// carry a uniform term: one Entry added to every destination except the
+// source. Every reader reports the row with its term merged in.
 type Matrix struct {
 	ranks      int
 	packetSize int
-	sparse     []map[int]Entry
+	// Each row is dense (dense[src] != nil) or sorted; uniform is nil
+	// when no row carries a term.
 	dense      [][]Entry
-	// uniform holds each row's uniform term, nil until accumulate adds
-	// the first; frozen holds the frozen rows, nil until accumulate ends.
+	sorted     [][]DstEntry
 	uniform    []Entry
-	frozen     [][]DstEntry
 	pairs      int
 	totalBytes uint64
 	totalMsgs  uint64
 	totalPkts  uint64
 }
 
-// DstEntry is one entry of a frozen row: a destination rank and its own
+// DstEntry is one entry of a sorted row: a destination rank and its own
 // traffic, without the row's uniform term.
 type DstEntry struct {
 	Dst int
 	Entry
 }
 
-// NewMatrix creates an empty matrix. packetSize <= 0 selects
+// Builder writes a communication matrix. A row's own entries start as a
+// destination map; once the map holds denseThreshold destinations the row
+// is promoted to a dense per-destination slice, which turns the AddN hot
+// path into an array index instead of a map assignment. Matrix ends the
+// build: it sorts every sparse row, counts the pairs, and hands over the
+// read-only Matrix; any later write fails.
+type Builder struct {
+	// m holds the ranks, packet size, dense rows, uniform terms and
+	// totals recorded so far; sparse holds the other rows.
+	m      Matrix
+	sparse []map[int]Entry
+	built  *Matrix
+}
+
+// NewBuilder starts an empty matrix. packetSize <= 0 selects
 // DefaultPacketSize.
-func NewMatrix(ranks, packetSize int) (*Matrix, error) {
+func NewBuilder(ranks, packetSize int) (*Builder, error) {
 	if ranks <= 0 {
 		return nil, fmt.Errorf("comm: non-positive rank count %d", ranks)
 	}
 	if packetSize <= 0 {
 		packetSize = DefaultPacketSize
 	}
-	return &Matrix{ranks: ranks, packetSize: packetSize, sparse: make([]map[int]Entry, ranks), dense: make([][]Entry, ranks)}, nil
+	return &Builder{
+		m:      Matrix{ranks: ranks, packetSize: packetSize, dense: make([][]Entry, ranks)},
+		sparse: make([]map[int]Entry, ranks),
+	}, nil
 }
 
 // denseThreshold is the row population at which a sparse row is promoted
 // to a dense slice: a quarter of the rank space, floored so tiny matrices
 // stay in cheap maps.
-func (m *Matrix) denseThreshold() int {
-	t := m.ranks / 4
-	if t < 16 {
-		t = 16
-	}
-	return t
+func (b *Builder) denseThreshold() int {
+	return max(b.m.ranks/4, 16)
 }
 
-// promoteRow converts a sparse or frozen row into its dense representation.
-func (m *Matrix) promoteRow(src int) {
-	d := make([]Entry, m.ranks)
-	for dst, e := range m.sparse[src] {
-		d[dst] = e
-	}
-	if f := m.frozenRow(src); f != nil {
-		for _, e := range f {
-			d[e.Dst] = e.Entry
-		}
-		m.frozen[src] = nil
-	}
-	m.dense[src], m.sparse[src] = d, nil
+// errBuilt is what a write to a builder returns once Matrix has run.
+var errBuilt = errors.New("comm: write to a builder after Matrix")
+
+// Add records one message from src to dst.
+func (b *Builder) Add(src, dst int, bytes uint64) error {
+	return b.AddN(src, dst, bytes, 1)
 }
 
-// term returns src's uniform term, zero when the row has none.
-func (m *Matrix) term(src int) Entry {
-	if m.uniform == nil {
-		return Entry{}
-	}
-	return m.uniform[src]
-}
-
-// frozenRow returns src's frozen entries, nil when the row is not frozen.
-func (m *Matrix) frozenRow(src int) []DstEntry {
-	if m.frozen == nil {
+// AddN records n identical messages of the given size from src to dst in
+// one operation (used to coalesce repeated collective rounds).
+func (b *Builder) AddN(src, dst int, bytes uint64, n uint64) error {
+	m := &b.m
+	switch {
+	case b.built != nil:
+		return errBuilt
+	case src < 0 || src >= m.ranks || dst < 0 || dst >= m.ranks:
+		return fmt.Errorf("comm: pair (%d,%d) out of range [0,%d)", src, dst, m.ranks)
+	case src == dst:
+		return fmt.Errorf("comm: self message on rank %d", src)
+	case n == 0:
 		return nil
 	}
-	return m.frozen[src]
+	if hi, vol := bits.Mul64(bytes, n); hi != 0 || vol > MaxVolume-m.totalBytes {
+		return fmt.Errorf("comm: %d messages of %d B from rank %d to %d take the matrix past %d B (MaxVolume)",
+			n, bytes, src, dst, uint64(MaxVolume))
+	}
+	add := Entry{Bytes: bytes * n, Messages: n, Packets: m.PacketsFor(bytes) * n}
+	if d := m.dense[src]; d != nil {
+		d[dst] = d[dst].Plus(add)
+	} else {
+		row := b.sparse[src]
+		if row == nil {
+			row = make(map[int]Entry)
+			b.sparse[src] = row
+		}
+		row[dst] = row[dst].Plus(add)
+		if len(row) >= b.denseThreshold() {
+			d := make([]Entry, m.ranks)
+			for dst, e := range row {
+				d[dst] = e
+			}
+			m.dense[src], b.sparse[src] = d, nil
+		}
+	}
+	m.totalBytes += add.Bytes
+	m.totalMsgs += n
+	m.totalPkts += add.Packets
+	return nil
+}
+
+// addUniform records n >= 1 rounds of a collective shape that sends a
+// message of the given size from src to every other rank, as src's
+// uniform term. Only accumulate calls it.
+func (b *Builder) addUniform(src int, bytes, n uint64) error {
+	m := &b.m
+	if b.built != nil {
+		return errBuilt
+	}
+	others := uint64(m.ranks - 1)
+	hi, perDst := bits.Mul64(bytes, n)
+	hi2, vol := bits.Mul64(perDst, others)
+	if hi != 0 || hi2 != 0 || vol > MaxVolume-m.totalBytes {
+		return fmt.Errorf("comm: %d rounds of %d B from rank %d to each of the %d other ranks take the matrix past %d B (MaxVolume)",
+			n, bytes, src, others, uint64(MaxVolume))
+	}
+	if m.uniform == nil {
+		m.uniform = make([]Entry, m.ranks)
+	}
+	pkts := m.PacketsFor(bytes) * n
+	m.uniform[src] = m.uniform[src].Plus(Entry{Bytes: perDst, Messages: n, Packets: pkts})
+	m.totalBytes += vol
+	m.totalMsgs += n * others
+	m.totalPkts += pkts * others
+	return nil
+}
+
+// Matrix ends the build and returns the matrix: it stores every sparse
+// row sorted by destination, all rows cut from one backing array, and
+// counts the pairs. Later writes to the builder fail, and later calls
+// return the same matrix.
+func (b *Builder) Matrix() *Matrix {
+	if b.built != nil {
+		return b.built
+	}
+	m := b.m
+	n := 0
+	for _, row := range b.sparse {
+		n += len(row)
+	}
+	all := make([]DstEntry, 0, n)
+	m.sorted = make([][]DstEntry, m.ranks)
+	for src, row := range b.sparse {
+		if len(row) == 0 {
+			continue
+		}
+		start := len(all)
+		for dst, e := range row {
+			all = append(all, DstEntry{Dst: dst, Entry: e})
+		}
+		m.sorted[src] = all[start:len(all):len(all)]
+		slices.SortFunc(m.sorted[src], func(x, y DstEntry) int { return cmp.Compare(x.Dst, y.Dst) })
+	}
+	for src := range m.ranks {
+		row := m.Row(src)
+		switch {
+		case row.Uniform.Messages != 0:
+			// The term reaches every other rank, and a row holds no
+			// entry for its own source.
+			m.pairs += m.ranks - 1
+		case row.Dense != nil:
+			for _, e := range row.Dense {
+				if e.Messages != 0 {
+					m.pairs++
+				}
+			}
+		default:
+			m.pairs += len(row.Sorted)
+		}
+	}
+	b.built, b.m, b.sparse = &m, Matrix{}, nil
+	return b.built
 }
 
 // Ranks returns the rank-space size of the matrix.
@@ -170,130 +268,6 @@ func (m *Matrix) PacketSize() int { return m.packetSize }
 func (m *Matrix) PacketsFor(bytes uint64) uint64 {
 	ps := uint64(m.packetSize)
 	return (bytes + ps - 1) / ps
-}
-
-// Add records one message from src to dst.
-func (m *Matrix) Add(src, dst int, bytes uint64) error {
-	return m.AddN(src, dst, bytes, 1)
-}
-
-// AddN records n identical messages of the given size from src to dst in
-// one operation (used to coalesce repeated collective rounds).
-func (m *Matrix) AddN(src, dst int, bytes uint64, n uint64) error {
-	if src < 0 || src >= m.ranks || dst < 0 || dst >= m.ranks {
-		return fmt.Errorf("comm: pair (%d,%d) out of range [0,%d)", src, dst, m.ranks)
-	}
-	if src == dst {
-		return fmt.Errorf("comm: self message on rank %d", src)
-	}
-	if n == 0 {
-		return nil
-	}
-	if hi, vol := bits.Mul64(bytes, n); hi != 0 || vol > MaxVolume-m.totalBytes {
-		return fmt.Errorf("comm: %d messages of %d B from rank %d to %d take the matrix past %d B (MaxVolume)",
-			n, bytes, src, dst, uint64(MaxVolume))
-	}
-	pkts := m.PacketsFor(bytes) * n
-	// A pair that the row's uniform term reaches is counted already.
-	counted := m.term(src).Messages != 0
-	if counted && m.frozen != nil && m.dense[src] == nil {
-		m.promoteRow(src) // a frozen row takes new entries densely
-	}
-	if d := m.dense[src]; d != nil {
-		e := &d[dst]
-		if e.Messages == 0 && !counted {
-			m.pairs++
-		}
-		e.Bytes += bytes * n
-		e.Messages += n
-		e.Packets += pkts
-	} else {
-		row := m.sparse[src]
-		if row == nil {
-			row = make(map[int]Entry)
-			m.sparse[src] = row
-		}
-		e, existed := row[dst]
-		if !existed && !counted {
-			m.pairs++
-		}
-		e.Bytes += bytes * n
-		e.Messages += n
-		e.Packets += pkts
-		row[dst] = e
-		if len(row) >= m.denseThreshold() {
-			m.promoteRow(src)
-		}
-	}
-	m.totalBytes += bytes * n
-	m.totalMsgs += n
-	m.totalPkts += pkts
-	return nil
-}
-
-// addUniform records n >= 1 rounds of a collective shape that sends a
-// message of the given size from src to every other rank, as src's
-// uniform term. Only accumulate calls it, before it freezes the matrix.
-func (m *Matrix) addUniform(src int, bytes, n uint64) error {
-	others := uint64(m.ranks - 1)
-	hi, perDst := bits.Mul64(bytes, n)
-	hi2, vol := bits.Mul64(perDst, others)
-	if hi != 0 || hi2 != 0 || vol > MaxVolume-m.totalBytes {
-		return fmt.Errorf("comm: %d rounds of %d B from rank %d to each of the %d other ranks take the matrix past %d B (MaxVolume)",
-			n, bytes, src, others, uint64(MaxVolume))
-	}
-	if m.uniform == nil {
-		m.uniform = make([]Entry, m.ranks)
-	}
-	u := &m.uniform[src]
-	if u.Messages == 0 {
-		// The term reaches every other rank: the pairs the row did not
-		// hold yet are new.
-		own := len(m.sparse[src])
-		for _, e := range m.dense[src] {
-			if e.Messages != 0 {
-				own++
-			}
-		}
-		m.pairs += m.ranks - 1 - own
-	}
-	pkts := m.PacketsFor(bytes) * n
-	u.Bytes += perDst
-	u.Messages += n
-	u.Packets += pkts
-	m.totalBytes += vol
-	m.totalMsgs += n * others
-	m.totalPkts += pkts * others
-	return nil
-}
-
-// freeze stores each sparse row that carries a uniform term as a slice
-// sorted by destination, all cut from one backing array. Rows without a
-// term keep their map or dense layout.
-func (m *Matrix) freeze() {
-	if m.uniform == nil {
-		return
-	}
-	n := 0
-	for src, u := range m.uniform {
-		if u.Messages != 0 {
-			n += len(m.sparse[src])
-		}
-	}
-	all := make([]DstEntry, 0, n)
-	m.frozen = make([][]DstEntry, m.ranks)
-	for src, u := range m.uniform {
-		if u.Messages == 0 || len(m.sparse[src]) == 0 {
-			continue
-		}
-		start := len(all)
-		for dst, e := range m.sparse[src] {
-			all = append(all, DstEntry{Dst: dst, Entry: e})
-		}
-		row := all[start:len(all):len(all)]
-		slices.SortFunc(row, func(a, b DstEntry) int { return cmp.Compare(a.Dst, b.Dst) })
-		m.frozen[src], m.sparse[src] = row, nil
-	}
 }
 
 // Pairs returns the number of ordered rank pairs with recorded traffic.
@@ -310,27 +284,24 @@ func (m *Matrix) TotalPackets() uint64 { return m.totalPkts }
 
 // Lookup returns the entry for an ordered pair, or a zero entry.
 func (m *Matrix) Lookup(src, dst int) Entry {
-	if src < 0 || src >= m.ranks || dst < 0 || dst >= m.ranks {
+	if dst < 0 || dst >= m.ranks {
 		return Entry{}
 	}
+	row := m.Row(src)
 	var e Entry
-	if d := m.dense[src]; d != nil {
-		e = d[dst]
-	} else if f := m.frozenRow(src); f != nil {
-		if i, ok := slices.BinarySearchFunc(f, dst, func(x DstEntry, dst int) int { return cmp.Compare(x.Dst, dst) }); ok {
-			e = f[i].Entry
-		}
-	} else {
-		e = m.sparse[src][dst]
+	if row.Dense != nil {
+		e = row.Dense[dst]
+	} else if i, ok := slices.BinarySearchFunc(row.Sorted, dst, func(x DstEntry, dst int) int { return cmp.Compare(x.Dst, dst) }); ok {
+		e = row.Sorted[i].Entry
 	}
 	if dst == src {
 		return e
 	}
-	return e.Plus(m.term(src))
+	return e.Plus(row.Uniform)
 }
 
 // Each calls fn for every (pair, entry) with recorded traffic, in
-// ascending source order; destinations within a source come in EachDst's
+// ascending source order and, within a source, ascending destination
 // order.
 func (m *Matrix) Each(fn func(k Key, e Entry)) {
 	for src := 0; src < m.ranks; src++ {
@@ -341,28 +312,24 @@ func (m *Matrix) Each(fn func(k Key, e Entry)) {
 }
 
 // EachDst calls fn for every recorded destination of the given source
-// rank, with the row's uniform term merged in. Dense rows and rows with a
-// uniform term are visited in ascending destination order; the order of a
-// sparse row without one is unspecified. It is the allocation-free
-// alternative to BySource for callers that stream rather than slice.
+// rank, in ascending destination order, with the row's uniform term
+// merged in. It is the allocation-free alternative to BySource for
+// callers that stream rather than slice.
 func (m *Matrix) EachDst(src int, fn func(dst int, e Entry)) {
-	if src < 0 || src >= m.ranks {
-		return
-	}
-	row, ok := m.Row(src)
-	if !ok {
-		for dst, e := range m.sparse[src] {
-			fn(dst, e)
+	row := m.Row(src)
+	if row.Dense == nil && row.Uniform.Messages == 0 {
+		for _, e := range row.Sorted {
+			fn(e.Dst, e.Entry)
 		}
 		return
 	}
-	frozen := row.Sorted
+	sorted := row.Sorted
 	for dst := 0; dst < m.ranks; dst++ {
 		var e Entry
 		if row.Dense != nil {
 			e = row.Dense[dst]
-		} else if len(frozen) > 0 && frozen[0].Dst == dst {
-			e, frozen = frozen[0].Entry, frozen[1:]
+		} else if len(sorted) > 0 && sorted[0].Dst == dst {
+			e, sorted = sorted[0].Entry, sorted[1:]
 		}
 		if dst != src {
 			e = e.Plus(row.Uniform)
@@ -373,52 +340,46 @@ func (m *Matrix) EachDst(src int, fn func(dst int, e Entry)) {
 	}
 }
 
-// RowView is one source row read in place. When Dense is non-nil it holds
-// the row's own entries indexed by destination rank, a destination without
-// its own traffic having a zero Entry; otherwise Sorted lists them in
-// ascending destination order. Uniform, which may be zero, is added to
-// every destination except the source. The slices are the matrix's own; do
-// not modify them.
+// RowView is one source row read in place; every row of a Matrix reads as
+// one. When Dense is non-nil it holds the row's own entries indexed by
+// destination rank, a destination without its own traffic having a zero
+// Entry; otherwise Sorted lists them in ascending destination order (none
+// for a row without its own traffic). Uniform, which may be zero, is added
+// to every destination except the source. The slices are the matrix's
+// own; do not modify them.
 type RowView struct {
 	Dense   []Entry
 	Sorted  []DstEntry
 	Uniform Entry
 }
 
-// Row returns src's row for reading in place. It returns false for a
-// sparse row without a uniform term, which only EachDst visits.
-func (m *Matrix) Row(src int) (RowView, bool) {
+// Row returns src's row for reading in place; a rank outside the matrix
+// reads as an empty row.
+func (m *Matrix) Row(src int) RowView {
 	if src < 0 || src >= m.ranks {
-		return RowView{}, false
+		return RowView{}
 	}
-	u := m.term(src)
-	if m.dense[src] == nil && u.Messages == 0 {
-		return RowView{}, false
+	row := RowView{Dense: m.dense[src], Sorted: m.sorted[src]}
+	if m.uniform != nil {
+		row.Uniform = m.uniform[src]
 	}
-	return RowView{Dense: m.dense[src], Sorted: m.frozenRow(src), Uniform: u}, true
+	return row
 }
 
 // BySource returns, for the given source rank, the destination ranks it
 // sends to and the per-destination byte volumes (parallel slices, in
-// EachDst's order).
+// ascending destination order).
 func (m *Matrix) BySource(src int) (dsts []int, vols []float64) {
 	return m.AppendBySource(src, nil, nil)
 }
 
 // AppendBySource appends the destination ranks and per-destination byte
-// volumes of src, in EachDst's order, onto the given slices (which may be
-// nil) and returns them, letting per-rank metric loops reuse scratch
-// buffers instead of allocating a fresh pair per rank. When the row is
-// empty the inputs are returned unchanged, so a nil-in/nil-out call
+// volumes of src, in ascending destination order, onto the given slices
+// (which may be nil) and returns them, letting per-rank metric loops reuse
+// scratch buffers instead of allocating a fresh pair per rank. When the
+// row is empty the inputs are returned unchanged, so a nil-in/nil-out call
 // matches BySource.
 func (m *Matrix) AppendBySource(src int, dsts []int, vols []float64) ([]int, []float64) {
-	if src < 0 || src >= m.ranks {
-		return dsts, vols
-	}
-	if row := m.sparse[src]; dsts == nil && len(row) > 0 {
-		dsts = make([]int, 0, len(row))
-		vols = make([]float64, 0, len(row))
-	}
 	m.EachDst(src, func(dst int, e Entry) {
 		dsts = append(dsts, dst)
 		vols = append(vols, float64(e.Bytes))
@@ -495,31 +456,31 @@ type collKey struct {
 // accumulate is the one event loop behind Accumulate and AccumulateStream.
 // It takes batches of events from next (which returns io.EOF, or another
 // error, with the events it read last), records point-to-point messages
-// as they come, counts collective shapes, and expands each counted shape
-// into the wire matrix once the stream ends: into a uniform term when it
-// sends one message to every other rank (reachesAll). Then the wire
-// matrix is frozen.
+// into both builders as they come, counts collective shapes, and expands
+// each counted shape into the wire builder once the stream ends: into a
+// uniform term when it sends one message to every other rank
+// (reachesAll). Then both matrices are built.
 func accumulate(meta trace.Meta, opts AccumulateOptions, next func() ([]trace.Event, error)) (*Accumulated, error) {
 	world, err := mpi.World(meta.Ranks)
 	if err != nil {
 		return nil, err
 	}
-	p2p, err := NewMatrix(meta.Ranks, opts.PacketSize)
+	p2p, err := NewBuilder(meta.Ranks, opts.PacketSize)
 	if err != nil {
 		return nil, err
 	}
-	wire, err := NewMatrix(meta.Ranks, opts.PacketSize)
+	wire, err := NewBuilder(meta.Ranks, opts.PacketSize)
 	if err != nil {
 		return nil, err
 	}
-	acc := &Accumulated{Meta: meta, P2P: p2p, Wire: wire}
+	acc := &Accumulated{Meta: meta}
 	expand := mpi.ExpandOptions{Strategy: opts.Strategy}
 	colls := make(map[collKey]uint64)
 	var buf []mpi.Message
 	for i := 0; ; {
 		batch, readErr := next()
 		for j := range batch {
-			if buf, err = acc.addEvent(&batch[j], world, expand, colls, buf); err != nil {
+			if buf, err = acc.addEvent(&batch[j], p2p, wire, world, expand, colls, buf); err != nil {
 				return nil, fmt.Errorf("comm: event %d: %w", i, err)
 			}
 			i++
@@ -560,7 +521,7 @@ func accumulate(meta trace.Meta, opts AccumulateOptions, next func() ([]trace.Ev
 			}
 		}
 	}
-	wire.freeze()
+	acc.P2P, acc.Wire = p2p.Matrix(), wire.Matrix()
 	return acc, nil
 }
 
@@ -583,8 +544,8 @@ func reachesAll(msgs []mpi.Message, src int, seen []int, stamp int) bool {
 
 // addEvent records one traced event: a collective is validated and
 // counted by shape in colls, anything else is expanded into buf (returned
-// for reuse) and added to the matrices.
-func (a *Accumulated) addEvent(e *trace.Event, world *mpi.Comm, expand mpi.ExpandOptions, colls map[collKey]uint64, buf []mpi.Message) ([]mpi.Message, error) {
+// for reuse) and added to both builders.
+func (a *Accumulated) addEvent(e *trace.Event, p2p, wire *Builder, world *mpi.Comm, expand mpi.ExpandOptions, colls map[collKey]uint64, buf []mpi.Message) ([]mpi.Message, error) {
 	switch {
 	case e.Op == trace.OpSend:
 		if err := addVolume(&a.CallerP2PBytes, e.Bytes, "point-to-point"); err != nil {
@@ -605,13 +566,11 @@ func (a *Accumulated) addEvent(e *trace.Event, world *mpi.Comm, expand mpi.Expan
 		return buf, err
 	}
 	for _, msg := range buf {
-		if err := a.Wire.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
+		if err := wire.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
 			return buf, err
 		}
-		if !msg.FromCollective {
-			if err := a.P2P.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
-				return buf, err
-			}
+		if err := p2p.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
+			return buf, err
 		}
 	}
 	return buf, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,31 +13,29 @@ import (
 	"netloc/internal/trace"
 )
 
-func mustMatrix(t *testing.T, ranks, ps int) *Matrix {
+func mustBuilder(t *testing.T, ranks, ps int) *Builder {
 	t.Helper()
-	m, err := NewMatrix(ranks, ps)
+	b, err := NewBuilder(ranks, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return b
 }
 
-func TestNewMatrixValidation(t *testing.T) {
-	if _, err := NewMatrix(0, 0); err == nil {
+func TestNewBuilderValidation(t *testing.T) {
+	if _, err := NewBuilder(0, 0); err == nil {
 		t.Fatal("zero ranks accepted")
 	}
-	m := mustMatrix(t, 4, 0)
-	if m.PacketSize() != DefaultPacketSize {
-		t.Fatalf("default packet size = %d", m.PacketSize())
+	if ps := mustBuilder(t, 4, 0).Matrix().PacketSize(); ps != DefaultPacketSize {
+		t.Fatalf("default packet size = %d", ps)
 	}
-	m2 := mustMatrix(t, 4, 512)
-	if m2.PacketSize() != 512 {
-		t.Fatalf("packet size = %d", m2.PacketSize())
+	if ps := mustBuilder(t, 4, 512).Matrix().PacketSize(); ps != 512 {
+		t.Fatalf("packet size = %d", ps)
 	}
 }
 
 func TestPacketsFor(t *testing.T) {
-	m := mustMatrix(t, 2, 4096)
+	m := mustBuilder(t, 2, 4096).Matrix()
 	cases := []struct {
 		bytes, want uint64
 	}{
@@ -50,16 +49,17 @@ func TestPacketsFor(t *testing.T) {
 }
 
 func TestAddAccumulates(t *testing.T) {
-	m := mustMatrix(t, 4, 4096)
-	if err := m.Add(0, 1, 5000); err != nil {
+	b := mustBuilder(t, 4, 4096)
+	if err := b.Add(0, 1, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Add(0, 1, 100); err != nil {
+	if err := b.Add(0, 1, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Add(1, 0, 1); err != nil {
+	if err := b.Add(1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
+	m := b.Matrix()
 	e := m.Lookup(0, 1)
 	if e.Bytes != 5100 || e.Messages != 2 || e.Packets != 3 {
 		t.Fatalf("entry = %+v", e)
@@ -76,33 +76,52 @@ func TestAddAccumulates(t *testing.T) {
 }
 
 func TestAddValidation(t *testing.T) {
-	m := mustMatrix(t, 4, 0)
-	if err := m.Add(0, 0, 1); err == nil {
+	b := mustBuilder(t, 4, 0)
+	if err := b.Add(0, 0, 1); err == nil {
 		t.Fatal("self message accepted")
 	}
-	if err := m.Add(-1, 0, 1); err == nil {
+	if err := b.Add(-1, 0, 1); err == nil {
 		t.Fatal("negative src accepted")
 	}
-	if err := m.Add(0, 4, 1); err == nil {
+	if err := b.Add(0, 4, 1); err == nil {
 		t.Fatal("dst out of range accepted")
 	}
 }
 
+// Matrix ends the build: every later write to the builder fails and
+// leaves the matrix as it was, and Matrix returns the same matrix again.
+func TestWriteAfterMatrixFails(t *testing.T) {
+	b := mustBuilder(t, 4, 0)
+	if err := b.Add(0, 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	m := b.Matrix()
+	for name, write := range map[string]func() error{
+		"Add":        func() error { return b.Add(0, 1, 8) },
+		"AddN":       func() error { return b.AddN(2, 3, 8, 2) },
+		"addUniform": func() error { return b.addUniform(1, 8, 1) },
+	} {
+		if err := write(); err == nil {
+			t.Errorf("%s after Matrix accepted", name)
+		}
+	}
+	if b.Matrix() != m {
+		t.Error("a second Matrix call returned another matrix")
+	}
+	if m.Pairs() != 1 || m.TotalBytes() != 100 || m.Lookup(0, 1) != (Entry{Bytes: 100, Messages: 1, Packets: 1}) {
+		t.Errorf("refused writes changed the matrix: %d pairs, %d B, 0->1 %+v", m.Pairs(), m.TotalBytes(), m.Lookup(0, 1))
+	}
+}
+
 func TestBySource(t *testing.T) {
-	m := mustMatrix(t, 4, 0)
-	_ = m.Add(0, 1, 10)
-	_ = m.Add(0, 2, 20)
-	_ = m.Add(1, 2, 99)
+	b := mustBuilder(t, 4, 0)
+	_ = b.Add(0, 2, 20)
+	_ = b.Add(0, 1, 10)
+	_ = b.Add(1, 2, 99)
+	m := b.Matrix()
 	dsts, vols := m.BySource(0)
-	if len(dsts) != 2 || len(vols) != 2 {
-		t.Fatalf("BySource lengths %d/%d", len(dsts), len(vols))
-	}
-	got := map[int]float64{}
-	for i := range dsts {
-		got[dsts[i]] = vols[i]
-	}
-	if got[1] != 10 || got[2] != 20 {
-		t.Fatalf("BySource = %v", got)
+	if !slices.Equal(dsts, []int{1, 2}) || !slices.Equal(vols, []float64{10, 20}) {
+		t.Fatalf("BySource(0) = %v, %v", dsts, vols)
 	}
 	if d, v := m.BySource(3); d != nil || v != nil {
 		t.Fatalf("BySource(3) = %v, %v", d, v)
@@ -110,11 +129,11 @@ func TestBySource(t *testing.T) {
 }
 
 func TestEachVisitsAllPairs(t *testing.T) {
-	m := mustMatrix(t, 4, 0)
-	_ = m.Add(0, 1, 10)
-	_ = m.Add(2, 3, 20)
+	b := mustBuilder(t, 4, 0)
+	_ = b.Add(0, 1, 10)
+	_ = b.Add(2, 3, 20)
 	seen := map[Key]uint64{}
-	m.Each(func(k Key, e Entry) { seen[k] = e.Bytes })
+	b.Matrix().Each(func(k Key, e Entry) { seen[k] = e.Bytes })
 	if len(seen) != 2 || seen[Key{0, 1}] != 10 || seen[Key{2, 3}] != 20 {
 		t.Fatalf("seen = %v", seen)
 	}
@@ -267,13 +286,13 @@ func TestAccumulateDominanceProperty(t *testing.T) {
 // matrix through the streaming accessors (EachDst, AppendBySource) and
 // the reference ones (Each, BySource), on both sides of the
 // dense-promotion threshold: hot rows (promoted to the dense slice) and
-// sparse rows must report identical contents. An accumulated wire matrix
-// adds uniform rows (a term only, a term plus sparse entries, a term plus
-// a dense row); as built, all dense, and frozen again, it must read like
+// sorted rows must report identical contents. An accumulated wire matrix
+// adds uniform rows (a term only, a term plus sorted entries, a term plus
+// a dense row); as built, all dense, and all sorted, it must read like
 // the pair-by-pair expansion of its trace.
 func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 	const ranks = 96 // threshold = 24: rows below stay sparse, above go dense
-	m := mustMatrix(t, ranks, 0)
+	b := mustBuilder(t, ranks, 0)
 	rng := rand.New(rand.NewSource(7))
 	tr := &trace.Trace{Meta: trace.Meta{App: "rows", Ranks: ranks, WallTime: 1}}
 	for src := 0; src < ranks; src++ {
@@ -290,7 +309,7 @@ func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 				continue
 			}
 			bytes := uint64(1 + rng.Intn(1<<16))
-			if err := m.Add(src, dst, bytes); err != nil {
+			if err := b.Add(src, dst, bytes); err != nil {
 				t.Fatal(err)
 			}
 			tr.Events = append(tr.Events, trace.Event{Rank: src, Op: trace.OpSend, Peer: dst, Root: -1, Bytes: bytes})
@@ -299,7 +318,7 @@ func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 			tr.Events = append(tr.Events, trace.Event{Rank: src, Op: trace.OpAllreduce, Peer: -1, Root: -1, Bytes: uint64(src)})
 		}
 	}
-	checkRowAccessors(t, "added", m)
+	checkRowAccessors(t, "added", b.Matrix())
 	acc, err := Accumulate(tr, AccumulateOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -310,33 +329,6 @@ func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 		acc.Wire.Relayout(dense)
 		sameMatrix(t, fmt.Sprintf("relaid out (dense %v)", dense), acc.Wire, want)
 	}
-}
-
-// Adding to an accumulated matrix keeps every reader exact: a frozen row
-// that takes more traffic is stored densely, and a pair that the row's
-// uniform term already reaches is not counted again.
-func TestAddAfterAccumulate(t *testing.T) {
-	acc, err := Accumulate(testTrace(), AccumulateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := acc.Wire
-	if err := w.Add(0, 1, 8); err != nil { // the row's frozen entry
-		t.Fatal(err)
-	}
-	if err := w.Add(0, 2, 50); err != nil { // reached by the term only
-		t.Fatal(err)
-	}
-	if got, want := w.Lookup(0, 1), (Entry{Bytes: 8192 + 100 + 8, Messages: 3, Packets: 4}); got != want {
-		t.Errorf("0->1 = %+v, want %+v", got, want)
-	}
-	if got, want := w.Lookup(0, 2), (Entry{Bytes: 150, Messages: 2, Packets: 2}); got != want {
-		t.Errorf("0->2 = %+v, want %+v", got, want)
-	}
-	if w.Pairs() != 12 || w.TotalBytes() != 8192+1200+58 || w.TotalMessages() != 1+12+2 {
-		t.Errorf("pairs %d, %d B, %d messages; want 12, %d B, 15", w.Pairs(), w.TotalBytes(), w.TotalMessages(), 8192+1200+58)
-	}
-	checkRowAccessors(t, "added after accumulating", w)
 }
 
 // checkRowAccessors compares, row by row, what EachDst and
@@ -392,11 +384,11 @@ func checkRowAccessors(t *testing.T, name string, m *Matrix) {
 // it, by its own size or by wrapping bytes × count, fails and leaves the
 // matrix untouched.
 func TestAddNRejectsVolumePastCeiling(t *testing.T) {
-	m := mustMatrix(t, 4, 0)
-	if err := m.AddN(0, 1, MaxVolume/4, 3); err != nil {
+	b := mustBuilder(t, 4, 0)
+	if err := b.AddN(0, 1, MaxVolume/4, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Add(1, 2, MaxVolume/4); err != nil {
+	if err := b.Add(1, 2, MaxVolume/4); err != nil {
 		t.Fatalf("volume exactly at the ceiling refused: %v", err)
 	}
 	for _, c := range []struct {
@@ -406,10 +398,11 @@ func TestAddNRejectsVolumePastCeiling(t *testing.T) {
 		{1 << 63, 2}, // the product wraps to 0
 		{1 << 32, 1 << 32},
 	} {
-		if err := m.AddN(2, 3, c.bytes, c.n); err == nil {
+		if err := b.AddN(2, 3, c.bytes, c.n); err == nil {
 			t.Fatalf("AddN(%d B × %d) past the ceiling accepted", c.bytes, c.n)
 		}
 	}
+	m := b.Matrix()
 	if m.TotalBytes() != MaxVolume || m.Pairs() != 2 || m.Lookup(2, 3) != (Entry{}) {
 		t.Fatalf("refused AddN changed the matrix: total %d, pairs %d", m.TotalBytes(), m.Pairs())
 	}

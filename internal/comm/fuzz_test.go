@@ -36,37 +36,69 @@ func fuzzTrace(data []byte) *trace.Trace {
 
 // expandEach is the reference accumulation: every event expanded on its
 // own and every message added with Add, with no coalescing and no
-// uniform terms.
+// uniform terms. The point-to-point matrix takes the sends' messages.
 func expandEach(t *testing.T, tr *trace.Trace, strategy mpi.Strategy) (p2p, wire *Matrix) {
 	t.Helper()
 	world, err := mpi.World(tr.Meta.Ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2p, wire = mustMatrix(t, tr.Meta.Ranks, 0), mustMatrix(t, tr.Meta.Ranks, 0)
+	pb, wb := mustBuilder(t, tr.Meta.Ranks, 0), mustBuilder(t, tr.Meta.Ranks, 0)
 	for _, e := range tr.Events {
 		msgs, err := mpi.ExpandEvent(nil, e, world, mpi.ExpandOptions{Strategy: strategy})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, msg := range msgs {
-			if err := wire.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
+			if err := wb.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
 				t.Fatal(err)
 			}
-			if !msg.FromCollective {
-				if err := p2p.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
+			if e.Op == trace.OpSend {
+				if err := pb.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	return p2p, wire
+	return pb.Matrix(), wb.Matrix()
+}
+
+// readRow reads a row view on its own, apart from EachDst: the row's own
+// entries plus its uniform term, for every destination with traffic, in
+// ascending order. It fails unless the view is one layout: a dense slice
+// over every rank, or entries in strictly ascending destination order,
+// none for the source.
+func readRow(t *testing.T, what string, row RowView, src, ranks int) []DstEntry {
+	t.Helper()
+	own := make([]Entry, ranks)
+	switch {
+	case row.Dense != nil && (len(row.Dense) != ranks || len(row.Sorted) > 0):
+		t.Fatalf("%s: Row(%d) holds %d dense and %d sorted entries", what, src, len(row.Dense), len(row.Sorted))
+	case row.Dense != nil:
+		copy(own, row.Dense)
+	}
+	for i, e := range row.Sorted {
+		if e.Dst == src || e.Messages == 0 || (i > 0 && e.Dst <= row.Sorted[i-1].Dst) {
+			t.Fatalf("%s: Row(%d) sorted entries %v", what, src, row.Sorted)
+		}
+		own[e.Dst] = e.Entry
+	}
+	var out []DstEntry
+	for dst, e := range own {
+		if dst != src {
+			e = e.Plus(row.Uniform)
+		}
+		if e.Messages != 0 {
+			out = append(out, DstEntry{Dst: dst, Entry: e})
+		}
+	}
+	return out
 }
 
 // sameMatrix fails unless every reader of got reports what it reports
 // for want: the totals, Pairs, Lookup of every pair, Each, and per row
-// EachDst and AppendBySource. Rows that Row reads in place must come in
-// ascending destination order.
+// EachDst and AppendBySource. Every row's EachDst must come in ascending
+// destination order and agree with what Row reads in place.
 func sameMatrix(t *testing.T, what string, got, want *Matrix) {
 	t.Helper()
 	if got.Pairs() != want.Pairs() || got.TotalBytes() != want.TotalBytes() ||
@@ -99,15 +131,18 @@ func sameMatrix(t *testing.T, what string, got, want *Matrix) {
 		}
 	}
 	for src := 0; src < ranks; src++ {
-		var dsts []int
+		var visited []DstEntry
 		got.EachDst(src, func(dst int, e Entry) {
 			if w := want.Lookup(src, dst); e != w {
 				t.Fatalf("%s: EachDst(%d) gave dst %d %+v, want %+v", what, src, dst, e, w)
 			}
-			dsts = append(dsts, dst)
+			if n := len(visited); n > 0 && dst <= visited[n-1].Dst {
+				t.Fatalf("%s: EachDst(%d) visited dst %d after %d", what, src, dst, visited[n-1].Dst)
+			}
+			visited = append(visited, DstEntry{Dst: dst, Entry: e})
 		})
-		if _, inPlace := got.Row(src); inPlace && !slices.IsSorted(dsts) {
-			t.Fatalf("%s: EachDst(%d) visited %v, not in ascending order", what, src, dsts)
+		if inPlace := readRow(t, what, got.Row(src), src, ranks); !slices.Equal(inPlace, visited) {
+			t.Fatalf("%s: Row(%d) reads %v, EachDst visited %v", what, src, inPlace, visited)
 		}
 		ad, av := got.AppendBySource(src, nil, nil)
 		wd, _ := want.BySource(src)
@@ -124,8 +159,8 @@ func sameMatrix(t *testing.T, what string, got, want *Matrix) {
 
 // FuzzAccumulate checks accumulation against full expansion: under each
 // collective strategy, the matrices Accumulate builds (coalesced
-// collective shapes, uniform terms, frozen rows) must read exactly like
-// the ones built by adding every expanded message on its own.
+// collective shapes, uniform terms) must read exactly like the ones built
+// by adding every expanded message on its own.
 func FuzzAccumulate(f *testing.F) {
 	f.Add([]byte{6, 10, 1, 0, 4, 11, 3, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -39,15 +39,16 @@ func TestMappersIgnoreRecordingOrderAndLayout(t *testing.T) {
 		}
 	}
 	build := func(order []send, dense bool) *comm.Matrix {
-		m, err := comm.NewMatrix(ranks, 0)
+		b, err := comm.NewBuilder(ranks, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range order {
-			if err := m.Add(s.src, s.dst, s.bytes); err != nil {
+			if err := b.Add(s.src, s.dst, s.bytes); err != nil {
 				t.Fatal(err)
 			}
 		}
+		m := b.Matrix()
 		m.Relayout(dense)
 		return m
 	}

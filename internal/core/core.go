@@ -231,6 +231,23 @@ func Accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 	return comm.Accumulate(t, comm.AccumulateOptions{Strategy: opts.Strategy})
 }
 
+// volumeColumns is Table 1's volume accounting from the caller-side
+// point-to-point and collective bytes: the volume in MB (10^6 B), each
+// kind's share in percent (zero without traffic) and the rate over the
+// wall time (zero without one).
+func volumeColumns(p2p, coll uint64, wallTime float64) (volMB, p2pPct, collPct, rateMBps float64) {
+	total := float64(p2p + coll)
+	volMB = total / 1e6
+	if total > 0 {
+		p2pPct = 100 * float64(p2p) / total
+		collPct = 100 - p2pPct
+	}
+	if wallTime > 0 {
+		rateMBps = volMB / wallTime
+	}
+	return volMB, p2pPct, collPct, rateMBps
+}
+
 // AnalyzeAccumulated runs the pipeline on pre-accumulated matrices.
 func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) {
 	opts = opts.WithEngine()
@@ -241,15 +258,7 @@ func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) 
 		WallTime: acc.Meta.WallTime,
 		Acc:      acc,
 	}
-	totalCaller := acc.CallerP2PBytes + acc.CallerCollBytes
-	a.VolMB = float64(totalCaller) / 1e6
-	if totalCaller > 0 {
-		a.P2PPct = 100 * float64(acc.CallerP2PBytes) / float64(totalCaller)
-		a.CollPct = 100 - a.P2PPct
-	}
-	if acc.Meta.WallTime > 0 {
-		a.RateMBps = a.VolMB / acc.Meta.WallTime
-	}
+	a.VolMB, a.P2PPct, a.CollPct, a.RateMBps = volumeColumns(acc.CallerP2PBytes, acc.CallerCollBytes, acc.Meta.WallTime)
 
 	if acc.P2P.TotalBytes() > 0 {
 		a.HasP2P = true

@@ -77,22 +77,9 @@ func Table1(opts Options) ([]Table1Row, error) {
 		if err != nil {
 			return Table1Row{}, err
 		}
+		row := Table1Row{App: app.Name, Star: app.Star, Ranks: ref.Ranks, TimeS: t.Meta.WallTime}
 		p2p, coll := t.TotalBytes()
-		total := float64(p2p + coll)
-		row := Table1Row{
-			App:   app.Name,
-			Star:  app.Star,
-			Ranks: ref.Ranks,
-			TimeS: t.Meta.WallTime,
-			VolMB: total / 1e6,
-		}
-		if total > 0 {
-			row.P2PPct = 100 * float64(p2p) / total
-			row.CollPct = 100 - row.P2PPct
-		}
-		if t.Meta.WallTime > 0 {
-			row.RateMBps = row.VolMB / t.Meta.WallTime
-		}
+		row.VolMB, row.P2PPct, row.CollPct, row.RateMBps = volumeColumns(p2p, coll, t.Meta.WallTime)
 		return row, nil
 	})
 }

@@ -16,14 +16,15 @@ func runModel(t *testing.T) (*netmodel.Result, int, float64, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := comm.NewMatrix(8, 0)
+	b, err := comm.NewBuilder(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One 1-hop message of 12 MB.
-	if err := m.Add(0, 1, 12_000_000); err != nil {
+	if err := b.Add(0, 1, 12_000_000); err != nil {
 		t.Fatal(err)
 	}
+	m := b.Matrix()
 	mp, err := mapping.Consecutive(8, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +130,14 @@ func TestScaleFractionClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := comm.NewMatrix(2, 0)
+	b, err := comm.NewBuilder(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Add(0, 1, 1000); err != nil {
+	if err := b.Add(0, 1, 1000); err != nil {
 		t.Fatal(err)
 	}
+	m := b.Matrix()
 	mp, err := mapping.Consecutive(2, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestBisectionBeatsRandomOnClusters(t *testing.T) {
 	// into a compact sub-box, which neither consecutive nor random
 	// placement achieves. (A fixed shuffle keeps the test deterministic.)
 	const ranks = 64
-	cm, err := comm.NewMatrix(ranks, 0)
+	b, err := comm.NewBuilder(ranks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,13 @@ func TestBisectionBeatsRandomOnClusters(t *testing.T) {
 		members := perm[c*16 : (c+1)*16]
 		for i := 0; i < 16; i++ {
 			for j := i + 1; j < 16; j++ {
-				if err := cm.Add(members[i], members[j], 10000); err != nil {
+				if err := b.Add(members[i], members[j], 10000); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
+	cm := b.Matrix()
 	topo, err := topology.NewTorus(4, 4, 4)
 	if err != nil {
 		t.Fatal(err)

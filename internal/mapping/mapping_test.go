@@ -161,16 +161,16 @@ func TestRandomIsPermutationAndDeterministic(t *testing.T) {
 // (i+1) mod n.
 func ringMatrix(t *testing.T, n int) *comm.Matrix {
 	t.Helper()
-	m, err := comm.NewMatrix(n, 0)
+	b, err := comm.NewBuilder(n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := m.Add(i, (i+1)%n, 1000); err != nil {
+		if err := b.Add(i, (i+1)%n, 1000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return m
+	return b.Matrix()
 }
 
 func weightedHops(t *testing.T, m *comm.Matrix, topo topology.Topology, mp *Mapping) float64 {
@@ -241,13 +241,14 @@ func TestGreedyPlacesAllRanksOnDistinctNodes(t *testing.T) {
 
 func TestGreedyHandlesSilentRanks(t *testing.T) {
 	// Only two ranks talk; the rest are isolated but must still be placed.
-	cm, err := comm.NewMatrix(8, 0)
+	b, err := comm.NewBuilder(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cm.Add(3, 7, 100); err != nil {
+	if err := b.Add(3, 7, 100); err != nil {
 		t.Fatal(err)
 	}
+	cm := b.Matrix()
 	topo, err := topology.NewTorus(2, 2, 2)
 	if err != nil {
 		t.Fatal(err)

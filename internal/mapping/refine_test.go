@@ -12,12 +12,13 @@ func TestCostMatchesManualComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := comm.NewMatrix(4, 0)
+	b, err := comm.NewBuilder(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = m.Add(0, 1, 100) // 1 hop under consecutive
-	_ = m.Add(0, 3, 10)  // 2 hops (diagonal on 2x2)
+	_ = b.Add(0, 1, 100) // 1 hop under consecutive
+	_ = b.Add(0, 3, 10)  // 2 hops (diagonal on 2x2)
+	m := b.Matrix()
 	mp, err := Consecutive(4, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func TestCostIsExactPast2p53(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := comm.NewMatrix(256, 0)
+	b, err := comm.NewBuilder(256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +48,11 @@ func TestCostIsExactPast2p53(t *testing.T) {
 		src, dst int
 		bytes    uint64
 	}{{0, 128, 1 << 46}, {1, 2, 1}, {3, 4, 1}} {
-		if err := m.Add(s.src, s.dst, s.bytes); err != nil {
+		if err := b.Add(s.src, s.dst, s.bytes); err != nil {
 			t.Fatal(err)
 		}
 	}
+	m := b.Matrix()
 	mp, err := Consecutive(256, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +68,9 @@ func TestCostIsExactPast2p53(t *testing.T) {
 
 func TestCostValidatesMapping(t *testing.T) {
 	topo, _ := topology.NewTorus(2, 2, 1)
-	m, _ := comm.NewMatrix(8, 0)
-	_ = m.Add(0, 7, 1)
+	b, _ := comm.NewBuilder(8, 0)
+	_ = b.Add(0, 7, 1)
+	m := b.Matrix()
 	mp, _ := Consecutive(4, 4)
 	if _, err := Cost(m, topo, mp); err == nil {
 		t.Fatal("undersized mapping accepted")
@@ -79,14 +82,15 @@ func TestRefineNeverWorsens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := comm.NewMatrix(27, 0)
+	b, err := comm.NewBuilder(27, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Scrambled heavy pairs.
 	for i := 0; i < 27; i++ {
-		_ = m.Add(i, (i*7+3)%27, uint64(1000*(i+1)))
+		_ = b.Add(i, (i*7+3)%27, uint64(1000*(i+1)))
 	}
+	m := b.Matrix()
 	start, err := Random(27, 27, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -117,13 +121,14 @@ func TestRefineFixedPointOnOptimalRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := comm.NewMatrix(8, 0)
+	b, err := comm.NewBuilder(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		_ = m.Add(i, (i+1)%8, 100)
+		_ = b.Add(i, (i+1)%8, 100)
 	}
+	m := b.Matrix()
 	ident, err := Consecutive(8, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +148,9 @@ func TestRefineFixedPointOnOptimalRing(t *testing.T) {
 
 func TestRefineRejectsSharedNodes(t *testing.T) {
 	topo, _ := topology.NewTorus(2, 2, 1)
-	m, _ := comm.NewMatrix(4, 0)
-	_ = m.Add(0, 1, 1)
+	b, _ := comm.NewBuilder(4, 0)
+	_ = b.Add(0, 1, 1)
+	m := b.Matrix()
 	shared, err := New([]int{0, 0, 1, 2}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +162,9 @@ func TestRefineRejectsSharedNodes(t *testing.T) {
 
 func TestRefineRejectsUndersizedInitial(t *testing.T) {
 	topo, _ := topology.NewTorus(2, 2, 2)
-	m, _ := comm.NewMatrix(8, 0)
-	_ = m.Add(0, 1, 1)
+	b, _ := comm.NewBuilder(8, 0)
+	_ = b.Add(0, 1, 1)
+	m := b.Matrix()
 	small, _ := Consecutive(4, 8)
 	if _, err := Refine(m, topo, small, 1); err == nil {
 		t.Fatal("undersized initial accepted")
@@ -169,7 +176,7 @@ func TestOptimizeBeatsConsecutiveOnColumnPattern(t *testing.T) {
 	// whose row length does not match the torus x dimension, so the
 	// consecutive mapping is far from optimal.
 	const cols, rows = 8, 8
-	m, err := comm.NewMatrix(cols*rows, 0)
+	b, err := comm.NewBuilder(cols*rows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +184,12 @@ func TestOptimizeBeatsConsecutiveOnColumnPattern(t *testing.T) {
 		for y := 0; y < rows; y++ {
 			for oy := 0; oy < rows; oy++ {
 				if oy != y {
-					_ = m.Add(y*cols+x, oy*cols+x, 1000)
+					_ = b.Add(y*cols+x, oy*cols+x, 1000)
 				}
 			}
 		}
 	}
+	m := b.Matrix()
 	topo, err := topology.NewTorus(4, 4, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -8,18 +8,18 @@ import (
 
 func benchMatrix(b *testing.B, ranks int) *comm.Matrix {
 	b.Helper()
-	m, err := comm.NewMatrix(ranks, 0)
+	builder, err := comm.NewBuilder(ranks, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for r := 0; r < ranks; r++ {
 		for k := 1; k <= 26; k++ {
-			if err := m.Add(r, (r+k*3)%ranks, uint64(100000/k)); err != nil {
+			if err := builder.Add(r, (r+k*3)%ranks, uint64(100000/k)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	return m
+	return builder.Matrix()
 }
 
 func BenchmarkRankDistance(b *testing.B) {

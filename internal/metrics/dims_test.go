@@ -6,12 +6,12 @@ import (
 	"netloc/internal/comm"
 )
 
-// stencil3D fills m with 27-point-stencil traffic on an x*y*z grid, faces
+// stencil3D builds a matrix of 27-point-stencil traffic on an x*y*z grid, faces
 // dominating (weight 400) over edges (10) and corners (1).
 func stencil3D(t *testing.T, x, y, z int) *comm.Matrix {
 	t.Helper()
 	n := x * y * z
-	m := newMatrix(t, n)
+	b := newBuilder(t, n)
 	id := func(cx, cy, cz int) int { return (cz*y+cy)*x + cx }
 	for cz := 0; cz < z; cz++ {
 		for cy := 0; cy < y; cy++ {
@@ -35,14 +35,14 @@ func stencil3D(t *testing.T, x, y, z int) *comm.Matrix {
 							case 2:
 								w = 10
 							}
-							add(t, m, src, id(nx, ny, nz), w*1000)
+							add(t, b, src, id(nx, ny, nz), w*1000)
 						}
 					}
 				}
 			}
 		}
 	}
-	return m
+	return b.Matrix()
 }
 
 func abs(x int) int {
@@ -52,10 +52,10 @@ func abs(x int) int {
 	return x
 }
 
-// grid2D fills m with 5-point-stencil traffic on an x*y grid.
+// grid2D builds a matrix of 5-point-stencil traffic on an x*y grid.
 func grid2D(t *testing.T, x, y int) *comm.Matrix {
 	t.Helper()
-	m := newMatrix(t, x*y)
+	b := newBuilder(t, x*y)
 	id := func(cx, cy int) int { return cy*x + cx }
 	for cy := 0; cy < y; cy++ {
 		for cx := 0; cx < x; cx++ {
@@ -65,11 +65,11 @@ func grid2D(t *testing.T, x, y int) *comm.Matrix {
 				if nx < 0 || nx >= x || ny < 0 || ny >= y {
 					continue
 				}
-				add(t, m, src, id(nx, ny), 1000)
+				add(t, b, src, id(nx, ny), 1000)
 			}
 		}
 	}
-	return m
+	return b.Matrix()
 }
 
 func TestDimLocality3DStencilPeaksAt3D(t *testing.T) {
@@ -128,9 +128,10 @@ func TestDimLocality2DStencilPeaksAt2D(t *testing.T) {
 }
 
 func TestDimLocality1DMatchesRankDistance(t *testing.T) {
-	m := newMatrix(t, 16)
-	add(t, m, 0, 3, 100)
-	add(t, m, 7, 12, 100)
+	b := newBuilder(t, 16)
+	add(t, b, 0, 3, 100)
+	add(t, b, 7, 12, 100)
+	m := b.Matrix()
 	r1, err := DimLocality(m, 1, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +149,9 @@ func TestDimLocality1DMatchesRankDistance(t *testing.T) {
 }
 
 func TestDimLocalityValidation(t *testing.T) {
-	m := newMatrix(t, 8)
-	add(t, m, 0, 1, 1)
+	b := newBuilder(t, 8)
+	add(t, b, 0, 1, 1)
+	m := b.Matrix()
 	for _, dims := range []int{0, 4, -1} {
 		if _, err := DimLocality(m, dims, 0.9); err == nil {
 			t.Errorf("dims=%d should fail", dims)
@@ -158,7 +160,8 @@ func TestDimLocalityValidation(t *testing.T) {
 }
 
 func TestDimLocalityNoTraffic(t *testing.T) {
-	m := newMatrix(t, 8)
+	b := newBuilder(t, 8)
+	m := b.Matrix()
 	if _, err := DimLocality(m, 2, 0.9); err != ErrNoTraffic {
 		t.Fatalf("err = %v, want ErrNoTraffic", err)
 	}
@@ -166,8 +169,9 @@ func TestDimLocalityNoTraffic(t *testing.T) {
 
 func TestDimLocalityPrimeRankCountUsesCoverGrid(t *testing.T) {
 	// 17 is prime: no balanced factorization; cover grid must kick in.
-	m := newMatrix(t, 17)
-	add(t, m, 0, 1, 100)
+	b := newBuilder(t, 17)
+	add(t, b, 0, 1, 100)
+	m := b.Matrix()
 	r2, err := DimLocality(m, 2, 0.9)
 	if err != nil {
 		t.Fatal(err)

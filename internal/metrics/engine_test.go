@@ -13,7 +13,7 @@ import (
 // metric values exercise all code paths (silent ranks included).
 func randomMatrix(t *testing.T, ranks int) *comm.Matrix {
 	t.Helper()
-	m := newMatrix(t, ranks)
+	b := newBuilder(t, ranks)
 	rng := rand.New(rand.NewSource(42))
 	for src := 0; src < ranks; src++ {
 		if src%7 == 6 {
@@ -22,10 +22,10 @@ func randomMatrix(t *testing.T, ranks int) *comm.Matrix {
 		partners := 1 + rng.Intn(ranks/2)
 		for p := 0; p < partners; p++ {
 			dst := (src + 1 + rng.Intn(ranks-1)) % ranks
-			add(t, m, src, dst, uint64(1+rng.Intn(100000)))
+			add(t, b, src, dst, uint64(1+rng.Intn(100000)))
 		}
 	}
-	return m
+	return b.Matrix()
 }
 
 func sameFloats(a, b []float64) bool {

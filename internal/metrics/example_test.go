@@ -12,9 +12,10 @@ import (
 // threshold only if the neighbor share reaches 90% — here it does not, so
 // the far partner counts.
 func ExampleRankDistance() {
-	m, _ := comm.NewMatrix(16, 0)
-	_ = m.Add(0, 1, 80)
-	_ = m.Add(0, 9, 20)
+	b, _ := comm.NewBuilder(16, 0)
+	_ = b.Add(0, 1, 80)
+	_ = b.Add(0, 9, 20)
+	m := b.Matrix()
 
 	d90, _ := metrics.RankDistance(m, 0.9)
 	dFull, _ := metrics.RankDistance(m, 1.0)
@@ -26,10 +27,11 @@ func ExampleRankDistance() {
 // Selectivity counts how many partners (largest first) cover 90% of a
 // rank's volume: one dominant partner suffices here.
 func ExampleSelectivity() {
-	m, _ := comm.NewMatrix(8, 0)
-	_ = m.Add(0, 5, 95)
-	_ = m.Add(0, 1, 3)
-	_ = m.Add(0, 2, 2)
+	b, _ := comm.NewBuilder(8, 0)
+	_ = b.Add(0, 5, 95)
+	_ = b.Add(0, 1, 3)
+	_ = b.Add(0, 2, 2)
+	m := b.Matrix()
 
 	s, _ := metrics.Selectivity(m, 0.9)
 	fmt.Printf("selectivity = %.0f\n", s)
@@ -39,10 +41,11 @@ func ExampleSelectivity() {
 
 // Peers is the peak number of distinct destinations over all ranks.
 func ExamplePeers() {
-	m, _ := comm.NewMatrix(8, 0)
-	_ = m.Add(0, 1, 1)
-	_ = m.Add(0, 2, 1)
-	_ = m.Add(3, 4, 1)
+	b, _ := comm.NewBuilder(8, 0)
+	_ = b.Add(0, 1, 1)
+	_ = b.Add(0, 2, 1)
+	_ = b.Add(3, 4, 1)
+	m := b.Matrix()
 
 	peak, _ := metrics.Peers(m)
 	fmt.Println(peak)
@@ -53,18 +56,19 @@ func ExamplePeers() {
 // DimLocality folds rank IDs onto candidate grids: a 4x4 five-point
 // stencil reaches 100% locality in 2D while its 1D locality is poor.
 func ExampleDimLocality() {
-	m, _ := comm.NewMatrix(16, 0)
+	b, _ := comm.NewBuilder(16, 0)
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
 			id := y*4 + x
 			if x+1 < 4 {
-				_ = m.Add(id, id+1, 100)
+				_ = b.Add(id, id+1, 100)
 			}
 			if y+1 < 4 {
-				_ = m.Add(id, id+4, 100)
+				_ = b.Add(id, id+4, 100)
 			}
 		}
 	}
+	m := b.Matrix()
 	r2, _ := metrics.DimLocality(m, 2, 0.9)
 	fmt.Printf("2D locality = %.0f%% on grid %v\n", r2.LocalityPct, r2.Grid)
 	// Output:

@@ -177,16 +177,16 @@ func analyzeP2P(tr *trace.Trace) (float64, error) {
 
 // p2pMatrix accumulates a trace's sends into a matrix.
 func p2pMatrix(tr *trace.Trace) (*comm.Matrix, error) {
-	m, err := comm.NewMatrix(tr.Meta.Ranks, 0)
+	b, err := comm.NewBuilder(tr.Meta.Ranks, 0)
 	if err != nil {
 		return nil, err
 	}
 	for _, e := range tr.Events {
 		if e.Op == trace.OpSend {
-			if err := m.Add(e.Rank, e.Peer, e.Bytes); err != nil {
+			if err := b.Add(e.Rank, e.Peer, e.Bytes); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return m, nil
+	return b.Matrix(), nil
 }

@@ -7,28 +7,29 @@ import (
 	"netloc/internal/comm"
 )
 
-func newMatrix(t *testing.T, ranks int) *comm.Matrix {
+func newBuilder(t *testing.T, ranks int) *comm.Builder {
 	t.Helper()
-	m, err := comm.NewMatrix(ranks, 0)
+	b, err := comm.NewBuilder(ranks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return b
 }
 
-func add(t *testing.T, m *comm.Matrix, src, dst int, bytes uint64) {
+func add(t *testing.T, b *comm.Builder, src, dst int, bytes uint64) {
 	t.Helper()
-	if err := m.Add(src, dst, bytes); err != nil {
+	if err := b.Add(src, dst, bytes); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPeers(t *testing.T) {
-	m := newMatrix(t, 6)
-	add(t, m, 0, 1, 10)
-	add(t, m, 0, 2, 10)
-	add(t, m, 0, 3, 10)
-	add(t, m, 1, 0, 10)
+	b := newBuilder(t, 6)
+	add(t, b, 0, 1, 10)
+	add(t, b, 0, 2, 10)
+	add(t, b, 0, 3, 10)
+	add(t, b, 1, 0, 10)
+	m := b.Matrix()
 	peak, per := Peers(m)
 	if peak != 3 {
 		t.Fatalf("peak = %d, want 3", peak)
@@ -39,9 +40,10 @@ func TestPeers(t *testing.T) {
 }
 
 func TestPeersCountsDistinctDestinationsOnce(t *testing.T) {
-	m := newMatrix(t, 4)
-	add(t, m, 0, 1, 10)
-	add(t, m, 0, 1, 20) // same pair again
+	b := newBuilder(t, 4)
+	add(t, b, 0, 1, 10)
+	add(t, b, 0, 1, 20) // same pair again
+	m := b.Matrix()
 	peak, _ := Peers(m)
 	if peak != 1 {
 		t.Fatalf("peak = %d, want 1", peak)
@@ -50,15 +52,16 @@ func TestPeersCountsDistinctDestinationsOnce(t *testing.T) {
 
 func TestRankDistanceNearestNeighbor(t *testing.T) {
 	// Pure ±1 neighbor traffic: every rank's d90 is 1.
-	m := newMatrix(t, 8)
+	b := newBuilder(t, 8)
 	for r := 0; r < 8; r++ {
 		if r+1 < 8 {
-			add(t, m, r, r+1, 100)
+			add(t, b, r, r+1, 100)
 		}
 		if r-1 >= 0 {
-			add(t, m, r, r-1, 100)
+			add(t, b, r, r-1, 100)
 		}
 	}
+	m := b.Matrix()
 	d, err := RankDistance(m, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +81,11 @@ func TestRankDistanceNearestNeighbor(t *testing.T) {
 func TestRankDistanceCoverageRule(t *testing.T) {
 	// Rank 0: 85% to rank 1 (d=1), 10% to rank 3 (d=3), 5% to rank 7 (d=7).
 	// 90% coverage needs d=3.
-	m := newMatrix(t, 8)
-	add(t, m, 0, 1, 85)
-	add(t, m, 0, 3, 10)
-	add(t, m, 0, 7, 5)
+	b := newBuilder(t, 8)
+	add(t, b, 0, 1, 85)
+	add(t, b, 0, 3, 10)
+	add(t, b, 0, 7, 5)
+	m := b.Matrix()
 	d, err := RankDistance(m, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -100,9 +104,10 @@ func TestRankDistanceCoverageRule(t *testing.T) {
 }
 
 func TestRankDistanceAveragesOverRanks(t *testing.T) {
-	m := newMatrix(t, 10)
-	add(t, m, 0, 1, 100) // d90 = 1
-	add(t, m, 5, 9, 100) // d90 = 4
+	b := newBuilder(t, 10)
+	add(t, b, 0, 1, 100) // d90 = 1
+	add(t, b, 5, 9, 100) // d90 = 4
+	m := b.Matrix()
 	d, err := RankDistance(m, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +118,9 @@ func TestRankDistanceAveragesOverRanks(t *testing.T) {
 }
 
 func TestRankDistanceIgnoresSilentRanks(t *testing.T) {
-	m := newMatrix(t, 100)
-	add(t, m, 0, 1, 100)
+	b := newBuilder(t, 100)
+	add(t, b, 0, 1, 100)
+	m := b.Matrix()
 	d, err := RankDistance(m, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +131,8 @@ func TestRankDistanceIgnoresSilentRanks(t *testing.T) {
 }
 
 func TestRankDistanceNoTraffic(t *testing.T) {
-	m := newMatrix(t, 4)
+	b := newBuilder(t, 4)
+	m := b.Matrix()
 	if _, err := RankDistance(m, 0.9); err != ErrNoTraffic {
 		t.Fatalf("err = %v, want ErrNoTraffic", err)
 	}
@@ -141,8 +148,9 @@ func TestRankDistanceNoTraffic(t *testing.T) {
 }
 
 func TestCoverageValidation(t *testing.T) {
-	m := newMatrix(t, 4)
-	add(t, m, 0, 1, 1)
+	b := newBuilder(t, 4)
+	add(t, b, 0, 1, 1)
+	m := b.Matrix()
 	for _, q := range []float64{0, -0.5, 1.5, math.NaN()} {
 		if _, err := RankDistance(m, q); err == nil {
 			t.Errorf("RankDistance(q=%v) should fail", q)
@@ -158,9 +166,10 @@ func TestCoverageValidation(t *testing.T) {
 
 func TestSelectivityDominantPartner(t *testing.T) {
 	// One partner carries 95% of rank 0's traffic: selectivity 1.
-	m := newMatrix(t, 8)
-	add(t, m, 0, 5, 95)
-	add(t, m, 0, 1, 5)
+	b := newBuilder(t, 8)
+	add(t, b, 0, 5, 95)
+	add(t, b, 0, 1, 5)
+	m := b.Matrix()
 	s, err := Selectivity(m, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +182,11 @@ func TestSelectivityDominantPartner(t *testing.T) {
 func TestSelectivityUniformPartners(t *testing.T) {
 	// Rank 0 sends equally to 5 partners: 90% needs ceil(0.9*5)=5 of them
 	// (4 cover only 80%).
-	m := newMatrix(t, 8)
+	b := newBuilder(t, 8)
 	for d := 1; d <= 5; d++ {
-		add(t, m, 0, d, 100)
+		add(t, b, 0, d, 100)
 	}
+	m := b.Matrix()
 	s, err := Selectivity(m, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -187,10 +197,11 @@ func TestSelectivityUniformPartners(t *testing.T) {
 }
 
 func TestSelectivityAveragesOverRanks(t *testing.T) {
-	m := newMatrix(t, 8)
-	add(t, m, 0, 1, 100) // selectivity 1
-	add(t, m, 1, 0, 50)  // selectivity 2 (equal split)
-	add(t, m, 1, 2, 50)
+	b := newBuilder(t, 8)
+	add(t, b, 0, 1, 100) // selectivity 1
+	add(t, b, 1, 0, 50)  // selectivity 2 (equal split)
+	add(t, b, 1, 2, 50)
+	m := b.Matrix()
 	s, err := Selectivity(m, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -201,13 +212,14 @@ func TestSelectivityAveragesOverRanks(t *testing.T) {
 }
 
 func TestSelectivityNeverExceedsPeers(t *testing.T) {
-	m := newMatrix(t, 16)
+	b := newBuilder(t, 16)
 	// Arbitrary pattern.
 	for r := 0; r < 16; r++ {
 		for k := 1; k <= 4; k++ {
-			add(t, m, r, (r+k*3)%16, uint64(100/k))
+			add(t, b, r, (r+k*3)%16, uint64(100/k))
 		}
 	}
+	m := b.Matrix()
 	per, err := PerRankSelectivity(m, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -221,10 +233,11 @@ func TestSelectivityNeverExceedsPeers(t *testing.T) {
 }
 
 func TestPartnerCurve(t *testing.T) {
-	m := newMatrix(t, 8)
-	add(t, m, 0, 3, 10)
-	add(t, m, 0, 1, 30)
-	add(t, m, 0, 6, 20)
+	b := newBuilder(t, 8)
+	add(t, b, 0, 3, 10)
+	add(t, b, 0, 1, 30)
+	add(t, b, 0, 6, 20)
+	m := b.Matrix()
 	curve, err := PartnerCurve(m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -248,11 +261,12 @@ func TestPartnerCurve(t *testing.T) {
 }
 
 func TestCumulativeCurve(t *testing.T) {
-	m := newMatrix(t, 4)
+	b := newBuilder(t, 4)
 	// Rank 0: 80/20 -> [0.8, 1.0]. Rank 1: 100 -> [1.0] padded to [1.0, 1.0].
-	add(t, m, 0, 1, 80)
-	add(t, m, 0, 2, 20)
-	add(t, m, 1, 0, 100)
+	add(t, b, 0, 1, 80)
+	add(t, b, 0, 2, 20)
+	add(t, b, 1, 0, 100)
+	m := b.Matrix()
 	curve, err := CumulativeCurve(m)
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +286,9 @@ func TestCumulativeCurve(t *testing.T) {
 }
 
 func TestPerRankDistanceNaNForSilent(t *testing.T) {
-	m := newMatrix(t, 3)
-	add(t, m, 0, 1, 5)
+	b := newBuilder(t, 3)
+	add(t, b, 0, 1, 5)
+	m := b.Matrix()
 	per, err := PerRankDistance(m, 0.9)
 	if err != nil {
 		t.Fatal(err)

@@ -23,37 +23,27 @@ type Message struct {
 	Src   int
 	Dst   int
 	Bytes uint64
-	// FromCollective marks messages synthesized from a collective
-	// operation; the MPI-level locality metrics exclude these.
-	FromCollective bool
 }
 
 // Comm is an MPI communicator: an ordered group of global ranks. The study
 // restricts itself to traces that only use the global communicator, but the
 // type supports subsets so that cartesian sub-communicators can be modeled.
 type Comm struct {
-	ranks []int       // communicator rank -> global rank
-	index map[int]int // global rank -> communicator rank
+	n int
+	// ranks maps communicator ranks to global ranks and index the
+	// reverse; both are nil in the world communicator, where every rank
+	// is its own.
+	ranks []int
+	index map[int]int
 }
 
-// World returns the global communicator of the given size.
+// World returns the global communicator of the given size. It holds no
+// rank tables, so it costs the same at any size.
 func World(n int) (*Comm, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mpi: non-positive communicator size %d", n)
 	}
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return newComm(ranks), nil
-}
-
-func newComm(ranks []int) *Comm {
-	idx := make(map[int]int, len(ranks))
-	for i, g := range ranks {
-		idx[g] = i
-	}
-	return &Comm{ranks: ranks, index: idx}
+	return &Comm{n: n}, nil
 }
 
 // NewComm creates a communicator from an explicit global-rank list. The
@@ -62,36 +52,54 @@ func NewComm(globalRanks []int) (*Comm, error) {
 	if len(globalRanks) == 0 {
 		return nil, fmt.Errorf("mpi: empty communicator")
 	}
-	seen := make(map[int]bool, len(globalRanks))
-	for _, r := range globalRanks {
+	index := make(map[int]int, len(globalRanks))
+	for i, r := range globalRanks {
 		if r < 0 {
 			return nil, fmt.Errorf("mpi: negative rank %d", r)
 		}
-		if seen[r] {
+		if _, dup := index[r]; dup {
 			return nil, fmt.Errorf("mpi: duplicate rank %d", r)
 		}
-		seen[r] = true
+		index[r] = i
 	}
-	return newComm(append([]int(nil), globalRanks...)), nil
+	return &Comm{n: len(globalRanks), ranks: append([]int(nil), globalRanks...), index: index}, nil
 }
 
 // Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.ranks) }
+func (c *Comm) Size() int { return c.n }
 
 // Global translates a communicator rank to a global rank.
 func (c *Comm) Global(commRank int) (int, error) {
-	if commRank < 0 || commRank >= len(c.ranks) {
-		return 0, fmt.Errorf("mpi: comm rank %d out of range [0,%d)", commRank, len(c.ranks))
+	switch {
+	case commRank < 0 || commRank >= c.n:
+		return 0, fmt.Errorf("mpi: comm rank %d out of range [0,%d)", commRank, c.n)
+	case c.ranks == nil:
+		return commRank, nil
 	}
 	return c.ranks[commRank], nil
 }
 
 // Ranks returns a copy of the communicator's global-rank list.
-func (c *Comm) Ranks() []int { return append([]int(nil), c.ranks...) }
+func (c *Comm) Ranks() []int {
+	if c.ranks == nil {
+		ranks := make([]int, c.n)
+		for i := range ranks {
+			ranks[i] = i
+		}
+		return ranks
+	}
+	return append([]int(nil), c.ranks...)
+}
 
 // CommRank translates a global rank to its rank within the communicator;
 // ok is false when the rank is not a member.
 func (c *Comm) CommRank(global int) (commRank int, ok bool) {
+	if c.index == nil {
+		if global < 0 || global >= c.n {
+			return 0, false
+		}
+		return global, true
+	}
 	commRank, ok = c.index[global]
 	return commRank, ok
 }
@@ -169,7 +177,7 @@ func ExpandEvent(dst []Message, e trace.Event, world *Comm, opts ExpandOptions) 
 			if g == e.Rank {
 				continue
 			}
-			dst = append(dst, Message{Src: e.Rank, Dst: g, Bytes: per, FromCollective: true})
+			dst = append(dst, Message{Src: e.Rank, Dst: g, Bytes: per})
 		}
 		return dst, nil
 
@@ -178,7 +186,7 @@ func ExpandEvent(dst []Message, e trace.Event, world *Comm, opts ExpandOptions) 
 		if e.Rank == e.Root || e.Bytes == 0 {
 			return dst, nil
 		}
-		return append(dst, Message{Src: e.Rank, Dst: e.Root, Bytes: e.Bytes, FromCollective: true}), nil
+		return append(dst, Message{Src: e.Rank, Dst: e.Root, Bytes: e.Bytes}), nil
 
 	case trace.OpAllreduce, trace.OpAllgather, trace.OpAllgatherv:
 		// Full exchange: the calling rank sends its buffer to everyone.
@@ -193,7 +201,7 @@ func ExpandEvent(dst []Message, e trace.Event, world *Comm, opts ExpandOptions) 
 			if g == e.Rank {
 				continue
 			}
-			dst = append(dst, Message{Src: e.Rank, Dst: g, Bytes: e.Bytes, FromCollective: true})
+			dst = append(dst, Message{Src: e.Rank, Dst: g, Bytes: e.Bytes})
 		}
 		return dst, nil
 
@@ -214,7 +222,7 @@ func ExpandEvent(dst []Message, e trace.Event, world *Comm, opts ExpandOptions) 
 			if g == e.Rank {
 				continue
 			}
-			dst = append(dst, Message{Src: e.Rank, Dst: g, Bytes: per, FromCollective: true})
+			dst = append(dst, Message{Src: e.Rank, Dst: g, Bytes: per})
 		}
 		return dst, nil
 

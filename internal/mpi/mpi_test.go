@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,35 @@ func TestWorldErrors(t *testing.T) {
 	}
 }
 
+// The world communicator holds no rank tables but answers every query
+// like a communicator listing the ranks 0..n-1.
+func TestWorldAnswersLikeItsRankList(t *testing.T) {
+	const n = 6
+	w := mustWorld(t, n)
+	if r := w.Ranks(); !slices.Equal(r, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("Ranks = %v", r)
+	}
+	list, err := NewComm(w.Ranks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Size() != list.Size() {
+		t.Fatalf("Size = %d, want %d", w.Size(), list.Size())
+	}
+	for r := -1; r <= n; r++ {
+		wg, werr := w.Global(r)
+		lg, lerr := list.Global(r)
+		if wg != lg || (werr == nil) != (lerr == nil) {
+			t.Errorf("Global(%d) = %d, %v; want %d, %v", r, wg, werr, lg, lerr)
+		}
+		wc, wok := w.CommRank(r)
+		lc, lok := list.CommRank(r)
+		if wc != lc || wok != lok {
+			t.Errorf("CommRank(%d) = %d, %v; want %d, %v", r, wc, wok, lc, lok)
+		}
+	}
+}
+
 func TestNewCommValidation(t *testing.T) {
 	if _, err := NewComm(nil); err == nil {
 		t.Fatal("empty comm should fail")
@@ -103,7 +133,7 @@ func TestExpandSend(t *testing.T) {
 		t.Fatalf("len = %d", len(msgs))
 	}
 	m := msgs[0]
-	if m.Src != 2 || m.Dst != 5 || m.Bytes != 777 || m.FromCollective {
+	if m.Src != 2 || m.Dst != 5 || m.Bytes != 777 {
 		t.Fatalf("bad message %+v", m)
 	}
 }
@@ -122,7 +152,7 @@ func TestExpandBcast(t *testing.T) {
 		t.Fatalf("len = %d, want 3", len(msgs))
 	}
 	for _, m := range msgs {
-		if m.Src != 3 || m.Bytes != 100 || !m.FromCollective {
+		if m.Src != 3 || m.Bytes != 100 {
 			t.Fatalf("bad message %+v", m)
 		}
 		if m.Dst == 3 {
@@ -306,7 +336,8 @@ func TestExpandTraceAlltoallPairCount(t *testing.T) {
 }
 
 // Property: expansion never produces self-messages, never loses more bytes
-// than integer division can explain, and marks collective provenance right.
+// than integer division can explain, and turns a send into exactly one
+// message, from the rank to its peer.
 func TestExpandInvariantsProperty(t *testing.T) {
 	ops := []trace.Op{trace.OpSend, trace.OpBcast, trace.OpReduce, trace.OpAllreduce,
 		trace.OpGather, trace.OpScatter, trace.OpAllgather, trace.OpAlltoall,
@@ -331,17 +362,14 @@ func TestExpandInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		if op == trace.OpSend && (len(msgs) != 1 || msgs[0] != Message{Src: e.Rank, Dst: e.Peer, Bytes: e.Bytes}) {
+			return false
+		}
 		for _, m := range msgs {
 			if m.Src == m.Dst {
 				return false
 			}
 			if m.Src < 0 || m.Src >= n || m.Dst < 0 || m.Dst >= n {
-				return false
-			}
-			if op == trace.OpSend && m.FromCollective {
-				return false
-			}
-			if op != trace.OpSend && !m.FromCollective {
 				return false
 			}
 		}

@@ -168,7 +168,7 @@ func expandTreeEvent(dst []Message, e trace.Event, comm *Comm, vr, vroot int) ([
 			emitErr = err
 			return
 		}
-		dst = append(dst, Message{Src: e.Rank, Dst: g, Bytes: bytes, FromCollective: true})
+		dst = append(dst, Message{Src: e.Rank, Dst: g, Bytes: bytes})
 	}
 	switch e.Op {
 	case trace.OpBcast:
@@ -228,7 +228,7 @@ func expandRingEvent(dst []Message, e trace.Event, comm *Comm, vr, vroot int) ([
 			return
 		}
 		for i := 0; i < count; i++ {
-			dst = append(dst, Message{Src: e.Rank, Dst: nextG, Bytes: bytes, FromCollective: true})
+			dst = append(dst, Message{Src: e.Rank, Dst: nextG, Bytes: bytes})
 		}
 	}
 	switch e.Op {

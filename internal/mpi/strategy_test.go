@@ -255,7 +255,7 @@ func TestStrategyZeroBytesAndTinyComms(t *testing.T) {
 func TestStrategyP2PUnaffected(t *testing.T) {
 	for _, s := range []Strategy{StrategyTree, StrategyRing} {
 		out := expandWith(t, trace.Event{Rank: 0, Op: trace.OpSend, Peer: 3, Root: -1, Bytes: 100}, 8, s)
-		if len(out) != 1 || out[0].Dst != 3 || out[0].FromCollective {
+		if len(out) != 1 || out[0] != (Message{Src: 0, Dst: 3, Bytes: 100}) {
 			t.Fatalf("%v altered p2p expansion: %+v", s, out)
 		}
 	}

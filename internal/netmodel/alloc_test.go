@@ -25,19 +25,20 @@ import (
 // vector over the fat tree's 13,824 nodes, breaks them.
 func TestRunAllocs(t *testing.T) {
 	const ranks = 1024
-	m, err := comm.NewMatrix(ranks, 0)
+	b, err := comm.NewBuilder(ranks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < ranks; s++ {
 		for d := 0; d < ranks; d++ {
 			if s != d {
-				if err := m.Add(s, d, uint64(1+(s*7+d)%9000)); err != nil {
+				if err := b.Add(s, d, uint64(1+(s*7+d)%9000)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
+	m := b.Matrix()
 	tor, ft, df, err := topology.Configs(ranks)
 	if err != nil {
 		t.Fatal(err)

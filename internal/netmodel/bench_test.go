@@ -10,17 +10,18 @@ import (
 
 func benchSetup(b *testing.B, ranks int) (*comm.Matrix, topology.Topology, *mapping.Mapping) {
 	b.Helper()
-	m, err := comm.NewMatrix(ranks, 0)
+	builder, err := comm.NewBuilder(ranks, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for r := 0; r < ranks; r++ {
 		for k := 1; k <= 26; k++ {
-			if err := m.Add(r, (r+k*5)%ranks, 65536); err != nil {
+			if err := builder.Add(r, (r+k*5)%ranks, 65536); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+	m := builder.Matrix()
 	cfg, err := topology.TorusConfig(ranks)
 	if err != nil {
 		b.Fatal(err)

@@ -114,10 +114,11 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 		res.LinkBytes = make([]uint64, len(topo.Links()))
 	}
 	// Sources go in rank order, so a consecutive mapping hands the
-	// topology its flows grouped by source node and source switch. Dense
-	// rows and rows with a uniform term, which hold almost every pair of
-	// the large configurations, are read in place rather than through
-	// EachDst's callback.
+	// topology its flows grouped by source node and source switch. Every
+	// row is read in place: a sorted row without a uniform term entry by
+	// entry, and dense rows and rows with a term, which hold almost every
+	// pair of the large configurations, by one merge over all
+	// destinations here rather than through EachDst's callback.
 	nodeOf := mp.NodeTable()
 	load, err := topo.AccumulateFlows(func(visit func(src, dst int, bytes, packets, messages uint64)) {
 		var inter, intra, msgs, pkts uint64
@@ -134,9 +135,11 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 		}
 		for src := 0; src < m.Ranks(); src++ {
 			ns = nodeOf[src]
-			row, ok := m.Row(src)
-			if !ok {
-				m.EachDst(src, flow)
+			row := m.Row(src)
+			if row.Dense == nil && row.Uniform.Messages == 0 {
+				for _, e := range row.Sorted {
+					flow(e.Dst, e.Entry)
+				}
 				continue
 			}
 			sorted := row.Sorted

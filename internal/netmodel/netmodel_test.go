@@ -11,16 +11,16 @@ import (
 
 func matrixOf(t *testing.T, ranks int, triples ...[3]uint64) *comm.Matrix {
 	t.Helper()
-	m, err := comm.NewMatrix(ranks, 0)
+	b, err := comm.NewBuilder(ranks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range triples {
-		if err := m.Add(int(tr[0]), int(tr[1]), tr[2]); err != nil {
+		if err := b.Add(int(tr[0]), int(tr[1]), tr[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return m
+	return b.Matrix()
 }
 
 func consecutive(t *testing.T, ranks, nodes int) *mapping.Mapping {
@@ -242,15 +242,16 @@ func TestMultiCoreSeries(t *testing.T) {
 	// Ring of 8: at c=1 all inter (share 1.0); at c=2, pairs (0,1),(2,3),
 	// (4,5),(6,7) become intra: 8 of 16 directed ring messages... the ring
 	// here is unidirectional: 8 messages, 4 become intra -> 0.5.
-	m, err := comm.NewMatrix(8, 0)
+	b, err := comm.NewBuilder(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := m.Add(i, (i+1)%8, 100); err != nil {
+		if err := b.Add(i, (i+1)%8, 100); err != nil {
 			t.Fatal(err)
 		}
 	}
+	m := b.Matrix()
 	series, err := MultiCoreSeries(m, []int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
@@ -274,15 +275,15 @@ func TestMultiCoreSeries(t *testing.T) {
 func TestMultiCoreSeriesMonotoneForBlockLocalPatterns(t *testing.T) {
 	// For a nearest-neighbor ring, inter-node share decreases as cores
 	// per node double.
-	m, err := comm.NewMatrix(64, 0)
+	b, err := comm.NewBuilder(64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		_ = m.Add(i, (i+1)%64, 100)
-		_ = m.Add(i, (i+63)%64, 100)
+		_ = b.Add(i, (i+1)%64, 100)
+		_ = b.Add(i, (i+63)%64, 100)
 	}
-	series, err := MultiCoreSeries(m, []int{1, 2, 4, 8, 16, 32})
+	series, err := MultiCoreSeries(b.Matrix(), []int{1, 2, 4, 8, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +301,14 @@ func TestRunGreedyMappingReducesPacketHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := comm.NewMatrix(27, 0)
+	b, err := comm.NewBuilder(27, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 27; i++ {
-		_ = m.Add(i, (i+1)%27, 50000)
+		_ = b.Add(i, (i+1)%27, 50000)
 	}
+	m := b.Matrix()
 	greedy, err := mapping.Greedy(m, topo)
 	if err != nil {
 		t.Fatal(err)

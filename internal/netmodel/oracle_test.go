@@ -127,18 +127,18 @@ func oracleMatrices(t *testing.T, ranks int) map[string]*comm.Matrix {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(ranks)))
 	build := func(pairs func(add func(s, d int, bytes uint64))) *comm.Matrix {
-		m, err := comm.NewMatrix(ranks, 0)
+		b, err := comm.NewBuilder(ranks, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pairs(func(s, d int, bytes uint64) {
 			if s != d {
-				if err := m.AddN(s, d, bytes, uint64(1+rng.Intn(3))); err != nil {
+				if err := b.AddN(s, d, bytes, uint64(1+rng.Intn(3))); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
-		return m
+		return b.Matrix()
 	}
 	return map[string]*comm.Matrix{
 		"alltoall": build(func(add func(s, d int, bytes uint64)) {

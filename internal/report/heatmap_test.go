@@ -10,14 +10,14 @@ import (
 
 func heatMatrix(t *testing.T) *comm.Matrix {
 	t.Helper()
-	m, err := comm.NewMatrix(8, 0)
+	b, err := comm.NewBuilder(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = m.Add(0, 1, 1000000)
-	_ = m.Add(1, 0, 1000000)
-	_ = m.Add(3, 7, 10)
-	return m
+	_ = b.Add(0, 1, 1000000)
+	_ = b.Add(1, 0, 1000000)
+	_ = b.Add(3, 7, 10)
+	return b.Matrix()
 }
 
 func TestHeatmapASCII(t *testing.T) {
@@ -41,15 +41,15 @@ func TestHeatmapASCII(t *testing.T) {
 }
 
 func TestHeatmapASCIIDownsamples(t *testing.T) {
-	m, err := comm.NewMatrix(100, 0)
+	b, err := comm.NewBuilder(100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 99; i++ {
-		_ = m.Add(i, i+1, 1000)
+		_ = b.Add(i, i+1, 1000)
 	}
 	var buf bytes.Buffer
-	if err := HeatmapASCII(&buf, m, 10); err != nil {
+	if err := HeatmapASCII(&buf, b.Matrix(), 10); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -62,12 +62,12 @@ func TestHeatmapASCIIDownsamples(t *testing.T) {
 }
 
 func TestHeatmapASCIIEmptyMatrix(t *testing.T) {
-	m, err := comm.NewMatrix(4, 0)
+	b, err := comm.NewBuilder(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := HeatmapASCII(&buf, m, 4); err != nil {
+	if err := HeatmapASCII(&buf, b.Matrix(), 4); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no traffic") {
@@ -113,9 +113,9 @@ func TestHeatmapPGM(t *testing.T) {
 }
 
 func TestHeatmapPGMEmpty(t *testing.T) {
-	m, _ := comm.NewMatrix(2, 0)
+	b, _ := comm.NewBuilder(2, 0)
 	var buf bytes.Buffer
-	if err := HeatmapPGM(&buf, m); err != nil {
+	if err := HeatmapPGM(&buf, b.Matrix()); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != len("P5\n2 2\n255\n")+4 {

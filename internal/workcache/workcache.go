@@ -11,11 +11,12 @@
 // the first run pays and every other experiment, design candidate, and
 // service request above it shares the artifact.
 //
-// Cached values are shared read-only: traces and accumulated matrices are
-// immutable after construction everywhere in the pipeline, and all
-// derived analysis is exact integer or index-ordered arithmetic, so a
-// cached artifact produces byte-identical reports to a fresh one, and no
-// artifact depends on how it was scheduled.
+// Cached values are shared read-only: traces are immutable after
+// construction everywhere in the pipeline, accumulated matrices by type
+// (a comm.Matrix has no method that writes), and all derived analysis is
+// exact integer or index-ordered arithmetic, so a cached artifact
+// produces byte-identical reports to a fresh one, and no artifact depends
+// on how it was scheduled.
 //
 // Concurrency: every accessor goes through one LRU (lru.go), the same
 // deduplicating store that holds the analysis service's marshaled

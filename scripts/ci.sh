@@ -61,13 +61,16 @@ go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./in
 # them here without it. They pin that a workcache hit allocates only its
 # key, that trace accumulation's allocation count does not grow with the
 # messages per rank pair and an allreduce's allocation grows with the
-# ranks, not the rank pairs, that a congest tolerance probe and a lean
-# simnet replay allocate nothing per message, that a netmodel run
-# allocates no more than its pinned ceilings, that Greedy's allocation
-# count does not grow with the rank count, and that Route into a warm
-# buffer allocates nothing on any topology type.
+# ranks, not the rank pairs, that ending a matrix build (Builder.Matrix)
+# makes as many allocations at 4,096 sparse rows as at 64, that the
+# world communicator (mpi.World) costs the same at 4,096 ranks as at
+# 256, that a congest tolerance probe and a lean simnet replay allocate
+# nothing per message, that a netmodel run allocates no more than its
+# pinned ceilings, that Greedy's allocation count does not grow with the
+# rank count, and that Route into a warm buffer allocates nothing on any
+# topology type.
 echo "=== go test (allocation pins, no -race) ==="
-go test -run 'Alloc' ./internal/workcache ./internal/comm ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping ./internal/topology
+go test -run 'Alloc' ./internal/workcache ./internal/comm ./internal/mpi ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping ./internal/topology
 
 # Every committed results/ file is an output pin: regenerate both formats
 # of every experiment (the full grid, no -race) and fail on any file that
