@@ -8,6 +8,7 @@
 //	commviz -app LULESH -ranks 64
 //	commviz -app "CESAR MOCFE" -ranks 256 -wire
 //	commviz -trace run.nlt -pgm out.pgm
+//	commviz -app AMG -ranks 216 -cells 32   # ASCII grid cells per side (default 64)
 package main
 
 import (

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"netloc/internal/core"
@@ -67,25 +65,5 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if _, err := mpi.ParseStrategy("bogus"); err == nil {
 		t.Fatal("bogus strategy accepted")
-	}
-}
-
-// TestDocCommentListsAllFlags guards the usage header at the top of this
-// file against flag drift: every registered flag must appear in the doc
-// comment. (The -strategy flag was missing once already.)
-func TestDocCommentListsAllFlags(t *testing.T) {
-	src, err := os.ReadFile("main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	header := string(src[:bytes.Index(src, []byte("package main"))])
-	for _, name := range []string{
-		"-exp", "-trace", "-all", "-app", "-ranks", "-rank", "-minranks",
-		"-maxranks", "-j", "-coverage", "-strategy", "-csv", "-json",
-		"-runtime", "-v", "-list",
-	} {
-		if !strings.Contains(header, name+" ") && !strings.Contains(header, name+"\n") {
-			t.Errorf("doc comment missing flag %s", name)
-		}
 	}
 }

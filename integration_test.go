@@ -27,6 +27,22 @@ import (
 	"netloc/internal/workloads"
 )
 
+// registryMatrices is core's cached accumulate stage on a registry
+// workload at one of its configured scales, without a cache.
+func registryMatrices(t *testing.T, name string, ranks int) *comm.Accumulated {
+	t.Helper()
+	app, err := workloads.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: ranks}
+	acc, err := core.Matrices(key, func() (*trace.Trace, error) { return app.Generate(ranks) }, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc
+}
+
 // TestGenerateWriteReadAnalyze is the full trace-file round trip: generate
 // a workload, persist it, stream it back, and verify the analysis is
 // identical to analyzing the in-memory trace.
@@ -110,11 +126,11 @@ func TestTextAndBinaryCodecsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aBin, err := core.AnalyzeTrace(fromBin, core.Options{SkipTopologies: true})
+	aBin, err := core.AnalyzeTrace(fromBin, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aTxt, err := core.AnalyzeTrace(fromTxt, core.Options{SkipTopologies: true})
+	aTxt, err := core.AnalyzeTrace(fromTxt, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,23 +193,20 @@ func TestMappingPipelineNeverLosesToConsecutive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, appName := range []string{"CESAR MOCFE", "LULESH", "CESAR Nekbone"} {
-		a, err := core.AnalyzeApp(appName, 64, core.Options{SkipTopologies: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		acc := registryMatrices(t, appName, 64)
 		cons, err := mapping.Consecutive(64, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		consCost, err := mapping.Cost(a.Acc.P2P, topo, cons)
+		consCost, err := mapping.Cost(acc.P2P, topo, cons)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := mapping.Optimize(a.Acc.P2P, topo, 15)
+		opt, err := mapping.Optimize(acc.P2P, topo, 15)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optCost, err := mapping.Cost(a.Acc.P2P, topo, opt)
+		optCost, err := mapping.Cost(acc.P2P, topo, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,19 +320,16 @@ func TestEnergyFollowsUtilization(t *testing.T) {
 // TestHarnessRendersHeatmapCompatibleMatrices ties harness analyses to the
 // heatmap renderer.
 func TestHarnessRendersHeatmapCompatibleMatrices(t *testing.T) {
-	a, err := core.AnalyzeApp("PARTISN", 168, core.Options{SkipTopologies: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	acc := registryMatrices(t, "PARTISN", 168)
 	var buf bytes.Buffer
-	if err := report.HeatmapASCII(&buf, a.Acc.P2P, 24); err != nil {
+	if err := report.HeatmapASCII(&buf, acc.P2P, 24); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "168 ranks") {
 		t.Fatalf("heatmap header: %q", strings.SplitN(buf.String(), "\n", 2)[0])
 	}
 	var img bytes.Buffer
-	if err := report.HeatmapPGM(&img, a.Acc.P2P); err != nil {
+	if err := report.HeatmapPGM(&img, acc.P2P); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(img.Bytes(), []byte("P5\n168 168\n255\n")) {
@@ -347,14 +357,15 @@ func TestHarnessExperimentsSmoke(t *testing.T) {
 func TestDimensionalityConsistentWithRankDistance(t *testing.T) {
 	for _, app := range workloads.All() {
 		ranks := app.RankCounts()[0]
-		a, err := core.AnalyzeApp(app.Name, ranks, core.Options{SkipTopologies: true})
+		acc := registryMatrices(t, app.Name, ranks)
+		a, err := core.AnalyzeAccumulated(acc, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !a.HasP2P {
 			continue
 		}
-		r1, err := metrics.DimLocality(a.Acc.P2P, 1, 0.9)
+		r1, err := metrics.DimLocality(acc.P2P, 1, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,6 +51,10 @@ func TestProbeAllocsDoNotGrowWithMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The first collections of a process start the collector's
+		// worker goroutines, which count as allocations: collect once
+		// before measuring, so none starts during it.
+		runtime.GC()
 		c := cost{allocs: testing.AllocsPerRun(5, func() { r.makespan(1e-7) })}
 		// The fewest bytes over a few probes: another goroutine of the
 		// test binary can allocate while one probe runs.

@@ -33,8 +33,6 @@ type Options struct {
 	// Strategy selects the collective-expansion algorithm; the zero
 	// value is the paper's direct translation (see mpi.Strategy).
 	Strategy mpi.Strategy
-	// SkipTopologies computes only the MPI-level metrics.
-	SkipTopologies bool
 	// MaxRanks caps the configuration grid: experiment drivers skip
 	// configurations (and topology sizes) above it, and AnalyzeApp,
 	// AnalyzeTrace and design searches refuse more ranks (the last two
@@ -84,9 +82,9 @@ func (o Options) workers() int {
 
 // WithEngine installs a private worker budget when none was supplied,
 // so the nested fan-out levels of one analysis (grid × topologies ×
-// per-rank loops) share a single token pool. Every public entry point,
-// here (the grid drivers through eachCell) and in package design, calls
-// it; repeated application is a no-op.
+// per-rank loops) share a single token pool. The analysis body, the grid
+// drivers (through eachCell) and package design call it; repeated
+// application is a no-op.
 func (o Options) WithEngine() Options {
 	if o.Budget == nil && o.workers() > 1 {
 		// The calling goroutine holds no token, so the extras' budget
@@ -162,7 +160,7 @@ type Analysis struct {
 	Selectivity  float64
 
 	// System-level metrics per topology (Table 3, right blocks); nil
-	// when Options.SkipTopologies is set.
+	// for a family AnalyzeAppOn did not select.
 	Torus     *TopoResult
 	FatTree   *TopoResult
 	Dragonfly *TopoResult
@@ -173,11 +171,6 @@ type Analysis struct {
 	SlimFly   *TopoResult `json:",omitempty"`
 	Jellyfish *TopoResult `json:",omitempty"`
 	HyperX    *TopoResult `json:",omitempty"`
-
-	// Acc retains the accumulated matrices for follow-up analyses
-	// (figures, multi-core study, mapping experiments). It is excluded
-	// from JSON encodings: the matrices are large and internal.
-	Acc *comm.Accumulated `json:"-"`
 }
 
 // AnalyzeTrace runs the full pipeline on a materialized trace. The trace
@@ -186,7 +179,6 @@ type Analysis struct {
 // cannot poison later registry analyses. Its declared rank count is
 // checked (see CheckRanks) before anything is sized by it.
 func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
-	opts = opts.WithEngine()
 	if err := opts.CheckRanks(t.Meta.Ranks); err != nil {
 		return nil, err
 	}
@@ -194,24 +186,22 @@ func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return AnalyzeAccumulated(acc, opts)
+	return analyzeOn(acc, PaperKinds(), MappingConsecutive, opts)
 }
 
 // CheckRanks refuses a rank count before anything is sized by it: the
 // matrices take memory in proportion to it, so a few bytes declaring
 // millions of ranks would otherwise allocate hundreds of megabytes before
-// failing. The count must be within MaxRanks when that is set and, unless
-// topologies are skipped, one topology.Configs can size. Besides a
-// trace's declared ranks, it checks a design search's node count and the
-// service's topology requests, so its errors name the count alone.
+// failing. The count must be within MaxRanks when that is set, and one
+// topology.Configs can size. Besides a trace's declared ranks, it checks
+// a design search's node count and the service's topology requests, so
+// its errors name the count alone.
 func (o Options) CheckRanks(ranks int) error {
 	if !o.withinCap(ranks) {
 		return fmt.Errorf("core: %d ranks, outside [1, %d] (MaxRanks)", ranks, o.MaxRanks)
 	}
-	if !o.SkipTopologies {
-		if _, _, _, err := topology.Configs(ranks); err != nil {
-			return fmt.Errorf("core: %d ranks: %w", ranks, err)
-		}
+	if _, _, _, err := topology.Configs(ranks); err != nil {
+		return fmt.Errorf("core: %d ranks: %w", ranks, err)
 	}
 	return nil
 }
@@ -229,6 +219,21 @@ func Accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 	sp.SetLabel(fmt.Sprintf("%s/%d", t.Meta.App, t.Meta.Ranks))
 	sp.Add("events", int64(len(t.Events)))
 	return comm.Accumulate(t, comm.AccumulateOptions{Strategy: opts.Strategy})
+}
+
+// Matrices is the pipeline's cached accumulate stage: the matrices of the
+// trace key addresses, under opts.Strategy (the one option that changes
+// matrix content), from the artifact cache; on a miss, Accumulate of the
+// trace gen returns. Registry analyses and design searches share it.
+func Matrices(key workcache.TraceKey, gen func() (*trace.Trace, error), opts Options) (*comm.Accumulated, error) {
+	k := workcache.AccKey{Source: key.Source, App: key.App, Ranks: key.Ranks, Strategy: opts.Strategy}
+	return opts.Cache.Accumulated(k, func() (*comm.Accumulated, error) {
+		t, err := gen()
+		if err != nil {
+			return nil, err
+		}
+		return Accumulate(t, opts)
+	})
 }
 
 // volumeColumns is Table 1's volume accounting from the caller-side
@@ -250,13 +255,23 @@ func volumeColumns(p2p, coll uint64, wallTime float64) (volMB, p2pPct, collPct, 
 
 // AnalyzeAccumulated runs the pipeline on pre-accumulated matrices.
 func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) {
+	return analyzeOn(acc, PaperKinds(), MappingConsecutive, opts)
+}
+
+// PaperKinds lists the paper's three topology families, in table order.
+func PaperKinds() []string { return []string{"torus", "fattree", "dragonfly"} }
+
+// analyzeOn is the one analysis body: Table 1's volume columns, the
+// MPI-level metrics under an "mpi_metrics" span, and the model stage of
+// each named topology kind under the named mapping, every kind sized
+// before any model runs and the kinds fanned out over the worker budget.
+func analyzeOn(acc *comm.Accumulated, kinds []string, mappingName string, opts Options) (*Analysis, error) {
 	opts = opts.WithEngine()
 	q := opts.coverage()
 	a := &Analysis{
 		App:      acc.Meta.App,
 		Ranks:    acc.Meta.Ranks,
 		WallTime: acc.Meta.WallTime,
-		Acc:      acc,
 	}
 	a.VolMB, a.P2PPct, a.CollPct, a.RateMBps = volumeColumns(acc.CallerP2PBytes, acc.CallerCollBytes, acc.Meta.WallTime)
 
@@ -280,35 +295,18 @@ func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) 
 		}
 	}
 
-	if !opts.SkipTopologies {
-		if err := a.runTopologies(PaperKinds(), MappingConsecutive, opts); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
-}
-
-// PaperKinds lists the paper's three topology families, in table order.
-func PaperKinds() []string { return []string{"torus", "fattree", "dragonfly"} }
-
-// runTopologies is the topology fan-out of AnalyzeAccumulated and
-// AnalyzeAppOn: it sizes every kind for the analysis' rank count (the
-// first sizing error is returned before any model runs), runs the kinds
-// over the worker budget under the named mapping, and stores each result
-// in its kind's block of a.
-func (a *Analysis) runTopologies(kinds []string, mappingName string, opts Options) error {
 	cfgs := make([]topology.Config, len(kinds))
 	for i, kind := range kinds {
 		var err error
 		if cfgs[i], err = ConfigFor(kind, a.Ranks); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	results, err := runGrid(opts.Runner(), len(cfgs), func(i int) (*TopoResult, error) {
 		topo, err := Topology(cfgs[i], opts)
 		var res *TopoResult
 		if err == nil {
-			res, _, err = Model(a.Acc, cfgs[i], topo, mappingName, opts)
+			res, _, err = Model(acc, cfgs[i], topo, mappingName, opts)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: %s on %s%s: %w", a.App, cfgs[i].Kind, cfgs[i], err)
@@ -316,7 +314,7 @@ func (a *Analysis) runTopologies(kinds []string, mappingName string, opts Option
 		return res, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	blocks := map[string]**TopoResult{
 		"torus": &a.Torus, "fattree": &a.FatTree, "dragonfly": &a.Dragonfly,
@@ -325,7 +323,7 @@ func (a *Analysis) runTopologies(kinds []string, mappingName string, opts Option
 	for i, kind := range kinds {
 		*blocks[kind] = results[i]
 	}
-	return nil
+	return a, nil
 }
 
 // runGrid evaluates fn for every index of an n-item grid on the given
@@ -454,16 +452,16 @@ func Model(acc *comm.Accumulated, cfg topology.Config, topo topology.Topology, m
 	}, mp, nil
 }
 
-// AnalyzeAppOn analyzes one workload configuration on a selected topology
-// kind (see AnalysisKinds; "" / "all" means the paper's three families)
-// under a named rank→node mapping (see MappingNames; "" means
-// consecutive). It backs the service's /v1/analyze endpoint. The returned
-// Analysis carries only the selected topology block(s); Acc is released.
+// AnalyzeAppOn analyzes one registry workload configuration on a
+// selected topology kind (see AnalysisKinds; "" / "all" means the paper's
+// three families) under a named rank→node mapping (see MappingNames; ""
+// means consecutive). It backs the service's /v1/analyze endpoint. The
+// returned Analysis carries only the selected topology block(s). With
+// Options.Cache attached the trace and the matrices are memoized
+// (Matrices), and a rank count above Options.MaxRanks is refused before
+// anything is generated.
 func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Options) (*Analysis, error) {
-	opts = opts.WithEngine()
-	o := opts
-	o.SkipTopologies = true
-	a, err := AnalyzeApp(name, ranks, o)
+	acc, err := appMatrices(name, ranks, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -471,19 +469,19 @@ func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Opt
 	if topoKind != "" && topoKind != "all" {
 		kinds = []string{topoKind}
 	}
-	if err := a.runTopologies(kinds, mappingName, opts); err != nil {
-		return nil, err
-	}
-	a.Acc = nil
-	return a, nil
+	return analyzeOn(acc, kinds, mappingName, opts)
 }
 
-// AnalyzeApp generates the synthetic trace for a workload configuration
-// and analyzes it. With Options.Cache attached both the generated trace
-// and the accumulated matrices are memoized, so a warm analysis skips
-// straight to the metric and topology stages. A rank count above
-// Options.MaxRanks is refused before anything is generated.
+// AnalyzeApp analyzes one registry workload configuration on the paper's
+// three families under the consecutive mapping: one row of Table 3.
 func AnalyzeApp(name string, ranks int, opts Options) (*Analysis, error) {
+	return AnalyzeAppOn(name, ranks, "all", MappingConsecutive, opts)
+}
+
+// appMatrices is the cached accumulate stage (Matrices) of a registry app
+// at one of its configured scales, refusing a rank count above
+// Options.MaxRanks before anything is generated.
+func appMatrices(name string, ranks int, opts Options) (*comm.Accumulated, error) {
 	app, err := workloads.Lookup(name)
 	if err != nil {
 		return nil, err
@@ -491,26 +489,13 @@ func AnalyzeApp(name string, ranks int, opts Options) (*Analysis, error) {
 	if !opts.withinCap(ranks) {
 		return nil, fmt.Errorf("core: %s at %d ranks exceeds the rank cap %d (MaxRanks)", app.Name, ranks, opts.MaxRanks)
 	}
-	opts = opts.WithEngine()
-	acc, err := opts.Cache.Accumulated(opts.accKey(app.Name, ranks), func() (*comm.Accumulated, error) {
-		t, err := generateTrace(app, ranks, opts)
-		if err != nil {
-			return nil, err
-		}
-		return Accumulate(t, opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeAccumulated(acc, opts)
+	return Matrices(appKey(app, ranks), func() (*trace.Trace, error) { return generateTrace(app, ranks, opts) }, opts)
 }
 
-// accKey addresses an app's accumulated matrices in the artifact cache:
-// the registry generator plus the one option that changes matrix
-// content, the collective strategy. Coverage, parallelism, budgets, and
-// spans never do and stay out.
-func (o Options) accKey(app string, ranks int) workcache.AccKey {
-	return workcache.AccKey{Source: workcache.SourceGenerate, App: app, Ranks: ranks, Strategy: o.Strategy}
+// appKey addresses the trace of a registry app at one of its configured
+// scales.
+func appKey(app *workloads.App, ranks int) workcache.TraceKey {
+	return workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: ranks}
 }
 
 // Generate is the pipeline's generate stage: the trace of key from the
@@ -534,8 +519,7 @@ func Generate(key workcache.TraceKey, gen func() (*trace.Trace, error), opts Opt
 // generateTrace is Generate of a registry app at one of its configured
 // scales.
 func generateTrace(app *workloads.App, ranks int, opts Options) (*trace.Trace, error) {
-	return Generate(workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: ranks},
-		func() (*trace.Trace, error) { return app.Generate(ranks) }, opts)
+	return Generate(appKey(app, ranks), func() (*trace.Trace, error) { return app.Generate(ranks) }, opts)
 }
 
 // ErrNoSuchExperiment is returned by RunExperiment for unknown IDs.

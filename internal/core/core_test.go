@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"netloc/internal/mpi"
 	"netloc/internal/obs"
 	"netloc/internal/trace"
+	"netloc/internal/workcache"
+	"netloc/internal/workloads"
 )
 
 func analyze(t *testing.T, app string, ranks int, opts Options) *Analysis {
@@ -91,18 +95,15 @@ func TestAnalyzeBigFFTNoP2P(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSkipTopologies(t *testing.T) {
-	a := analyze(t, "AMG", 8, Options{SkipTopologies: true})
-	if a.Torus != nil || a.FatTree != nil || a.Dragonfly != nil {
-		t.Fatal("topology results should be nil")
-	}
+func TestAnalyzeAMG8Peers(t *testing.T) {
+	a := analyze(t, "AMG", 8, Options{})
 	if a.Peers != 7 {
 		t.Errorf("peers = %d, want 7", a.Peers)
 	}
 }
 
 func TestAnalyzeTable1Accounting(t *testing.T) {
-	a := analyze(t, "CESAR MOCFE", 64, Options{SkipTopologies: true})
+	a := analyze(t, "CESAR MOCFE", 64, Options{})
 	// Table 1: 19.0 MB, 5.01% p2p.
 	if math.Abs(a.VolMB-19.0) > 0.5 {
 		t.Errorf("volume = %v MB, want 19", a.VolMB)
@@ -153,11 +154,11 @@ func TestAnalyzeCoverageOption(t *testing.T) {
 			{Rank: 0, Op: trace.OpSend, Peer: 9, Root: -1, Bytes: 5},
 		},
 	}
-	a90, err := AnalyzeTrace(tr, Options{SkipTopologies: true})
+	a90, err := AnalyzeTrace(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a100, err := AnalyzeTrace(tr, Options{Coverage: 1.0, SkipTopologies: true})
+	a100, err := AnalyzeTrace(tr, Options{Coverage: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +191,8 @@ func TestAnalysisConsistencyInvariants(t *testing.T) {
 }
 
 // TestAnalyzeParallelMatchesSequential pins the engine's determinism
-// promise at the analysis level: the full Analysis — matrices, metrics,
-// topology results — is identical whatever Parallelism is set to.
+// promise at the analysis level: the full Analysis — metrics, topology
+// results — is identical whatever Parallelism is set to.
 func TestAnalyzeParallelMatchesSequential(t *testing.T) {
 	for app, ranks := range map[string]int{"LULESH": 64, "AMG": 216} {
 		seq := analyze(t, app, ranks, Options{Parallelism: 1})
@@ -257,5 +258,69 @@ func TestAnalysisSpansRecordStages(t *testing.T) {
 	}
 	if counts["events"] == 0 || counts["packets"] == 0 {
 		t.Errorf("work counts missing: %v", counts)
+	}
+}
+
+// TestMatricesMatchAcrossCacheModes pins the cached accumulate stage:
+// the matrices are identical with the cache disabled, cold and warm; a
+// warm call runs neither the generator nor the accumulate stage; the
+// strategy is part of the key; and the registry analyses fill the same
+// entry the stage reads.
+func TestMatricesMatchAcrossCacheModes(t *testing.T) {
+	app, err := workloads.Lookup("LULESH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := appKey(app, 64)
+	gens := 0
+	gen := func() (*trace.Trace, error) {
+		gens++
+		return app.Generate(64)
+	}
+	plain, err := Matrices(key, gen, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := workcache.New(0)
+	cold, err := Matrices(key, gen, Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := obs.NewTracer(1).StartRun("warm")
+	warm, err := Matrices(key, gen, Options{Cache: cache, Span: root})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gens != 2 {
+		t.Errorf("generator ran %d times, want 2 (nil cache, cold miss)", gens)
+	}
+	if !reflect.DeepEqual(plain, cold) || !reflect.DeepEqual(plain, warm) {
+		t.Fatal("matrices differ between a nil, cold and warm cache")
+	}
+	if warm != cold {
+		t.Error("a warm call returned new matrices, want the cached ones")
+	}
+	if c := root.Data().Children; len(c) != 0 {
+		t.Errorf("a warm call recorded %d spans, want none", len(c))
+	}
+	if _, err := Matrices(key, gen, Options{Cache: cache, Strategy: mpi.StrategyTree}); err != nil {
+		t.Fatal(err)
+	}
+	if gens != 3 {
+		t.Errorf("another strategy ran the generator %d times in all, want 3", gens)
+	}
+
+	shared := workcache.New(0)
+	if _, err := AnalyzeApp("LULESH", 64, Options{Cache: shared}); err != nil {
+		t.Fatal(err)
+	}
+	fail := func() (*trace.Trace, error) { return nil, errors.New("generated again") }
+	got, err := Matrices(key, fail, Options{Cache: shared})
+	if err != nil {
+		t.Fatalf("after AnalyzeApp: %v", err)
+	}
+	if !reflect.DeepEqual(got, plain) {
+		t.Fatal("AnalyzeApp cached other matrices")
 	}
 }

@@ -118,7 +118,6 @@ func Table3(opts Options) ([]*Analysis, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s/%d: %w", ref.App, ref.Ranks, err)
 		}
-		a.Acc = nil // release matrices; Table 3 only needs the scalars
 		return a, nil
 	})
 }
@@ -149,31 +148,31 @@ type Table4Row struct {
 	Grid3D []int
 }
 
-// Table4 regenerates the dimensionality study. Configurations fan out
-// over the worker budget; within one configuration the candidate-grid
-// sweep of each folding is parallelized too.
+// Table4 regenerates the dimensionality study from each configuration's
+// point-to-point matrix. Configurations fan out over the worker budget;
+// within one configuration the candidate-grid sweep of each folding is
+// parallelized too.
 func Table4(opts Options) ([]Table4Row, error) {
 	q := opts.coverage()
-	opts.SkipTopologies = true
 	return eachCell(Table4Workloads, opts, func(ref WorkloadRef, o Options) (Table4Row, error) {
-		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
+		acc, err := appMatrices(ref.App, ref.Ranks, o)
 		if err != nil {
 			return Table4Row{}, err
 		}
-		if !a.HasP2P {
+		if acc.P2P.TotalBytes() == 0 {
 			return Table4Row{}, fmt.Errorf("core: %s/%d has no p2p traffic for Table 4", ref.App, ref.Ranks)
 		}
 		eng := o.engine()
 		row := Table4Row{App: ref.App, Ranks: ref.Ranks}
-		r1, err := eng.DimLocality(a.Acc.P2P, 1, q)
+		r1, err := eng.DimLocality(acc.P2P, 1, q)
 		if err != nil {
 			return Table4Row{}, err
 		}
-		r2, err := eng.DimLocality(a.Acc.P2P, 2, q)
+		r2, err := eng.DimLocality(acc.P2P, 2, q)
 		if err != nil {
 			return Table4Row{}, err
 		}
-		r3, err := eng.DimLocality(a.Acc.P2P, 3, q)
+		r3, err := eng.DimLocality(acc.P2P, 3, q)
 		if err != nil {
 			return Table4Row{}, err
 		}
@@ -186,13 +185,11 @@ func Table4(opts Options) ([]Table4Row, error) {
 // Figure1 returns the sorted partner-volume curve of one rank (the paper
 // uses LULESH rank 0).
 func Figure1(app string, ranks, rank int, opts Options) ([]float64, error) {
-	o := opts
-	o.SkipTopologies = true
-	a, err := AnalyzeApp(app, ranks, o)
+	acc, err := appMatrices(app, ranks, opts)
 	if err != nil {
 		return nil, err
 	}
-	return metrics.PartnerCurve(a.Acc.P2P, rank)
+	return metrics.PartnerCurve(acc.P2P, rank)
 }
 
 // Figure3Curve is the mean cumulative traffic-share curve of one workload.
@@ -261,21 +258,25 @@ func Figure4(appName string, opts Options) ([]Figure3Curve, error) {
 	return curves(refs, opts)
 }
 
-// curves is the cell of Figures 3 and 4: the mean cumulative curve of
-// each configuration. Pure-collective workloads, which the paper's
-// figures omit, are dropped in table order after the fan-out.
+// curves is the cell of Figures 3 and 4: the mean cumulative curve and
+// the selectivity of each configuration. Pure-collective workloads, which
+// the paper's figures omit, are dropped in table order after the fan-out.
 func curves(refs []WorkloadRef, opts Options) ([]Figure3Curve, error) {
-	opts.SkipTopologies = true
+	q := opts.coverage()
 	cs, err := eachCell(refs, opts, func(ref WorkloadRef, o Options) (*Figure3Curve, error) {
-		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
-		if err != nil || !a.HasP2P {
+		acc, err := appMatrices(ref.App, ref.Ranks, o)
+		if err != nil || acc.P2P.TotalBytes() == 0 {
 			return nil, err
 		}
-		shares, err := metrics.CumulativeCurve(a.Acc.P2P)
+		shares, err := metrics.CumulativeCurve(acc.P2P)
 		if err != nil {
 			return nil, err
 		}
-		return &Figure3Curve{App: ref.App, Ranks: ref.Ranks, Shares: shares, Selectivity: a.Selectivity}, nil
+		sel, err := o.engine().Selectivity(acc.P2P, q)
+		if err != nil {
+			return nil, err
+		}
+		return &Figure3Curve{App: ref.App, Ranks: ref.Ranks, Shares: shares, Selectivity: sel}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -312,13 +313,12 @@ func Figure5(minRanks int, opts Options) ([]Figure5Series, error) {
 			refs = append(refs, ref)
 		}
 	}
-	opts.SkipTopologies = true
 	return eachCell(refs, opts, func(ref WorkloadRef, o Options) (Figure5Series, error) {
-		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
+		acc, err := appMatrices(ref.App, ref.Ranks, o)
 		if err != nil {
 			return Figure5Series{}, err
 		}
-		shares, err := netmodel.MultiCoreSeries(a.Acc.Wire, Figure5CoreCounts)
+		shares, err := netmodel.MultiCoreSeries(acc.Wire, Figure5CoreCounts)
 		if err != nil {
 			return Figure5Series{}, err
 		}

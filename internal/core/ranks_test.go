@@ -42,14 +42,11 @@ func TestAnalyzeTraceRanksCaps(t *testing.T) {
 	if _, err := AnalyzeTrace(tr, Options{Parallelism: 1, MaxRanks: 100}); err != nil {
 		t.Fatalf("MaxRanks 100: %v", err)
 	}
-	// Above what topology.Configs can size (13,824 ranks), only a
-	// topology-free analysis can run.
+	// Above what topology.Configs can size (13,824 ranks), no analysis
+	// runs.
 	tr.Meta.Ranks = 13825
 	if _, err := AnalyzeTrace(tr, Options{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), "13824") {
 		t.Fatalf("13,825 ranks: err = %v, want the fat-tree limit named", err)
-	}
-	if _, err := AnalyzeTrace(tr, Options{Parallelism: 1, SkipTopologies: true}); err != nil {
-		t.Fatalf("13,825 ranks without topologies: %v", err)
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
-	"netloc/internal/workcache"
 )
 
 // Families lists the topology families the optimizer can sweep, in the
@@ -459,20 +458,6 @@ func dragonflyConfigs(ranks int, c Constraints) []topology.Config {
 	return trimConfigs(out, c)
 }
 
-// accumulateCached memoizes the accumulated matrices of generated
-// traces in the shared artifact cache, so repeated sweeps over the same
-// workload (and core experiments over the same exact scale) reuse them.
-// Attached traces (source "") are never cached: a request payload must
-// not populate artifacts other callers would share.
-func accumulateCached(t *trace.Trace, source string, opts core.Options) (*comm.Accumulated, error) {
-	if source == "" {
-		return core.Accumulate(t, opts)
-	}
-	return opts.Cache.Accumulated(workcache.AccKey{
-		Source: source, App: t.Meta.App, Ranks: t.Meta.Ranks, Strategy: opts.Strategy,
-	}, func() (*comm.Accumulated, error) { return core.Accumulate(t, opts) })
-}
-
 // Search runs the design search to completion. See SearchContext.
 func Search(req Request, opts core.Options) (*Sheet, error) {
 	return SearchContext(context.Background(), req, opts)
@@ -498,11 +483,18 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 	}
 	opts = opts.WithEngine()
 
-	t, source, err := resolveTrace(req, opts)
+	t, key, err := resolveTrace(req, opts)
 	if err != nil {
 		return nil, err
 	}
-	acc, err := accumulateCached(t, source, opts)
+	// The Wire below needs the trace, so it is generated first; an
+	// attached trace is never cached (see resolveTrace).
+	var acc *comm.Accumulated
+	if req.Trace != nil {
+		acc, err = core.Accumulate(t, opts)
+	} else {
+		acc, err = core.Matrices(key, func() (*trace.Trace, error) { return t, nil }, opts)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package design
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -557,6 +558,33 @@ func TestSearchSpanTree(t *testing.T) {
 	}
 	if filtered == 0 || filtered != sheet.Filtered || len(sheet.Rows) == 0 {
 		t.Errorf("%d candidate spans filtered, sheet filtered %d of %d with %d rows", filtered, sheet.Filtered, sheet.Configs, len(sheet.Rows))
+	}
+}
+
+// TestSearchReusesCoreMatrices: core's registry analyses and the design
+// search share one cache entry for a configured scale's trace and
+// matrices, so a search after AnalyzeApp on the same cache records no
+// generate and no accumulate span (TestSearchSpanTree sees both without
+// a cache), and its sheet equals an uncached search's.
+func TestSearchReusesCoreMatrices(t *testing.T) {
+	cache := workcache.New(0)
+	if _, err := core.AnalyzeApp("LULESH", 64, core.Options{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{App: "LULESH", Ranks: 64, Families: []string{"torus"}, Constraints: Constraints{MaxCandidates: 1}}
+	root := obs.NewTracer(1).StartRun("design")
+	sheet, err := Search(req, core.Options{Parallelism: 1, Cache: cache, Span: root})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := spanNames(root.Data().Children)
+	if slices.Contains(names, "generate") || slices.Contains(names, "accumulate") || !slices.Contains(names, "candidate") {
+		t.Errorf("root children %v, want candidates only", names)
+	}
+	plain := mustSearch(t, req, core.Options{Parallelism: 1})
+	if !reflect.DeepEqual(sheet, plain) {
+		t.Error("the sheet on core's cached matrices differs from an uncached search")
 	}
 }
 

@@ -38,26 +38,26 @@ const sourceMILC = "milc"
 // and extrapolates otherwise. Generated traces come through the
 // pipeline's generate stage (core.Generate).
 //
-// The returned source names which generator produced the trace (a
-// workcache source constant), or "" for an attached trace. Attached
-// traces are never cached — request payloads must not be able to
-// poison artifacts shared with other callers — and generated ones are
-// keyed by source so an extrapolated trace can never satisfy an
-// exact-scale lookup: a configured scale shares the core experiments'
-// "gen" slot, any other scale is keyed "genat".
-func resolveTrace(req Request, opts core.Options) (*trace.Trace, string, error) {
+// The returned key addresses a generated trace in the artifact cache, and
+// is the zero key for an attached trace. Attached traces are never cached
+// — request payloads must not be able to poison artifacts shared with
+// other callers — and generated ones are keyed by source so an
+// extrapolated trace can never satisfy an exact-scale lookup: a
+// configured scale shares the core experiments' "gen" slot, any other
+// scale is keyed "genat".
+func resolveTrace(req Request, opts core.Options) (*trace.Trace, workcache.TraceKey, error) {
 	if req.Trace != nil {
 		if err := req.Trace.Validate(); err != nil {
-			return nil, "", err
+			return nil, workcache.TraceKey{}, err
 		}
-		return req.Trace, "", nil
+		return req.Trace, workcache.TraceKey{}, nil
 	}
 	key := workcache.TraceKey{Source: sourceMILC, App: "milc", Ranks: req.Ranks}
 	gen := func() (*trace.Trace, error) { return milcTrace(req.Ranks) }
 	if !strings.EqualFold(req.App, "milc") {
 		app, err := lookupFold(req.App)
 		if err != nil {
-			return nil, "", err
+			return nil, key, err
 		}
 		key = workcache.TraceKey{Source: workcache.SourceGenerateAt, App: app.Name, Ranks: req.Ranks}
 		if slices.Contains(app.RankCounts(), req.Ranks) {
@@ -66,10 +66,7 @@ func resolveTrace(req Request, opts core.Options) (*trace.Trace, string, error) 
 		gen = func() (*trace.Trace, error) { return app.GenerateAt(req.Ranks) }
 	}
 	t, err := core.Generate(key, gen, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	return t, key.Source, nil
+	return t, key, err
 }
 
 // knownApp reports whether a design request may name this workload, so

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"netloc/internal/core"
+	"netloc/internal/metrics"
 	"netloc/internal/obs"
 	"netloc/internal/report"
 	"netloc/internal/trace"
@@ -242,6 +243,9 @@ func Collect(p Params) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q (known: %v)", core.ErrNoSuchExperiment, p.Experiment, Experiments())
 	}
+	if err := checkCoverage(p.Options); err != nil {
+		return nil, err
+	}
 	root := runtimeSpan(&p)
 	rows, err := r.collect(p)
 	if err != nil {
@@ -250,6 +254,16 @@ func Collect(p Params) (*Result, error) {
 	res := &Result{Experiment: p.Experiment, Rows: rows}
 	res.Runtime = runtimeBlock(p, root)
 	return res, nil
+}
+
+// checkCoverage refuses a nonzero coverage outside metrics' range before
+// anything runs: an experiment that never reads the coverage would
+// otherwise accept any value.
+func checkCoverage(o core.Options) error {
+	if o.Coverage == 0 {
+		return nil // metrics.DefaultCoverage
+	}
+	return metrics.CheckCoverage(o.Coverage)
 }
 
 // runtimeSpan installs a private root span when Params.Runtime is set
@@ -295,6 +309,9 @@ func Run(w io.Writer, p Params) error {
 // AnalyzeTraceFile analyzes a materialized trace and renders it as a
 // single Table 3 row (or a one-row JSON Result with Params.JSON).
 func AnalyzeTraceFile(w io.Writer, t *trace.Trace, p Params) error {
+	if err := checkCoverage(p.Options); err != nil {
+		return err
+	}
 	p.Experiment = "trace"
 	root := runtimeSpan(&p)
 	a, err := core.AnalyzeTrace(t, p.Options)
@@ -302,7 +319,6 @@ func AnalyzeTraceFile(w io.Writer, t *trace.Trace, p Params) error {
 		return err
 	}
 	if p.JSON {
-		a.Acc = nil
 		res := &Result{Experiment: "trace", Rows: []*core.Analysis{a}}
 		res.Runtime = runtimeBlock(p, root)
 		return report.JSON(w, res)

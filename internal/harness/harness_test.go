@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -140,6 +142,38 @@ func TestAnalyzeTraceFileBadTrace(t *testing.T) {
 	bad := &trace.Trace{Meta: trace.Meta{Ranks: 0}}
 	if err := AnalyzeTraceFile(&bytes.Buffer{}, bad, Params{}); err == nil {
 		t.Fatal("bad trace accepted")
+	}
+}
+
+// TestOutOfRangeCoverageFails: a nonzero coverage outside (0,1] fails
+// before anything runs, on every path: experiments that never read it
+// (table1, table2) or compute nothing that would refuse it (fig1, fig5),
+// a trace analysis, and a RunAll sweep.
+func TestOutOfRangeCoverageFails(t *testing.T) {
+	params := func(exp string, cov float64) Params {
+		return Params{Experiment: exp, App: "AMG", Ranks: 27, MinRanks: 27, Options: core.Options{Coverage: cov, MaxRanks: 27}}
+	}
+	tr := &trace.Trace{
+		Meta:   trace.Meta{App: "custom", Ranks: 8, WallTime: 1},
+		Events: []trace.Event{{Rank: 0, Op: trace.OpSend, Peer: 1, Root: -1, Bytes: 5000}},
+	}
+	for _, exp := range []string{"table1", "table2", "fig1", "fig5"} {
+		if _, err := Collect(params(exp, 0.5)); err != nil {
+			t.Fatalf("%s at coverage 0.5: %v", exp, err)
+		}
+	}
+	for _, cov := range []float64{2, math.NaN(), -0.5} {
+		for _, exp := range []string{"table1", "table2", "fig1", "fig5"} {
+			if _, err := Collect(params(exp, cov)); err == nil || !strings.Contains(err.Error(), "coverage") {
+				t.Errorf("%s at coverage %v: err = %v, want the coverage refused", exp, cov, err)
+			}
+		}
+		if err := AnalyzeTraceFile(io.Discard, tr, params("", cov)); err == nil {
+			t.Errorf("trace analysis at coverage %v accepted", cov)
+		}
+		if err := RunAll(t.TempDir(), params("", cov)); err == nil {
+			t.Errorf("RunAll at coverage %v accepted", cov)
+		}
 	}
 }
 

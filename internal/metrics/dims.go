@@ -44,7 +44,7 @@ func DimLocality(m *comm.Matrix, dims int, q float64) (DimResult, error) {
 // reproduces the sequential result exactly. See the package-level
 // function.
 func (e Engine) DimLocality(m *comm.Matrix, dims int, q float64) (DimResult, error) {
-	if err := checkCoverage(q); err != nil {
+	if err := CheckCoverage(q); err != nil {
 		return DimResult{}, err
 	}
 	if dims < 1 || dims > 3 {

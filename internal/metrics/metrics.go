@@ -61,7 +61,9 @@ const DefaultCoverage = 0.90
 // traffic at all (the paper reports N/A for such workloads, e.g. BigFFT).
 var ErrNoTraffic = errors.New("metrics: no point-to-point traffic")
 
-func checkCoverage(q float64) error {
+// CheckCoverage is the rule every q-coverage metric applies to its
+// threshold: q must lie in (0,1], and NaN fails.
+func CheckCoverage(q float64) error {
 	if q <= 0 || q > 1 || math.IsNaN(q) {
 		return fmt.Errorf("metrics: coverage %v outside (0,1]", q)
 	}
@@ -93,7 +95,7 @@ func PerRankDistance(m *comm.Matrix, q float64) ([]float64, error) {
 // PerRankDistance is the per-rank distance loop, chunked over the
 // engine's workers; see the package-level function.
 func (e Engine) PerRankDistance(m *comm.Matrix, q float64) ([]float64, error) {
-	if err := checkCoverage(q); err != nil {
+	if err := CheckCoverage(q); err != nil {
 		return nil, err
 	}
 	out := make([]float64, m.Ranks())
@@ -165,7 +167,7 @@ func PerRankSelectivity(m *comm.Matrix, q float64) ([]int, error) {
 // PerRankSelectivity is the per-rank partner-count loop, chunked over
 // the engine's workers; see the package-level function.
 func (e Engine) PerRankSelectivity(m *comm.Matrix, q float64) ([]int, error) {
-	if err := checkCoverage(q); err != nil {
+	if err := CheckCoverage(q); err != nil {
 		return nil, err
 	}
 	out := make([]int, m.Ranks())

@@ -574,8 +574,8 @@ func (s *Server) analysisOptions(q url.Values) (core.Options, error) {
 	if cov == 0 {
 		cov = metrics.DefaultCoverage
 	}
-	if cov <= 0 || cov > 1 {
-		return opts, fmt.Errorf("service: coverage %g out of range (0,1]", cov)
+	if err := metrics.CheckCoverage(cov); err != nil {
+		return opts, err
 	}
 	opts.Coverage = cov
 	if v := q.Get("strategy"); v != "" {
@@ -847,7 +847,5 @@ func (s *Server) handleTraceAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	a := v.(*core.Analysis)
-	a.Acc = nil
-	writeJSON(w, &harness.Result{Experiment: "trace", Rows: []*core.Analysis{a}})
+	writeJSON(w, &harness.Result{Experiment: "trace", Rows: []*core.Analysis{v.(*core.Analysis)}})
 }

@@ -397,6 +397,9 @@ func TestErrorStatuses(t *testing.T) {
 		{"/v1/experiments/fig1?rank=-1", http.StatusBadRequest},
 		{"/v1/experiments/fig5?minranks=-512", http.StatusBadRequest},
 		{"/v1/experiments/table2?coverage=2", http.StatusBadRequest},
+		{"/v1/experiments/table2?coverage=NaN", http.StatusBadRequest},
+		{"/v1/experiments/table1?coverage=NaN&maxranks=27", http.StatusBadRequest},
+		{"/v1/analyze?app=LULESH&ranks=64&coverage=NaN", http.StatusBadRequest},
 		{"/v1/experiments/table2?strategy=warp", http.StatusBadRequest},
 		{"/v1/analyze", http.StatusBadRequest},
 		{"/v1/analyze?app=NoSuchApp&ranks=64", http.StatusNotFound},
