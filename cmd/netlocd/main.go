@@ -16,7 +16,8 @@
 //	-workers int            total compute-goroutine budget, shared between
 //	                        concurrent requests and each request's internal
 //	                        parallelism (default GOMAXPROCS)
-//	-coverage float         traffic-coverage threshold (default 0.9)
+//	-coverage float         traffic-coverage threshold in (0,1] (default 0.9);
+//	                        any other value fails at start-up with exit 2
 //	-maxranks int           cap the configuration grid at this rank count (0 = no cap)
 //	-runtime-sample dur     runtime telemetry sampling interval for the
 //	                        netloc_runtime_* series (default 10s, 0 = off)
@@ -50,6 +51,7 @@ import (
 	"time"
 
 	"netloc/internal/core"
+	"netloc/internal/metrics"
 	"netloc/internal/service"
 )
 
@@ -112,13 +114,22 @@ func main() {
 		addr          = flag.String("addr", ":8537", "listen address")
 		cache         = flag.Int("cache", 0, "result-cache entries (default 256)")
 		workers       = flag.Int("workers", 0, "total compute-goroutine budget across and within requests (default GOMAXPROCS)")
-		coverage      = flag.Float64("coverage", 0, "traffic-coverage threshold (default 0.9)")
+		coverage      = flag.Float64("coverage", 0, "traffic-coverage threshold in (0,1] (default 0.9)")
 		maxRanks      = flag.Int("maxranks", 0, "cap the configuration grid at this rank count (0 = no cap)")
 		runtimeSample = flag.Duration("runtime-sample", 10*time.Second, "runtime telemetry sampling interval (0 = off)")
 		slowRun       = flag.Duration("slowrun", 30*time.Second, "slow-run threshold for netloc_slow_runs_total and slow_run logs (0 = off)")
 		debug         = flag.Bool("debug", false, "also serve net/http/pprof profiles under /debug/pprof/")
 	)
 	flag.Parse()
+	// A coverage every analysis request would be refused for is refused
+	// once, here, the way the flag package refuses a malformed value.
+	if *coverage != 0 {
+		if err := metrics.CheckCoverage(*coverage); err != nil {
+			fmt.Fprintf(flag.CommandLine.Output(), "invalid value %q for flag -coverage: %v\n", flag.Lookup("coverage").Value, err)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	opts := service.Options{
 		CacheEntries:          *cache,

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -93,5 +97,36 @@ func TestServerBoundsSlowAndIdleConnections(t *testing.T) {
 func TestRunBadAddress(t *testing.T) {
 	if err := run(context.Background(), "256.0.0.1:bad", service.Options{}, false, nil); err == nil {
 		t.Fatal("bad address accepted")
+	}
+}
+
+// TestCoverageCheckedAtStartup: netlocd refuses a -coverage outside
+// (0,1], NaN included, at start-up, as the flag package refuses a
+// malformed value: it prints the error and the flag listing and exits 2
+// without serving. The test runs main in a child process of its own
+// binary.
+func TestCoverageCheckedAtStartup(t *testing.T) {
+	if v := os.Getenv("NETLOCD_COVERAGE"); v != "" {
+		os.Args = []string{"netlocd", "-addr", "127.0.0.1:0", "-coverage", v}
+		main()
+		return
+	}
+	for _, v := range []string{"2", "NaN", "-0.5"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestCoverageCheckedAtStartup$")
+		cmd.Env = append(os.Environ(), "NETLOCD_COVERAGE="+v)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("netlocd -coverage %s: %v, want exit status 2", v, err)
+			continue
+		}
+		want := fmt.Sprintf("invalid value %q for flag -coverage: metrics: coverage %s outside (0,1]", v, v)
+		if msg := stderr.String(); !strings.Contains(msg, want) || !strings.Contains(msg, "-maxranks") || strings.Contains(msg, "serving on") {
+			t.Errorf("netlocd -coverage %s printed %q, want %q and the flag listing", v, msg, want)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func registryMatrices(t *testing.T, name string, ranks int) *comm.Accumulated {
 		t.Fatal(err)
 	}
 	key := workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: ranks}
-	acc, err := core.Matrices(key, func() (*trace.Trace, error) { return app.Generate(ranks) }, core.Options{})
+	acc, err := core.Matrices(key, func() (trace.Source, error) { return app.Stream(ranks) }, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +380,8 @@ func TestDimensionalityConsistentWithRankDistance(t *testing.T) {
 // the full harness pipeline at Parallelism 1 and 8, and across artifact
 // cache modes (disabled, cold per run, warm across runs), and requires
 // the JSON outputs to be byte-identical — the engine's determinism
-// contract, observed at the outermost user-visible layer. Cached traces
-// and matrices must never be distinguishable from fresh ones.
+// contract, observed at the outermost user-visible layer. Cached matrices
+// and topologies must never be distinguishable from fresh ones.
 func TestHarnessJSONDeterministicUnderParallelism(t *testing.T) {
 	warm := workcache.New(0)
 	caches := []struct {

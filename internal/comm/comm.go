@@ -5,8 +5,9 @@
 // hardware-agnostic MPI-level metrics — rank locality, selectivity, peers —
 // are computed from) and the full wire matrix including expanded
 // collectives (what the topology-level metrics — packet hops, utilization —
-// are computed from). Accumulate builds both in one streaming pass, each
-// through a Builder, whose Matrix method hands the matrix over read-only.
+// are computed from). AccumulateStream builds both in one pass over a
+// trace's event batches, each through a Builder, whose Matrix method hands
+// the matrix over read-only.
 //
 // A collective that sends one message from its caller to every other rank
 // (under the paper's direct translation: allreduce, allgather, alltoall,
@@ -186,7 +187,7 @@ func (b *Builder) AddN(src, dst int, bytes uint64, n uint64) error {
 
 // addUniform records n >= 1 rounds of a collective shape that sends a
 // message of the given size from src to every other rank, as src's
-// uniform term. Only accumulate calls it.
+// uniform term. Only AccumulateStream calls it.
 func (b *Builder) addUniform(src int, bytes, n uint64) error {
 	m := &b.m
 	if b.built != nil {
@@ -411,9 +412,10 @@ type AccumulateOptions struct {
 	Strategy mpi.Strategy
 }
 
-// Accumulate builds the P2P and wire matrices from a materialized trace.
+// Accumulate builds the P2P and wire matrices from a materialized trace:
+// AccumulateStream of its one batch.
 func Accumulate(t *trace.Trace, opts AccumulateOptions) (*Accumulated, error) {
-	return accumulate(t.Meta, opts, func() ([]trace.Event, error) { return t.Events, io.EOF })
+	return AccumulateStream(t.Source(), opts)
 }
 
 // AccumulateParallel is Accumulate; the runner is ignored. It remains
@@ -425,27 +427,10 @@ func AccumulateParallel(t *trace.Trace, opts AccumulateOptions, _ parallel.Runne
 	return Accumulate(t, opts)
 }
 
-// AccumulateStream builds the matrices from a streaming trace reader,
-// without materializing the event list: it reads the events into one
-// reused buffer of 256.
-func AccumulateStream(r *trace.Reader, opts AccumulateOptions) (*Accumulated, error) {
-	buf := make([]trace.Event, 256)
-	return accumulate(r.Meta(), opts, func() ([]trace.Event, error) {
-		for n := range buf {
-			e, err := r.Read()
-			if err != nil {
-				return buf[:n], err
-			}
-			buf[n] = e
-		}
-		return buf, nil
-	})
-}
-
 // collKey identifies a collective event shape; identical collective rounds
 // (same caller, op, root, and payload) repeat many times in iterative
-// applications, so accumulate counts them and expands each distinct shape
-// only once, with AddN applying the multiplicity.
+// applications, so AccumulateStream counts them and expands each distinct
+// shape only once, with AddN applying the multiplicity.
 type collKey struct {
 	rank  int
 	op    trace.Op
@@ -453,14 +438,16 @@ type collKey struct {
 	bytes uint64
 }
 
-// accumulate is the one event loop behind Accumulate and AccumulateStream.
-// It takes batches of events from next (which returns io.EOF, or another
-// error, with the events it read last), records point-to-point messages
-// into both builders as they come, counts collective shapes, and expands
-// each counted shape into the wire builder once the stream ends: into a
-// uniform term when it sends one message to every other rank
-// (reachesAll). Then both matrices are built.
-func accumulate(meta trace.Meta, opts AccumulateOptions, next func() ([]trace.Event, error)) (*Accumulated, error) {
+// AccumulateStream builds the P2P and wire matrices from a trace read in
+// batches, without holding its event list: a Reader, a generated
+// workload's stream, or a materialized trace (Accumulate). It is the one
+// event loop: it records point-to-point messages into both builders as
+// they come, counts collective shapes, and expands each counted shape
+// into the wire builder once the stream ends: into a uniform term when it
+// sends one message to every other rank (reachesAll). Then both matrices
+// are built. A source's error comes back as it is.
+func AccumulateStream(src trace.Source, opts AccumulateOptions) (*Accumulated, error) {
+	meta := src.Meta()
 	world, err := mpi.World(meta.Ranks)
 	if err != nil {
 		return nil, err
@@ -478,7 +465,7 @@ func accumulate(meta trace.Meta, opts AccumulateOptions, next func() ([]trace.Ev
 	colls := make(map[collKey]uint64)
 	var buf []mpi.Message
 	for i := 0; ; {
-		batch, readErr := next()
+		batch, readErr := src.Next()
 		for j := range batch {
 			if buf, err = acc.addEvent(&batch[j], p2p, wire, world, expand, colls, buf); err != nil {
 				return nil, fmt.Errorf("comm: event %d: %w", i, err)

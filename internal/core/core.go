@@ -53,10 +53,12 @@ type Options struct {
 	// budget per top-level analysis call.
 	Budget *parallel.Budget
 	// Cache optionally shares a workload artifact cache across analyses:
-	// generated traces and accumulated matrices are memoized per
-	// (app, ranks, accumulate options), so the experiment drivers, the
-	// design sweep, and the service re-derive each artifact once instead
-	// of once per grid cell. Cached artifacts are shared read-only and
+	// accumulated matrices are memoized per (app, ranks, accumulate
+	// options) and built topologies per configuration, so the experiment
+	// drivers, the design sweep, and the service derive each artifact once
+	// instead of once per grid cell. Generated traces are never cached:
+	// each is streamed into the artifact made from it (see Generate).
+	// Cached artifacts are shared read-only and
 	// results are byte-identical with the cache cold, warm, or nil
 	// (disabled), so — like Parallelism — the cache never belongs in a
 	// result-cache key. Uploaded traces (AnalyzeTrace) are deliberately
@@ -182,7 +184,7 @@ func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
 	if err := opts.CheckRanks(t.Meta.Ranks); err != nil {
 		return nil, err
 	}
-	acc, err := Accumulate(t, opts)
+	acc, err := Accumulate(t.Source(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -206,33 +208,35 @@ func (o Options) CheckRanks(ranks int) error {
 	return nil
 }
 
-// Accumulate is the pipeline's accumulate stage: it expands and
-// packetizes a trace into the communication matrices under an
-// "accumulate" span labelled App/Ranks that counts the events. The span
-// ends on every path (a failing expansion must not leave an unterminated
-// span in the debug ring).
-func Accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
+// Accumulate is the pipeline's accumulate stage: it reads a trace's
+// events in one pass (for a generated trace, the pass that stamps them)
+// and expands and packetizes them into the communication matrices, under
+// an "accumulate" span labelled App/Ranks that counts the events. The
+// span ends on every path (a failing expansion must not leave an
+// unterminated span in the debug ring).
+func Accumulate(src trace.Source, opts Options) (*comm.Accumulated, error) {
 	sp := opts.Span.Start("accumulate")
 	defer sp.End()
 	// The workload label rides along as span metadata so exported traces
 	// (obs.WriteChromeTrace) name the cell each stage worked on.
-	sp.SetLabel(fmt.Sprintf("%s/%d", t.Meta.App, t.Meta.Ranks))
-	sp.Add("events", int64(len(t.Events)))
-	return comm.Accumulate(t, comm.AccumulateOptions{Strategy: opts.Strategy})
+	meta := src.Meta()
+	sp.SetLabel(fmt.Sprintf("%s/%d", meta.App, meta.Ranks))
+	sp.Add("events", int64(src.Remaining()))
+	return comm.AccumulateStream(src, comm.AccumulateOptions{Strategy: opts.Strategy})
 }
 
 // Matrices is the pipeline's cached accumulate stage: the matrices of the
 // trace key addresses, under opts.Strategy (the one option that changes
 // matrix content), from the artifact cache; on a miss, Accumulate of the
-// trace gen returns. Registry analyses and design searches share it.
-func Matrices(key workcache.TraceKey, gen func() (*trace.Trace, error), opts Options) (*comm.Accumulated, error) {
+// source gen returns. Registry analyses and design searches share it.
+func Matrices(key workcache.TraceKey, gen func() (trace.Source, error), opts Options) (*comm.Accumulated, error) {
 	k := workcache.AccKey{Source: key.Source, App: key.App, Ranks: key.Ranks, Strategy: opts.Strategy}
 	return opts.Cache.Accumulated(k, func() (*comm.Accumulated, error) {
-		t, err := gen()
+		src, err := gen()
 		if err != nil {
 			return nil, err
 		}
-		return Accumulate(t, opts)
+		return Accumulate(src, opts)
 	})
 }
 
@@ -457,9 +461,8 @@ func Model(acc *comm.Accumulated, cfg topology.Config, topo topology.Topology, m
 // three families) under a named rank→node mapping (see MappingNames; ""
 // means consecutive). It backs the service's /v1/analyze endpoint. The
 // returned Analysis carries only the selected topology block(s). With
-// Options.Cache attached the trace and the matrices are memoized
-// (Matrices), and a rank count above Options.MaxRanks is refused before
-// anything is generated.
+// Options.Cache attached the matrices are memoized (Matrices), and a rank
+// count above Options.MaxRanks is refused before anything is generated.
 func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Options) (*Analysis, error) {
 	acc, err := appMatrices(name, ranks, opts)
 	if err != nil {
@@ -489,37 +492,38 @@ func appMatrices(name string, ranks int, opts Options) (*comm.Accumulated, error
 	if !opts.withinCap(ranks) {
 		return nil, fmt.Errorf("core: %s at %d ranks exceeds the rank cap %d (MaxRanks)", app.Name, ranks, opts.MaxRanks)
 	}
-	return Matrices(appKey(app, ranks), func() (*trace.Trace, error) { return generateTrace(app, ranks, opts) }, opts)
+	return Matrices(appKey(app, ranks), func() (trace.Source, error) { return generateApp(app, ranks, opts) }, opts)
 }
 
-// appKey addresses the trace of a registry app at one of its configured
+// appKey names the trace of a registry app at one of its configured
 // scales.
 func appKey(app *workloads.App, ranks int) workcache.TraceKey {
 	return workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: ranks}
 }
 
-// Generate is the pipeline's generate stage: the trace of key from the
-// artifact cache, made by gen on a miss under a "generate" span labelled
-// App/Ranks that counts the events. The span ends on every path,
-// including a failing generator.
-func Generate(key workcache.TraceKey, gen func() (*trace.Trace, error), opts Options) (*trace.Trace, error) {
-	return opts.Cache.Trace(key, func() (*trace.Trace, error) {
-		sp := opts.Span.Start("generate")
-		defer sp.End()
-		sp.SetLabel(fmt.Sprintf("%s/%d", key.App, key.Ranks))
-		t, err := gen()
-		if err != nil {
-			return nil, err
-		}
-		sp.Add("events", int64(len(t.Events)))
-		return t, nil
-	})
+// Generate is the pipeline's generate stage: gen builds the trace key
+// names as a stream, under a "generate" span labelled App/Ranks that
+// counts its events. For a registry workload the span times building the
+// calibrated pattern; its events are stamped as the consumer reads them.
+// Nothing caches a generated trace: each consumer turns it into the
+// artifact it needs (matrices, a simnet.Wire, Table 1's byte sums) in one
+// pass. The span ends on every path, including a failing generator.
+func Generate(key workcache.TraceKey, gen func() (trace.Source, error), opts Options) (trace.Source, error) {
+	sp := opts.Span.Start("generate")
+	defer sp.End()
+	sp.SetLabel(fmt.Sprintf("%s/%d", key.App, key.Ranks))
+	src, err := gen()
+	if err != nil {
+		return nil, err
+	}
+	sp.Add("events", int64(src.Remaining()))
+	return src, nil
 }
 
-// generateTrace is Generate of a registry app at one of its configured
+// generateApp is Generate of a registry app at one of its configured
 // scales.
-func generateTrace(app *workloads.App, ranks int, opts Options) (*trace.Trace, error) {
-	return Generate(appKey(app, ranks), func() (*trace.Trace, error) { return app.Generate(ranks) }, opts)
+func generateApp(app *workloads.App, ranks int, opts Options) (trace.Source, error) {
+	return Generate(appKey(app, ranks), func() (trace.Source, error) { return app.Stream(ranks) }, opts)
 }
 
 // ErrNoSuchExperiment is returned by RunExperiment for unknown IDs.

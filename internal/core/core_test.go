@@ -273,9 +273,9 @@ func TestMatricesMatchAcrossCacheModes(t *testing.T) {
 	}
 	key := appKey(app, 64)
 	gens := 0
-	gen := func() (*trace.Trace, error) {
+	gen := func() (trace.Source, error) {
 		gens++
-		return app.Generate(64)
+		return app.Stream(64)
 	}
 	plain, err := Matrices(key, gen, Options{})
 	if err != nil {
@@ -315,7 +315,7 @@ func TestMatricesMatchAcrossCacheModes(t *testing.T) {
 	if _, err := AnalyzeApp("LULESH", 64, Options{Cache: shared}); err != nil {
 		t.Fatal(err)
 	}
-	fail := func() (*trace.Trace, error) { return nil, errors.New("generated again") }
+	fail := func() (trace.Source, error) { return nil, errors.New("generated again") }
 	got, err := Matrices(key, fail, Options{Cache: shared})
 	if err != nil {
 		t.Fatalf("after AnalyzeApp: %v", err)

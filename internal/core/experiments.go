@@ -6,6 +6,7 @@ import (
 	"netloc/internal/metrics"
 	"netloc/internal/netmodel"
 	"netloc/internal/topology"
+	"netloc/internal/trace"
 	"netloc/internal/workloads"
 )
 
@@ -63,23 +64,27 @@ type Table1Row struct {
 	RateMBps float64
 }
 
-// Table1 regenerates the workload-overview table by generating and
-// accounting every synthetic trace. Options.MaxRanks caps the grid;
-// Options.Parallelism fans the configurations out over the worker
-// budget (rows keep table order).
+// Table1 regenerates the workload-overview table by generating every
+// synthetic trace and summing its caller-side bytes as it streams.
+// Options.MaxRanks caps the grid; Options.Parallelism fans the
+// configurations out over the worker budget (rows keep table order).
 func Table1(opts Options) ([]Table1Row, error) {
 	return eachCell(AllConfigurations(), opts, func(ref WorkloadRef, o Options) (Table1Row, error) {
 		app, err := workloads.Lookup(ref.App)
 		if err != nil {
 			return Table1Row{}, err
 		}
-		t, err := generateTrace(app, ref.Ranks, o)
+		src, err := generateApp(app, ref.Ranks, o)
 		if err != nil {
 			return Table1Row{}, err
 		}
-		row := Table1Row{App: app.Name, Star: app.Star, Ranks: ref.Ranks, TimeS: t.Meta.WallTime}
-		p2p, coll := t.TotalBytes()
-		row.VolMB, row.P2PPct, row.CollPct, row.RateMBps = volumeColumns(p2p, coll, t.Meta.WallTime)
+		p2p, coll, err := trace.SumBytes(src)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		wall := src.Meta().WallTime
+		row := Table1Row{App: app.Name, Star: app.Star, Ranks: ref.Ranks, TimeS: wall}
+		row.VolMB, row.P2PPct, row.CollPct, row.RateMBps = volumeColumns(p2p, coll, wall)
 		return row, nil
 	})
 }

@@ -61,10 +61,11 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 
 // familyRows is the cell of SimTable and CongestionTable, run through
 // eachCell: the configuration's trace is generated once and every family
-// sized (ConfigFor) before anything runs, then the trace is prepared
-// once (simnet.Prepare); then, family by family, rows gets the Wire, the
-// cached topology and the consecutive mapping. The rows of every cell
-// come back flattened in (configuration, family) order.
+// sized (ConfigFor) before anything runs, then the trace is streamed
+// once into its Wire (simnet.PrepareStream); then, family by family, rows
+// gets the Wire, the cached topology and the consecutive mapping. The
+// rows of every cell come back flattened in (configuration, family)
+// order.
 func familyRows[R any](refs []WorkloadRef, families []string, opts Options,
 	rows func(ref WorkloadRef, w *simnet.Wire, topo topology.Topology, mp *mapping.Mapping, cell *obs.Span) ([]R, error)) ([]R, error) {
 	perRef, err := eachCell(refs, opts, func(ref WorkloadRef, o Options) ([]R, error) {
@@ -72,7 +73,7 @@ func familyRows[R any](refs []WorkloadRef, families []string, opts Options,
 		if err != nil {
 			return nil, err
 		}
-		tr, err := generateTrace(app, ref.Ranks, o)
+		src, err := generateApp(app, ref.Ranks, o)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +83,7 @@ func familyRows[R any](refs []WorkloadRef, families []string, opts Options,
 				return nil, err
 			}
 		}
-		w, err := simnet.Prepare(tr)
+		w, err := simnet.PrepareStream(src)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s/%d: simnet: %w", ref.App, ref.Ranks, err)
 		}

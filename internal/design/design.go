@@ -491,9 +491,9 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 	// attached trace is never cached (see resolveTrace).
 	var acc *comm.Accumulated
 	if req.Trace != nil {
-		acc, err = core.Accumulate(t, opts)
+		acc, err = core.Accumulate(t.Source(), opts)
 	} else {
-		acc, err = core.Matrices(key, func() (*trace.Trace, error) { return t, nil }, opts)
+		acc, err = core.Matrices(key, func() (trace.Source, error) { return t.Source(), nil }, opts)
 	}
 	if err != nil {
 		return nil, err

@@ -34,17 +34,19 @@ const sourceMILC = "milc"
 // resolveTrace produces the workload trace for a canonicalized request:
 // an attached trace verbatim, a design-only synthetic generator, or the
 // named registry app (case-insensitively) at the requested scale through
-// App.GenerateAt, which builds the configured trace at a configured scale
+// App.StreamAt, which streams the configured trace at a configured scale
 // and extrapolates otherwise. Generated traces come through the
-// pipeline's generate stage (core.Generate).
+// pipeline's generate stage (core.Generate) and are collected: the search
+// reads the events twice, into the matrices on a cache miss and into the
+// Wire. Nothing caches the collected trace.
 //
-// The returned key addresses a generated trace in the artifact cache, and
-// is the zero key for an attached trace. Attached traces are never cached
-// — request payloads must not be able to poison artifacts shared with
-// other callers — and generated ones are keyed by source so an
-// extrapolated trace can never satisfy an exact-scale lookup: a
-// configured scale shares the core experiments' "gen" slot, any other
-// scale is keyed "genat".
+// The returned key addresses the generated trace's matrices in the
+// artifact cache, and is the zero key for an attached trace. Attached
+// traces are never cached — request payloads must not be able to poison
+// artifacts shared with other callers — and generated ones are keyed by
+// source so an extrapolated trace can never satisfy an exact-scale
+// lookup: a configured scale shares the core experiments' "gen" slot, any
+// other scale is keyed "genat".
 func resolveTrace(req Request, opts core.Options) (*trace.Trace, workcache.TraceKey, error) {
 	if req.Trace != nil {
 		if err := req.Trace.Validate(); err != nil {
@@ -53,7 +55,13 @@ func resolveTrace(req Request, opts core.Options) (*trace.Trace, workcache.Trace
 		return req.Trace, workcache.TraceKey{}, nil
 	}
 	key := workcache.TraceKey{Source: sourceMILC, App: "milc", Ranks: req.Ranks}
-	gen := func() (*trace.Trace, error) { return milcTrace(req.Ranks) }
+	gen := func() (trace.Source, error) {
+		t, err := milcTrace(req.Ranks)
+		if err != nil {
+			return nil, err
+		}
+		return t.Source(), nil
+	}
 	if !strings.EqualFold(req.App, "milc") {
 		app, err := lookupFold(req.App)
 		if err != nil {
@@ -63,9 +71,13 @@ func resolveTrace(req Request, opts core.Options) (*trace.Trace, workcache.Trace
 		if slices.Contains(app.RankCounts(), req.Ranks) {
 			key.Source = workcache.SourceGenerate
 		}
-		gen = func() (*trace.Trace, error) { return app.GenerateAt(req.Ranks) }
+		gen = func() (trace.Source, error) { return app.StreamAt(req.Ranks) }
 	}
-	t, err := core.Generate(key, gen, opts)
+	src, err := core.Generate(key, gen, opts)
+	if err != nil {
+		return nil, key, err
+	}
+	t, err := trace.Collect(src)
 	return t, key, err
 }
 

@@ -329,7 +329,9 @@ func AnalyzeTraceFile(w io.Writer, t *trace.Trace, p Params) error {
 // RunAll executes every experiment, writing <name>.txt (or .csv/.json)
 // files into dir. Used by cmd/locality -all to regenerate the results
 // tree in one call. Slow experiments run once each; errors abort the
-// sweep.
+// sweep. Each file is written under a temporary name in dir and renamed
+// once its experiment has succeeded, so dir never holds an empty or
+// partial output.
 func RunAll(dir string, p Params) error {
 	ext := ".txt"
 	switch {
@@ -339,26 +341,40 @@ func RunAll(dir string, p Params) error {
 		ext = ".csv"
 	}
 	// The experiments revisit the same (app, ranks) cells over and over —
-	// Table 1 and Table 3 alone share every configuration — so a sweep
-	// without a shared artifact cache regenerates each trace several
-	// times. Results are byte-identical either way.
+	// claims, score and table3 each run the whole Table 3 grid — so a
+	// sweep without a shared artifact cache re-accumulates each trace's
+	// matrices and rebuilds each topology several times. Results are
+	// byte-identical either way.
 	if p.Options.Cache == nil {
 		p.Options.Cache = workcache.New(0)
 	}
 	for _, name := range Experiments() {
-		f, err := os.Create(filepath.Join(dir, name+ext))
-		if err != nil {
-			return err
-		}
 		q := p
 		q.Experiment = name
-		if err := Run(f, q); err != nil {
-			f.Close()
+		if err := writeFile(filepath.Join(dir, name+ext), func(w io.Writer) error { return Run(w, q) }); err != nil {
 			return fmt.Errorf("harness: %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
 		}
 	}
 	return nil
+}
+
+// writeFile writes path through write: into path + ".tmp", renamed to
+// path only when write and the close succeed, and removed otherwise.
+func writeFile(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }

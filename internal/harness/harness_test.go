@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -193,6 +194,55 @@ func TestRunAllWritesEveryExperiment(t *testing.T) {
 		if info.Size() == 0 {
 			t.Fatalf("%s: empty output", name)
 		}
+	}
+}
+
+// TestRunAllLeavesOnlyFinishedFiles: a sweep that fails part-way leaves
+// the outputs of the experiments before the failing one, each equal to
+// its experiment's own output, and nothing else: no file, empty or
+// partial, for the failing experiment and no temporary file. A sweep
+// that fails on its first experiment leaves the directory empty.
+func TestRunAllLeavesOnlyFinishedFiles(t *testing.T) {
+	// fig1 reads the app; claims and congestion, which sort before it,
+	// do not.
+	p := Params{App: "no such app", Options: core.Options{MaxRanks: 27}}
+	dir := t.TempDir()
+	if err := RunAll(dir, p); err == nil || !strings.Contains(err.Error(), "harness: fig1:") {
+		t.Fatalf("RunAll = %v, want fig1 to fail", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"claims.txt", "congestion.txt"}; !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
+	}
+	for _, name := range []string{"claims", "congestion"} {
+		var want bytes.Buffer
+		q := p
+		q.Experiment = name
+		if err := Run(&want, q); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s.txt differs from the experiment's output", name)
+		}
+	}
+
+	dir = t.TempDir()
+	if err := RunAll(dir, Params{Options: core.Options{Coverage: 2}}); err == nil {
+		t.Fatal("RunAll at coverage 2 accepted")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("a sweep failing on its first experiment left %d entries (%v)", len(entries), err)
 	}
 }
 

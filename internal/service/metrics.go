@@ -161,9 +161,9 @@ func (m *metricsRegistry) bindDesignJobs(store *design.Store) {
 
 // bindWorkcache registers the workload artifact cache's effectiveness
 // counters. Unlike the result cache (marshaled response bytes), this
-// cache holds the expensive intermediate artifacts — generated traces
-// and accumulated matrices — shared across experiments, analyses, and
-// design searches. Called once from New, next to bindEngine.
+// cache holds the expensive intermediate artifacts — accumulated
+// matrices and built topologies — shared across experiments, analyses,
+// and design searches. Called once from New, next to bindEngine.
 func (m *metricsRegistry) bindWorkcache(c *workcache.Cache) {
 	m.workcache = c
 	m.reg.CounterFunc("netloc_workcache_hits_total", "Workload artifact cache hits (including singleflight waiters).",

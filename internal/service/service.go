@@ -93,8 +93,7 @@ const (
 // Options configures a Server. Every server bounds uploaded traces to
 // 64 MiB and JSON request bodies to 1 MiB, keeps
 // design.DefaultJobCapacity design jobs and workcache.DefaultMaxEntries
-// workload artifacts (generated traces, accumulated matrices and built
-// topologies).
+// workload artifacts (accumulated matrices and built topologies).
 type Options struct {
 	// CacheEntries bounds the LRU result cache; 256 when zero.
 	CacheEntries int

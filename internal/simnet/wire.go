@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 
@@ -44,43 +45,63 @@ type Wire struct {
 	Messages []Message
 }
 
-// Prepare is the one place a trace becomes replayable messages. It
-// unrolls every event through mpi.ExpandEvent, drops zero-byte
-// messages, checks both endpoints against the trace's rank count,
-// interns each (source, destination) pair, and stable-sorts by release.
-// A trace of more than 4 Mi messages is rejected. Errors carry no
-// simulator prefix: each simulator adds its own.
+// Prepare is PrepareStream of a materialized trace's one batch.
 func Prepare(t *trace.Trace) (*Wire, error) {
-	world, err := mpi.World(t.Meta.Ranks)
+	return PrepareStream(t.Source())
+}
+
+// PrepareStream is the one place a trace becomes replayable messages. It
+// reads the trace's event batches, unrolls every event through
+// mpi.ExpandEvent, drops zero-byte messages, checks both endpoints
+// against the trace's rank count, interns each (source, destination)
+// pair, and stable-sorts by release. Messages are sized up front from the
+// source's event count (trace.Prealloc), so a generated trace's Wire is
+// never regrown. A trace of more than 4 Mi messages is rejected. Errors
+// carry no simulator prefix: each simulator adds its own; a source's
+// error comes back as it is.
+func PrepareStream(src trace.Source) (*Wire, error) {
+	meta := src.Meta()
+	world, err := mpi.World(meta.Ranks)
 	if err != nil {
 		return nil, err
 	}
-	w := &Wire{Ranks: t.Meta.Ranks, Messages: make([]Message, 0, len(t.Events))}
+	w := &Wire{Ranks: meta.Ranks, Messages: make([]Message, 0, min(trace.Prealloc(src), maxMessages))}
 	index := make(map[Pair]int32)
 	var buf []mpi.Message
-	for i, e := range t.Events {
-		buf, err = mpi.ExpandEvent(buf[:0], e, world, mpi.ExpandOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
+	for i := 0; ; {
+		batch, readErr := src.Next()
+		for j := range batch {
+			e := &batch[j]
+			buf, err = mpi.ExpandEvent(buf[:0], *e, world, mpi.ExpandOptions{})
+			if err != nil {
+				return nil, fmt.Errorf("event %d: %w", i, err)
+			}
+			for _, m := range buf {
+				if m.Bytes == 0 {
+					continue
+				}
+				if len(w.Messages) == maxMessages {
+					return nil, fmt.Errorf("message count exceeds limit %d", maxMessages)
+				}
+				if uint(m.Src) >= uint(w.Ranks) || uint(m.Dst) >= uint(w.Ranks) {
+					return nil, fmt.Errorf("event %d: message %d->%d leaves the trace's %d ranks", i, m.Src, m.Dst, w.Ranks)
+				}
+				p := Pair{int32(m.Src), int32(m.Dst)}
+				pi, ok := index[p]
+				if !ok {
+					pi = int32(len(w.Pairs))
+					index[p] = pi
+					w.Pairs = append(w.Pairs, p)
+				}
+				w.Messages = append(w.Messages, Message{Pair: pi, Bytes: m.Bytes, Release: float64(e.Start) / 1e9})
+			}
+			i++
 		}
-		for _, m := range buf {
-			if m.Bytes == 0 {
-				continue
-			}
-			if len(w.Messages) == maxMessages {
-				return nil, fmt.Errorf("message count exceeds limit %d", maxMessages)
-			}
-			if uint(m.Src) >= uint(w.Ranks) || uint(m.Dst) >= uint(w.Ranks) {
-				return nil, fmt.Errorf("event %d: message %d->%d leaves the trace's %d ranks", i, m.Src, m.Dst, w.Ranks)
-			}
-			p := Pair{int32(m.Src), int32(m.Dst)}
-			pi, ok := index[p]
-			if !ok {
-				pi = int32(len(w.Pairs))
-				index[p] = pi
-				w.Pairs = append(w.Pairs, p)
-			}
-			w.Messages = append(w.Messages, Message{Pair: pi, Bytes: m.Bytes, Release: float64(e.Start) / 1e9})
+		if readErr == io.EOF {
+			break
+		}
+		if readErr != nil {
+			return nil, readErr
 		}
 	}
 	slices.SortStableFunc(w.Messages, func(a, b Message) int { return cmp.Compare(a.Release, b.Release) })

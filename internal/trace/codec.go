@@ -44,6 +44,9 @@ type Writer struct {
 	ranks  int
 	left   uint64
 	closed bool
+	// rec is the record Write encodes into; a local array would escape
+	// through bufio.Writer.Write and cost one allocation per event.
+	rec [recordSize]byte
 }
 
 // NewWriter writes the header and returns a Writer expecting exactly
@@ -97,7 +100,7 @@ func (w *Writer) Write(e Event) error {
 	if e.Root != int(int32(e.Root)) {
 		return fmt.Errorf("trace: root %d outside [%d, %d]", e.Root, math.MinInt32, math.MaxInt32)
 	}
-	var rec [recordSize]byte
+	rec := &w.rec
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(e.Rank))
 	rec[4] = byte(e.Op)
 	binary.LittleEndian.PutUint32(rec[5:9], uint32(int32(e.Peer)))
@@ -139,12 +142,20 @@ func WriteTrace(w io.Writer, t *Trace) error {
 	return tw.Close()
 }
 
-// Reader streams events from a binary trace.
+// Reader streams events from a binary trace. It is a Source: Next reads
+// up to readBatch events at a time into one reused batch.
 type Reader struct {
 	r    *bufio.Reader
 	meta Meta
 	left uint64
+	// rec is the record Read decodes from; a local array would escape
+	// through io.ReadFull and cost one allocation per event.
+	rec   [recordSize]byte
+	batch []Event
 }
+
+// readBatch is the number of events Reader.Next reads at a time.
+const readBatch = 256
 
 // NewReader parses the header and returns a streaming reader.
 func NewReader(r io.Reader) (*Reader, error) {
@@ -195,7 +206,7 @@ func (r *Reader) Read() (Event, error) {
 	if r.left == 0 {
 		return Event{}, io.EOF
 	}
-	var rec [recordSize]byte
+	rec := &r.rec
 	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
 		return Event{}, mapEOF(err)
 	}
@@ -216,10 +227,20 @@ func (r *Reader) Read() (Event, error) {
 	return e, nil
 }
 
-// maxPrealloc caps the events ReadTrace makes room for on the header's
-// word alone: a 26-byte upload can declare 2^24 events. Longer traces
-// grow past it as their records arrive.
-const maxPrealloc = 1 << 16
+// Next reads the next batch of up to readBatch events; see Source.
+func (r *Reader) Next() ([]Event, error) {
+	if r.batch == nil {
+		r.batch = make([]Event, readBatch)
+	}
+	for n := range r.batch {
+		e, err := r.Read()
+		if err != nil {
+			return r.batch[:n], err
+		}
+		r.batch[n] = e
+	}
+	return r.batch, nil
+}
 
 // ReadTrace reads a whole binary trace into memory.
 func ReadTrace(r io.Reader) (*Trace, error) {
@@ -227,18 +248,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Meta: tr.Meta()}
-	t.Events = make([]Event, 0, min(tr.Remaining(), maxPrealloc))
-	for {
-		e, err := tr.Read()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Events = append(t.Events, e)
-	}
+	return Collect(tr)
 }
 
 func mapEOF(err error) error {

@@ -12,6 +12,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -170,10 +171,77 @@ func (m Meta) Validate() error {
 }
 
 // Trace is a fully materialized trace: metadata plus an ordered event list.
-// Large traces can instead be consumed via the streaming Reader in codec.go.
+// Large traces can instead be consumed as a Source.
 type Trace struct {
 	Meta   Meta
 	Events []Event
+}
+
+// Source is a trace read in batches of events. Three kinds exist: a
+// materialized trace (Trace.Source, one batch), a Reader over the binary
+// format, and a generated workload, which stamps its events as they are
+// read.
+type Source interface {
+	// Meta describes the trace.
+	Meta() Meta
+	// Remaining returns the number of events still to come. A Reader
+	// takes it from its header, which its records need not honour; size
+	// memory by Prealloc, not by Remaining.
+	Remaining() uint64
+	// Next returns the next batch of events, which the caller must not
+	// modify and which may be overwritten by the following call. It
+	// returns io.EOF with the last batch (which may be empty); on any
+	// other error, the batch holds the events before the failing one.
+	Next() ([]Event, error)
+}
+
+// Source returns the trace as a Source of one batch, its Events.
+func (t *Trace) Source() Source { return &eventList{meta: t.Meta, events: t.Events} }
+
+// eventList is a materialized trace read as a Source.
+type eventList struct {
+	meta   Meta
+	events []Event
+}
+
+func (l *eventList) Meta() Meta        { return l.meta }
+func (l *eventList) Remaining() uint64 { return uint64(len(l.events)) }
+
+func (l *eventList) Next() ([]Event, error) {
+	batch := l.events
+	l.events = nil
+	return batch, io.EOF
+}
+
+// maxPrealloc caps the events a consumer makes room for on a Reader
+// header's word alone: a 26-byte upload can declare 2^24 events.
+// Longer traces grow past it as their records arrive.
+const maxPrealloc = 1 << 16
+
+// Prealloc returns how many events a consumer of s may make room for
+// before reading it: s.Remaining(), or at most maxPrealloc for a Reader,
+// whose count is its header's claim.
+func Prealloc(s Source) int {
+	n := s.Remaining()
+	if _, ok := s.(*Reader); ok {
+		n = min(n, maxPrealloc)
+	}
+	return int(n)
+}
+
+// Collect reads a source to its end into a materialized trace.
+func Collect(s Source) (*Trace, error) {
+	t := &Trace{Meta: s.Meta(), Events: make([]Event, 0, Prealloc(s))}
+	for {
+		batch, err := s.Next()
+		t.Events = append(t.Events, batch...)
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Validate checks metadata and every event.
@@ -194,8 +262,30 @@ func (t *Trace) Validate() error {
 // are caller-side buffer sizes, not network volume; see package mpi for the
 // expansion into wire messages.
 func (t *Trace) TotalBytes() (p2p, coll uint64) {
-	for _, e := range t.Events {
-		switch {
+	return byteSums(t.Events)
+}
+
+// SumBytes reads s to its end and returns TotalBytes' two sums over its
+// events.
+func SumBytes(s Source) (p2p, coll uint64, err error) {
+	for {
+		batch, err := s.Next()
+		p, c := byteSums(batch)
+		p2p, coll = p2p+p, coll+c
+		if err == io.EOF {
+			return p2p, coll, nil
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+}
+
+// byteSums returns the point-to-point and collective payload sums of
+// events.
+func byteSums(events []Event) (p2p, coll uint64) {
+	for i := range events {
+		switch e := &events[i]; {
 		case e.Op == OpSend:
 			p2p += e.Bytes
 		case e.Op.IsCollective():

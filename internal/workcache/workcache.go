@@ -3,17 +3,19 @@
 // analysis service.
 //
 // The paper's tables and figures sweep a (workload × scale × topology ×
-// mapping) grid, but the expensive inputs — the generated synthetic trace,
-// the accumulated communication matrices, and the built topologies —
-// depend only on (app, ranks), (app, ranks, expansion strategy), and the
-// topology's structural parameters respectively.
-// Without a cache, every experiment re-derives them per cell; with one,
-// the first run pays and every other experiment, design candidate, and
-// service request above it shares the artifact.
+// mapping) grid, but the expensive inputs — the accumulated communication
+// matrices and the built topologies — depend only on (app, ranks,
+// expansion strategy) and the topology's structural parameters
+// respectively. Without a cache, every experiment re-derives them per
+// cell; with one, the first run pays and every other experiment, design
+// candidate, and service request above it shares the artifact. Generated
+// traces are not among them: the pipeline streams each one into the
+// artifacts made from it (see core.Generate), so no program path caches
+// an event list.
 //
-// Cached values are shared read-only: traces are immutable after
-// construction everywhere in the pipeline, accumulated matrices by type
-// (a comm.Matrix has no method that writes), and all derived analysis is
+// Cached values are shared read-only: accumulated matrices by type (a
+// comm.Matrix has no method that writes), built topologies because
+// nothing modifies one after construction, and all derived analysis is
 // exact integer or index-ordered arithmetic, so a cached artifact
 // produces byte-identical reports to a fresh one, and no artifact depends
 // on how it was scheduled.
@@ -42,23 +44,25 @@ import (
 // entire paper sweep plus service traffic with room to spare.
 const DefaultMaxEntries = 128
 
-// TraceKey addresses a generated trace. Source names the generator kind
-// ("gen" for the registry's configured scales, "genat" for extrapolated
-// scales, "milc" for the design-only synthetic) so generators with
-// different domains can never satisfy each other's lookups — a registry
-// lookup must still fail at an unconfigured scale even when the design
-// sweep cached an extrapolated trace there.
+// TraceKey names a generated trace; AccKey extends it to address the
+// trace's matrices. Source names the generator kind ("gen" for the
+// registry's configured scales, "genat" for extrapolated scales, "milc"
+// for the design-only synthetic) so generators with different domains
+// can never satisfy each other's lookups — a registry lookup must still
+// fail at an unconfigured scale even when the design sweep cached an
+// extrapolated workload's matrices there.
 type TraceKey struct {
 	Source string
 	App    string
 	Ranks  int
 }
 
-// SourceGenerate is the TraceKey source for registry App.Generate traces.
+// SourceGenerate is the TraceKey source for registry traces at a
+// configured scale (App.Stream, App.Generate).
 const SourceGenerate = "gen"
 
-// SourceGenerateAt is the TraceKey source for extrapolated App.GenerateAt
-// traces.
+// SourceGenerateAt is the TraceKey source for extrapolated traces
+// (App.StreamAt, App.GenerateAt).
 const SourceGenerateAt = "genat"
 
 func (k TraceKey) id() string {
@@ -109,7 +113,8 @@ func New(max int) *Cache {
 // Trace returns the cached trace for k, running gen exactly once across
 // concurrent callers on a miss. Errors are returned to every concurrent
 // waiter but are not stored: a later call retries. A nil cache calls gen
-// directly.
+// directly. No program path caches a trace; the benchmark module's
+// traced rebuilds call it.
 func (c *Cache) Trace(k TraceKey, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
 	return get(c, k.id(), gen)
 }

@@ -290,8 +290,9 @@ func TestConcurrentMixedTrafficSharedCache(t *testing.T) {
 	}
 	// Whether the storm itself scored hits depends on eviction timing
 	// under the tiny cap, so assert hit accounting on the quiet cache:
-	// one analysis stores 3 artifacts (trace, matrix, topology), all
-	// resident under the cap of 4, and an immediate repeat must hit.
+	// one analysis stores 4 artifacts (its matrices and three
+	// topologies), all resident under the cap of 4, and an immediate
+	// repeat must hit.
 	if _, err := core.AnalyzeApp("LULESH", 64, core.Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}

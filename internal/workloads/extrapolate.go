@@ -87,17 +87,22 @@ func (a *App) nearestScale(ranks int) Scale {
 }
 
 // GenerateAt produces a synthetic trace at an arbitrary rank count using
-// ScaleAt calibration. The rank count must still fit the app's structural
-// constraints (e.g. the 3D apps need a near-cubic factorization).
+// ScaleAt calibration: StreamAt's events, collected.
 func (a *App) GenerateAt(ranks int) (*trace.Trace, error) {
+	s, err := a.StreamAt(ranks)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Collect(s)
+}
+
+// StreamAt is Stream at an arbitrary rank count, using ScaleAt
+// calibration. The rank count must still fit the app's structural
+// constraints (e.g. the 3D apps need a near-cubic factorization).
+func (a *App) StreamAt(ranks int) (trace.Source, error) {
 	s, err := a.ScaleAt(ranks)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := a.pattern(s)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %s/%d: %w", a.Name, ranks, err)
-	}
-	sp.name = a.Name
-	return sp.build()
+	return a.open(s)
 }

@@ -363,17 +363,26 @@ func TestXorshiftDeterministic(t *testing.T) {
 	}
 }
 
+// build opens a spec's stream and collects it.
+func build(sp *spec) (*trace.Trace, error) {
+	s, err := sp.stream()
+	if err != nil {
+		return nil, err
+	}
+	return trace.Collect(s)
+}
+
 func TestSpecBuildErrors(t *testing.T) {
 	// Target p2p volume without a pattern must fail.
 	sp := newSpec(Scale{Ranks: 4, VolMB: 1, RateMBps: 1, P2PPct: 100})
 	sp.name = "broken"
-	if _, err := sp.build(); err == nil {
+	if _, err := build(sp); err == nil {
 		t.Fatal("p2p target without pattern accepted")
 	}
 	// Target collective volume without a pattern must fail.
 	sp2 := newSpec(Scale{Ranks: 4, VolMB: 1, RateMBps: 1, P2PPct: 0})
 	sp2.name = "broken2"
-	if _, err := sp2.build(); err == nil {
+	if _, err := build(sp2); err == nil {
 		t.Fatal("collective target without pattern accepted")
 	}
 }
@@ -383,11 +392,11 @@ func TestSpecIgnoresDegenerateSends(t *testing.T) {
 	sp.send(1, 1, 10, 1) // self
 	sp.send(0, 1, 0, 1)  // zero weight
 	sp.send(0, 1, -5, 1) // negative weight
-	if len(sp.p2p) != 0 {
-		t.Fatalf("degenerate sends recorded: %d", len(sp.p2p))
+	if len(sp.p2p.chunks) != 0 {
+		t.Fatalf("degenerate sends recorded: %+v", sp.p2p)
 	}
 	sp.send(0, 1, 1, 0) // msgs clamped to 1
-	if len(sp.p2p) != 1 || sp.p2p[0].msgs != 1 {
+	if len(sp.p2p.chunks) != 1 || len(sp.p2p.chunks[0]) != 1 || sp.p2p.chunks[0][0].msgs != 1 {
 		t.Fatalf("send not normalized: %+v", sp.p2p)
 	}
 }
@@ -396,7 +405,7 @@ func TestRootedCollectiveGetsRoot(t *testing.T) {
 	sp := newSpec(Scale{Ranks: 4, VolMB: 1, RateMBps: 1, P2PPct: 0})
 	sp.name = "bcastapp"
 	sp.collective(trace.OpBcast, 2, 1, 1)
-	tr, err := sp.build()
+	tr, err := build(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

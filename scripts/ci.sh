@@ -67,10 +67,12 @@ go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./in
 # 256, that a congest tolerance probe and a lean simnet replay allocate
 # nothing per message, that a netmodel run allocates no more than its
 # pinned ceilings, that Greedy's allocation count does not grow with the
-# rank count, and that Route into a warm buffer allocates nothing on any
-# topology type.
+# rank count, that Route into a warm buffer allocates nothing on any
+# topology type, that the binary trace reader and writer allocate as many
+# objects for 10,000 events as for 1,000, and that draining a generated
+# workload's stream allocates as many at LULESH/512 as at LULESH/64.
 echo "=== go test (allocation pins, no -race) ==="
-go test -run 'Alloc' ./internal/workcache ./internal/comm ./internal/mpi ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping ./internal/topology
+go test -run 'Alloc' ./internal/workcache ./internal/comm ./internal/mpi ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping ./internal/topology ./internal/trace ./internal/workloads
 
 # Every committed results/ file is an output pin: regenerate both formats
 # of every experiment (the full grid, no -race) and fail on any file that
