@@ -51,10 +51,11 @@ func run(app string, ranks int, out string, text, list bool) error {
 	if err != nil {
 		return err
 	}
-	t, err := a.Generate(ranks)
+	src, err := a.Stream(ranks)
 	if err != nil {
 		return err
 	}
+	meta, events := src.Meta(), src.Remaining()
 	if out == "" {
 		ext := ".nlt"
 		if text {
@@ -68,9 +69,9 @@ func run(app string, ranks int, out string, text, list bool) error {
 	}
 	defer f.Close()
 	if text {
-		err = trace.WriteText(f, t)
+		err = trace.WriteTextSource(f, src)
 	} else {
-		err = trace.WriteTrace(f, t)
+		err = trace.WriteSource(f, src)
 	}
 	if err != nil {
 		return err
@@ -79,6 +80,6 @@ func run(app string, ranks int, out string, text, list bool) error {
 		return err
 	}
 	fmt.Printf("wrote %s: %d events, %d ranks, %.3gs wall time\n",
-		out, len(t.Events), t.Meta.Ranks, t.Meta.WallTime)
+		out, events, meta.Ranks, meta.WallTime)
 	return nil
 }

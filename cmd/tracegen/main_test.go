@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"netloc/internal/trace"
+	"netloc/internal/workloads"
 )
 
 func TestRunList(t *testing.T) {
@@ -78,5 +81,44 @@ func TestRunWritesTextTrace(t *testing.T) {
 func TestRunBadOutputPath(t *testing.T) {
 	if err := run("LULESH", 64, "/nonexistent-dir/x.nlt", false, false); err == nil {
 		t.Fatal("unwritable path accepted")
+	}
+}
+
+// tracegen writes the generated stream batch by batch, never the whole
+// trace at once; both formats hold the same bytes as the materialized
+// trace written whole.
+func TestRunStreamsGeneratedTraceBytes(t *testing.T) {
+	app, err := workloads.Lookup("LULESH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := app.Generate(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, format := range []struct {
+		name  string
+		text  bool
+		write func(io.Writer, *trace.Trace) error
+	}{
+		{"binary", false, trace.WriteTrace},
+		{"text", true, trace.WriteText},
+	} {
+		var want bytes.Buffer
+		if err := format.write(&want, tr); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, format.name)
+		if err := run("LULESH", 64, out, format.text, false); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: tracegen wrote %d bytes that differ from the %d of the whole trace", format.name, len(got), want.Len())
+		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"netloc/internal/mpi"
 	"netloc/internal/parallel"
@@ -90,6 +91,8 @@ type Matrix struct {
 	totalBytes uint64
 	totalMsgs  uint64
 	totalPkts  uint64
+	// partners is the undirected view Partners builds on first use.
+	partners *partnerRows
 }
 
 // DstEntry is one entry of a sorted row: a destination rank and its own
@@ -254,6 +257,7 @@ func (b *Builder) Matrix() *Matrix {
 			m.pairs += len(row.Sorted)
 		}
 	}
+	m.partners = new(partnerRows)
 	b.built, b.m, b.sparse = &m, Matrix{}, nil
 	return b.built
 }
@@ -386,6 +390,70 @@ func (m *Matrix) AppendBySource(src int, dsts []int, vols []float64) ([]int, []f
 		vols = append(vols, float64(e.Bytes))
 	})
 	return dsts, vols
+}
+
+// Partner is one entry of a rank's row in a matrix's undirected view: a
+// partner rank and the bytes of both directions of the pair summed.
+type Partner struct {
+	Rank  int
+	Bytes uint64
+}
+
+// partnerRows holds a matrix's undirected view once built.
+type partnerRows struct {
+	once sync.Once
+	rows [][]Partner
+}
+
+// Partners returns the matrix's undirected view, the symmetric traffic
+// graph the rank mappers search: row r lists r's partners in ascending
+// rank order, zero-byte partners too, each with the bytes of both
+// directions of the pair summed. The rows are built on first use, once
+// per matrix, and kept with it; they share one backing array sized by a
+// degree count. They are the matrix's own; do not modify them.
+func (m *Matrix) Partners() [][]Partner {
+	m.partners.once.Do(func() { m.partners.rows = m.undirected() })
+	return m.partners.rows
+}
+
+// undirected builds the rows Partners returns.
+func (m *Matrix) undirected() [][]Partner {
+	ranks := m.ranks
+	start := make([]int, ranks+1)
+	for src := 0; src < ranks; src++ {
+		m.EachDst(src, func(dst int, _ Entry) {
+			start[src+1]++
+			start[dst+1]++
+		})
+	}
+	for r := 0; r < ranks; r++ {
+		start[r+1] += start[r]
+	}
+	all := make([]Partner, start[ranks])
+	rows := make([][]Partner, ranks)
+	for r := range rows {
+		rows[r] = all[start[r]:start[r]:start[r+1]]
+	}
+	for src := 0; src < ranks; src++ {
+		m.EachDst(src, func(dst int, e Entry) {
+			rows[src] = append(rows[src], Partner{Rank: dst, Bytes: e.Bytes})
+			rows[dst] = append(rows[dst], Partner{Rank: src, Bytes: e.Bytes})
+		})
+	}
+	for r, row := range rows {
+		slices.SortFunc(row, func(a, b Partner) int { return a.Rank - b.Rank })
+		n := 0
+		for _, p := range row {
+			if n > 0 && row[n-1].Rank == p.Rank {
+				row[n-1].Bytes += p.Bytes // the pair's other direction
+				continue
+			}
+			row[n] = p
+			n++
+		}
+		rows[r] = row[:n]
+	}
+	return rows
 }
 
 // Accumulated holds the two matrices of one trace plus accounting totals.

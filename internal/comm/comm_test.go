@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -458,6 +459,62 @@ func TestAccumulateCollectiveOverflowErrorIsStable(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if _, err := Accumulate(tr, AccumulateOptions{}); err == nil || err.Error() != first.Error() {
 			t.Fatalf("run %d failed with %v, the first with %v", i, err, first)
+		}
+	}
+}
+
+// Partners is the matrix's undirected view: per rank, every rank it
+// exchanges messages with in either direction, zero-byte partners too,
+// in ascending order and with both directions' bytes summed, whatever
+// the rows' layout (sorted, dense or carrying a uniform term). Callers on
+// several goroutines share the one view built by the first.
+func TestPartnersSumBothDirectionsOnce(t *testing.T) {
+	const ranks = 40
+	b := mustBuilder(t, ranks, 0)
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 300; i++ {
+		src, dst := rng.Intn(ranks), rng.Intn(ranks)
+		if src != dst {
+			if err := b.Add(src, dst, uint64(rng.Intn(4))*1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for dst := 1; dst < ranks; dst++ { // a dense row
+		if err := b.Add(0, dst, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.addUniform(5, 64, 2); err != nil {
+		t.Fatal(err)
+	}
+	m := b.Matrix()
+
+	views := make([][][]Partner, 8)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			views[i] = m.Partners()
+		}(i)
+	}
+	wg.Wait()
+	for _, v := range views[1:] {
+		if &v[0] != &views[0][0] {
+			t.Fatal("concurrent callers got different partner rows")
+		}
+	}
+	for r, row := range views[0] {
+		var want []Partner
+		for p := 0; p < ranks; p++ {
+			out, in := m.Lookup(r, p), m.Lookup(p, r)
+			if p != r && (out.Messages != 0 || in.Messages != 0) {
+				want = append(want, Partner{Rank: p, Bytes: out.Bytes + in.Bytes})
+			}
+		}
+		if !slices.Equal(row, want) {
+			t.Fatalf("rank %d: partners %v, want %v", r, row, want)
 		}
 	}
 }

@@ -70,3 +70,46 @@ func TestGreedyAllocsDoNotGrowWithRanks(t *testing.T) {
 		t.Fatalf("Greedy allocated %v objects for 64 ranks and %v for 512", small, large)
 	}
 }
+
+// Every mapper searches the matrix's rank graph, which is built once per
+// matrix: once a first call has built it, Greedy, Refine and Bisection on
+// the same matrix each allocate less than the graph's rows alone (216
+// ranks of the 6×6×6 stencil, 26 partners each, 16 bytes per partner).
+func TestRankGraphAllocsOncePerMatrix(t *testing.T) {
+	const n = 6
+	m := stencil27(t, n)
+	topo, err := topology.NewTorus(n, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := Consecutive(n*n*n, topo.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappers := []struct {
+		name string
+		run  func() (*Mapping, error)
+	}{
+		{"greedy", func() (*Mapping, error) { return Greedy(m, topo) }},
+		{"refine", func() (*Mapping, error) { return Refine(m, topo, start, 1) }},
+		{"bisection", func() (*Mapping, error) { return Bisection(m, topo) }},
+	}
+	allocated := func(run func() (*Mapping, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	graphBytes := uint64(n * n * n * 26 * 16)
+	if got := allocated(mappers[0].run); got < graphBytes {
+		t.Fatalf("the first Greedy call allocated %d B, less than the %d B of the rank graph it builds", got, graphBytes)
+	}
+	for _, mp := range mappers {
+		if got := allocated(mp.run); got >= graphBytes {
+			t.Errorf("%s allocated %d B on a matrix whose rank graph is built; the graph alone is %d B", mp.name, got, graphBytes)
+		}
+	}
+}

@@ -26,7 +26,7 @@ func Bisection(m *comm.Matrix, topo *topology.Torus) (*Mapping, error) {
 	}
 	x, y, z := topo.Dims()
 
-	graph := rankGraph(m)
+	graph := m.Partners()
 
 	nodeOf := make([]int, ranks)
 	for i := range nodeOf {
@@ -68,8 +68,8 @@ func Bisection(m *comm.Matrix, topo *topology.Torus) (*Mapping, error) {
 		// Seed: rank with the largest traffic inside the set.
 		for _, r := range set {
 			for _, p := range graph[r] {
-				if inSet[p.rank] {
-					totals[r] += p.bytes
+				if inSet[p.Rank] {
+					totals[r] += p.Bytes
 				}
 			}
 		}
@@ -82,8 +82,8 @@ func Bisection(m *comm.Matrix, topo *topology.Torus) (*Mapping, error) {
 		take := func(r int) {
 			taken[r] = true
 			for _, p := range graph[r] {
-				if inSet[p.rank] && !taken[p.rank] {
-					attach[p.rank] += p.bytes
+				if inSet[p.Rank] && !taken[p.Rank] {
+					attach[p.Rank] += p.Bytes
 				}
 			}
 		}

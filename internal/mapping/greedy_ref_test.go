@@ -15,7 +15,7 @@ import (
 // the oracle the block and axis shortcuts are checked against.
 func referenceGreedy(m *comm.Matrix, topo topology.Topology) []int {
 	ranks, nodes := m.Ranks(), topo.Nodes()
-	graph := rankGraph(m)
+	graph := m.Partners()
 	nodeOf := make([]int, ranks)
 	nodeUsed := make([]bool, nodes)
 	placed := make([]bool, ranks)
@@ -25,8 +25,8 @@ func referenceGreedy(m *comm.Matrix, topo topology.Topology) []int {
 		nodeUsed[node] = true
 		placed[rank] = true
 		for _, p := range graph[rank] {
-			if !placed[p.rank] {
-				attach[p.rank] += p.bytes
+			if !placed[p.Rank] {
+				attach[p.Rank] += p.Bytes
 			}
 		}
 	}
@@ -34,7 +34,7 @@ func referenceGreedy(m *comm.Matrix, topo topology.Topology) []int {
 	for r, row := range graph {
 		var total uint64
 		for _, p := range row {
-			total += p.bytes
+			total += p.Bytes
 		}
 		if total > firstTotal {
 			first, firstTotal = r, total
@@ -55,8 +55,8 @@ func referenceGreedy(m *comm.Matrix, topo topology.Topology) []int {
 			}
 			var cost uint64
 			for _, p := range graph[next] {
-				if placed[p.rank] {
-					cost += p.bytes * uint64(topo.HopCount(node, nodeOf[p.rank]))
+				if placed[p.Rank] {
+					cost += p.Bytes * uint64(topo.HopCount(node, nodeOf[p.Rank]))
 				}
 			}
 			if bestNode == -1 || cost < bestCost {

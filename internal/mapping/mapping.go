@@ -7,24 +7,26 @@
 // Refine and Bisection mappers implement that idea as an extension and
 // are exercised by the ablation benchmarks and the design search.
 //
-// All three search one rank graph: each rank's partners in ascending rank
-// order, both directions of a pair summed into one uint64 byte weight.
-// Their costs are uint64 sums of bytes × hops, exact because comm caps a
-// matrix at comm.MaxVolume bytes, so a mapping depends only on the
-// traffic, never on the order it was recorded or summed in. Ties go to
-// the lowest rank and node.
+// All three search one rank graph, the matrix's undirected view
+// (comm.Matrix.Partners, built once per matrix): each rank's partners in
+// ascending rank order, both directions of a pair summed into one uint64
+// byte weight. Their costs are uint64 sums of bytes × hops, exact because
+// comm caps a matrix at comm.MaxVolume bytes, so a mapping depends only
+// on the traffic, never on the order it was recorded or summed in. Ties
+// go to the lowest rank and node.
 //
 // Greedy, which the design search runs on every candidate, scores a
-// step's free nodes through two exact shortcuts that package topology
-// states: one node per block of nodes with equal hop counts
-// (topology.BlockSize), and on a torus or mesh per-axis cost rows
-// (Torus.AxisSum). Its tables equal those of the search without them.
+// step's free nodes through two exact shortcuts built on facts package
+// topology states: one node per block of nodes with equal hop counts
+// (topology.BlockSize), and hop counts read from rows, per axis on a
+// torus or mesh (Torus.AxisSum) and per block elsewhere, each block's
+// row filled once per call. Its tables equal those of the search without
+// them.
 package mapping
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"netloc/internal/comm"
 	"netloc/internal/topology"
@@ -132,56 +134,6 @@ func (m *Mapping) UsedNodes() int {
 	return len(seen)
 }
 
-// partner is one entry of a rank's row in the rank graph.
-type partner struct {
-	rank  int
-	bytes uint64
-}
-
-// rankGraph returns the symmetric traffic graph every mapper searches:
-// row r lists r's partners (zero-byte ones too) in ascending rank order,
-// each with the bytes of both directions of the pair summed. The rows
-// share one backing array sized by a degree count, so the graph costs a
-// few allocations at any rank count.
-func rankGraph(m *comm.Matrix) [][]partner {
-	ranks := m.Ranks()
-	start := make([]int, ranks+1)
-	for src := 0; src < ranks; src++ {
-		m.EachDst(src, func(dst int, _ comm.Entry) {
-			start[src+1]++
-			start[dst+1]++
-		})
-	}
-	for r := 0; r < ranks; r++ {
-		start[r+1] += start[r]
-	}
-	all := make([]partner, start[ranks])
-	rows := make([][]partner, ranks)
-	for r := range rows {
-		rows[r] = all[start[r]:start[r]:start[r+1]]
-	}
-	for src := 0; src < ranks; src++ {
-		m.EachDst(src, func(dst int, e comm.Entry) {
-			rows[src] = append(rows[src], partner{rank: dst, bytes: e.Bytes})
-			rows[dst] = append(rows[dst], partner{rank: src, bytes: e.Bytes})
-		})
-	}
-	for r, row := range rows {
-		slices.SortFunc(row, func(a, b partner) int { return a.rank - b.rank })
-		n := 0
-		for _, p := range row {
-			if n > 0 && row[n-1].rank == p.rank {
-				row[n-1].bytes += p.bytes // the pair's other direction
-				continue
-			}
-			row[n] = p
-			n++
-		}
-		rows[r] = row[:n]
-	}
-	return rows
-}
-
 // Greedy builds a communication-aware one-rank-per-node mapping: ranks are
 // placed in order of their traffic attachment to already-placed ranks, each
 // onto the free node minimizing the volume-weighted hop distance to its
@@ -191,22 +143,29 @@ func rankGraph(m *comm.Matrix) [][]partner {
 // lowest node.
 //
 // Two exact shortcuts keep a step from scoring every free node against
-// every partner. The free nodes of one block (topology.BlockSize) cost
-// the same, so only a block's first free node, its lowest, is scored. On
-// a torus or mesh a hop count is a sum of per-axis distances, so one pass
-// over the partners fills an axis row and a node's cost is three lookups
-// (Torus.AxisSum).
+// every partner through HopCount. The free nodes of one block
+// (topology.BlockSize) cost the same, so only a block's first free node,
+// its lowest, is scored. And a partner's hop counts are read from a row:
+// on a torus or mesh a hop count is a sum of per-axis distances, so one
+// pass over the partners fills an axis row and a node's cost is three
+// lookups (Torus.AxisSum); on every other topology a partner's node has
+// one hop count to all of another block's nodes, and one to the other
+// nodes of its own block, so each block a partner sits in gets a row of
+// hop counts per block, filled on first use and read by every later step.
 func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 	ranks, nodes := m.Ranks(), topo.Nodes()
 	if nodes < ranks {
 		return nil, fmt.Errorf("mapping: topology %s has %d nodes for %d ranks", topo.Name(), nodes, ranks)
 	}
-	graph := rankGraph(m)
+	graph := m.Partners()
 	block := topology.BlockSize(topo)
 	torus, onAxes := topo.(*topology.Torus)
-	var row []uint64 // the partners' axis row on a torus or mesh
+	var axes []uint64 // the partners' axis row on a torus or mesh
+	var hopRow func(u int) []uint16
 	if onAxes {
-		row = torus.AxisRow()
+		axes = torus.AxisRow()
+	} else {
+		hopRow = hopRows(topo, block, ranks)
 	}
 
 	nodeOf := make([]int, ranks)
@@ -218,8 +177,8 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 		nodeUsed[node] = true
 		placed[rank] = true
 		for _, p := range graph[rank] {
-			if !placed[p.rank] {
-				attach[p.rank] += p.bytes
+			if !placed[p.Rank] {
+				attach[p.Rank] += p.Bytes
 			}
 		}
 	}
@@ -228,14 +187,20 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 	for r, row := range graph {
 		var total uint64
 		for _, p := range row {
-			total += p.bytes
+			total += p.Bytes
 		}
 		if total > firstTotal {
 			first, firstTotal = r, total
 		}
 	}
 	place(first, 0)
-	anchors := make([]partner, 0, ranks) // the next rank's placed partners
+	// Off a torus or mesh, the next rank's placed partners: each one's
+	// hop row and bytes.
+	type anchor struct {
+		hops  []uint16
+		bytes uint64
+	}
+	anchors := make([]anchor, 0, ranks)
 
 	for n := 1; n < ranks; n++ {
 		// Next rank: strongest attachment; ties and isolated ranks fall
@@ -246,17 +211,21 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 				next = r
 			}
 		}
+		anchored := false
 		anchors = anchors[:0]
-		for _, p := range graph[next] {
-			if placed[p.rank] {
-				anchors = append(anchors, p)
-			}
-		}
 		if onAxes {
-			clear(row)
-			for _, a := range anchors {
-				torus.AddAxisDistances(row, nodeOf[a.rank], a.bytes)
+			clear(axes)
+		}
+		for _, p := range graph[next] {
+			switch {
+			case !placed[p.Rank]:
+				continue
+			case onAxes:
+				torus.AddAxisDistances(axes, nodeOf[p.Rank], p.Bytes)
+			default:
+				anchors = append(anchors, anchor{hopRow(nodeOf[p.Rank]), p.Bytes})
 			}
+			anchored = true
 		}
 		// Best free node: minimize weighted hops to the placed partners;
 		// without any, the first free node.
@@ -267,16 +236,17 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 			}
 			var cost uint64
 			if onAxes {
-				cost = torus.AxisSum(row, node)
+				cost = torus.AxisSum(axes, node)
 			} else {
+				b := node / block
 				for _, a := range anchors {
-					cost += a.bytes * uint64(topo.HopCount(node, nodeOf[a.rank]))
+					cost += a.bytes * uint64(a.hops[b])
 				}
 			}
 			if bestNode == -1 || cost < bestCost {
 				bestNode, bestCost = node, cost
 			}
-			if len(anchors) == 0 {
+			if !anchored {
 				break
 			}
 			node += block - 1 - node%block // the block's other free nodes cost the same
@@ -284,4 +254,37 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 		place(next, bestNode)
 	}
 	return &Mapping{nodeOf: nodeOf, nodes: nodes}, nil
+}
+
+// hopRows returns Greedy's hop-row lookup on a topology of nodes in
+// blocks of block (topology.BlockSize): given a node u of block b, the
+// row whose entry c is the HopCount from block c's nodes to u, and for
+// c = b the HopCount between any two nodes of b. The row is the same
+// for every node of b, so each block's is filled by its first lookup
+// and shared by later ones. At most min(blocks, ranks) blocks host a
+// rank, so the rows fit one arena of that many rows. An entry is
+// uint16: routes are shorter than 2^16 links (comm.MaxVolume's premise).
+func hopRows(topo topology.Topology, block, ranks int) func(u int) []uint16 {
+	blocks := topo.Nodes() / block
+	arena := make([]uint16, min(blocks, ranks)*blocks)
+	slot := make([]int32, blocks) // block -> its row's index + 1, 0 until filled
+	filled := 0
+	return func(u int) []uint16 {
+		b := u / block
+		if slot[b] == 0 {
+			row := arena[filled*blocks : (filled+1)*blocks]
+			for c := range row {
+				if c != b {
+					row[c] = uint16(topo.HopCount(c*block, u))
+				}
+			}
+			if block > 1 {
+				row[b] = uint16(topo.HopCount(b*block, b*block+1))
+			}
+			filled++
+			slot[b] = int32(filled)
+		}
+		i := int(slot[b]) - 1
+		return arena[i*blocks : (i+1)*blocks]
+	}
 }

@@ -46,14 +46,14 @@ func Refine(m *comm.Matrix, topo topology.Topology, initial *Mapping, maxPasses 
 		}
 		used[n] = true
 	}
-	graph := rankGraph(m)
+	graph := m.Partners()
 
 	// cost of rank r sitting on node n, excluding any edge to `exclude`.
 	costAt := func(r, n, exclude int) uint64 {
 		var c uint64
 		for _, p := range graph[r] {
-			if p.rank != exclude {
-				c += p.bytes * uint64(topo.HopCount(n, nodeOf[p.rank]))
+			if p.Rank != exclude {
+				c += p.Bytes * uint64(topo.HopCount(n, nodeOf[p.Rank]))
 			}
 		}
 		return c

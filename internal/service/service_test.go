@@ -155,22 +155,29 @@ func TestCacheHitFasterAndCounted(t *testing.T) {
 	cold := getOK(t, ts, path)
 	coldDur := time.Since(coldStart)
 
-	warmStart := time.Now()
-	warm := getOK(t, ts, path)
-	warmDur := time.Since(warmStart)
-
-	if !bytes.Equal(cold, warm) {
-		t.Fatal("cached response differs from cold response")
+	// The fastest of several hits is timed, so that one scheduler stall
+	// on a busy host does not stand for the cache.
+	const warmRuns = 5
+	var warmDur time.Duration
+	for i := 0; i < warmRuns; i++ {
+		warmStart := time.Now()
+		warm := getOK(t, ts, path)
+		if d := time.Since(warmStart); i == 0 || d < warmDur {
+			warmDur = d
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Fatal("cached response differs from cold response")
+		}
 	}
 	after := metricsSnapshot(t, ts)
-	if hits := after.Cache.Hits - before.Cache.Hits; hits < 1 {
-		t.Errorf("cache hits = %d, want >= 1", hits)
+	if hits := after.Cache.Hits - before.Cache.Hits; hits < warmRuns {
+		t.Errorf("cache hits = %d, want >= %d", hits, warmRuns)
 	}
 	if misses := after.Cache.Misses - before.Cache.Misses; misses != 1 {
 		t.Errorf("cache misses = %d, want 1", misses)
 	}
 	if warmDur*10 > coldDur {
-		t.Errorf("cache hit not 10x faster: cold %v vs warm %v", coldDur, warmDur)
+		t.Errorf("cache hit not 10x faster: cold %v vs fastest of %d warm %v", coldDur, warmRuns, warmDur)
 	}
 }
 

@@ -5,17 +5,18 @@ import (
 	"math"
 )
 
-// fabric is the shared machinery of the switch-fabric families added
-// beyond the paper's three (Slim Fly, Jellyfish): on the switched layout,
-// switches form an arbitrary graph, and minimal routing runs on
-// eagerly-built BFS distance tables over the switch graph — the "BFS
-// where no analytic form exists" rule. The tables are immutable after
-// construction, so one instance is safe to share across concurrent
-// analysis cells (the workcache contract).
+// fabric is the layout shared by the switch-fabric families added beyond
+// the paper's three (Slim Fly, Jellyfish): on the switched layout,
+// switches form an arbitrary graph, kept as each switch's links in the
+// order they were added, which pins every routing tie-break. Each family
+// routes on it its own way: Slim Fly on an adjacency bitset, since its
+// switch graph has diameter 2, and Jellyfish on BFS distance tables
+// (bfsTables). Both are immutable after construction, so one instance
+// is safe to share across concurrent analysis cells (the workcache
+// contract).
 type fabric struct {
 	switched
 	swAdj Adjacency // switch -> peer switch indices, in ascending link order
-	dist  [][]int16 // dist[s][t] = switch-graph hops s -> t
 }
 
 // Edge is one end of a link seen from a vertex: the vertex across the
@@ -26,7 +27,7 @@ type Edge struct {
 
 // Adjacency lists each vertex's edges in ascending link order, so a walk
 // that takes the k-th qualifying edge is deterministic. Its BFS fills the
-// Slim Fly and Jellyfish switch tables and congest's ECMP rows.
+// Jellyfish switch tables and congest's ECMP rows.
 type Adjacency [][]Edge
 
 // AdjacencyOf returns the adjacency of a topology's whole vertex space,
@@ -81,9 +82,17 @@ func (f *fabric) addSwitchLink(a, b int, class LinkClass) {
 	f.swAdj[b] = append(f.swAdj[b], Edge{To: int32(a), Link: li})
 }
 
+// bfsTables routes a fabric on eagerly built per-switch BFS distance
+// tables, the "BFS where no analytic form exists" rule: Jellyfish's
+// random switch graph has no shorter description of its distances.
+type bfsTables struct {
+	fabric
+	dist [][]int16 // dist[s][t] = switch-graph hops s -> t
+}
+
 // finish builds the per-switch BFS distance tables and verifies the
 // switch graph is connected. name labels errors.
-func (f *fabric) finish(name string) error {
+func (f *bfsTables) finish(name string) error {
 	f.dist = make([][]int16, f.switches)
 	var queue []int32
 	for s := range f.dist {
@@ -104,7 +113,7 @@ func (f *fabric) finish(name string) error {
 
 // HopCount implements Topology: two terminal hops around the
 // switch-graph distance (0 for self, 2 for switch-sharing pairs).
-func (f *fabric) HopCount(src, dst int) int {
+func (f *bfsTables) HopCount(src, dst int) int {
 	if src == dst {
 		return 0
 	}
@@ -119,7 +128,7 @@ func (f *fabric) HopCount(src, dst int) int {
 // ss to switch ds: greedy descent on ds's distance table, taking the
 // first distance-decreasing neighbor in link order at every switch —
 // deterministic and exactly the distance long.
-func (f *fabric) switchPath(ss, ds int, buf []int) ([]int, error) {
+func (f *bfsTables) switchPath(ss, ds int, buf []int) ([]int, error) {
 	d := f.dist[ds]
 	cur := ss
 	for cur != ds {
@@ -138,18 +147,4 @@ func (f *fabric) switchPath(ss, ds int, buf []int) ([]int, error) {
 		}
 	}
 	return buf, nil
-}
-
-// switchDiameter returns the largest switch-graph distance (the network
-// diameter between endpoints is this plus two terminal hops).
-func (f *fabric) switchDiameter() int {
-	max := int16(0)
-	for _, row := range f.dist {
-		for _, d := range row {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return int(max)
 }

@@ -6,10 +6,12 @@ import "testing"
 // every kind. The contract under test: invalid parameters surface as
 // errors, never panics, and any successfully built topology satisfies the
 // basic interface invariants (consistent node/vertex counts, classes
-// parallel to links, working routes). Parameters are folded into a modest
-// range so a fuzzing run explores shapes rather than allocation limits;
-// the constructors' own size caps (maxGFOrder, MaxJellyfishSwitches,
-// MaxHyperXSwitches) are exercised directly by the error-path unit tests.
+// parallel to links, working routes); a Slim Fly, whose distances rest on
+// its diameter, also has every node pair's HopCount equal to a BFS over
+// its links. FoldConfig folds the parameters into a modest range so a
+// fuzzing run explores shapes rather than allocation limits; the
+// constructors' own size caps are exercised directly by the error-path
+// unit tests.
 func FuzzConfigBuild(f *testing.F) {
 	// One well-formed and one degenerate seed per kind, plus cap probes.
 	f.Add(0, 4, 3, 2, 1, uint64(0))     // torus(4,3,2)
@@ -26,33 +28,8 @@ func FuzzConfigBuild(f *testing.F) {
 	f.Add(3, -4, -2, -2, -1, uint64(0)) // negative params
 	f.Add(2, 64, 9, 0, 0, uint64(0))    // fattree: stages out of range
 
-	kinds := Kinds()
-	clamp := func(v, m int) int {
-		if v < 0 {
-			return -(-v % m)
-		}
-		return v % m
-	}
 	f.Fuzz(func(t *testing.T, kindSel, a, b, c, d int, seed uint64) {
-		cfg := Config{Kind: "unknown"}
-		if kindSel >= 0 && kindSel < len(kinds) {
-			cfg.Kind = kinds[kindSel]
-		}
-		a, b, c, d = clamp(a, 65), clamp(b, 65), clamp(c, 33), clamp(d, 17)
-		switch cfg.Kind {
-		case "torus", "mesh":
-			cfg.X, cfg.Y, cfg.Z = a, b, c
-		case "fattree":
-			cfg.Radix, cfg.Stages = a, b
-		case "dragonfly":
-			cfg.A, cfg.H, cfg.P = clamp(a, 9), clamp(b, 9), c
-		case "slimfly":
-			cfg.Q, cfg.P = clamp(a, 33), clamp(d, 9)
-		case "jellyfish":
-			cfg.S, cfg.D, cfg.P, cfg.Seed = a, b, clamp(d, 9), seed
-		case "hyperx":
-			cfg.X, cfg.Y, cfg.Z, cfg.P = clamp(a, 17), clamp(b, 17), clamp(c, 9), clamp(d, 9)
-		}
+		cfg := FoldConfig(kindSel, a, b, c, d, seed)
 		topo, err := cfg.Build()
 		if err != nil {
 			return // rejected with a listing-style error — the success case
@@ -75,6 +52,9 @@ func FuzzConfigBuild(f *testing.F) {
 					cfg.Kind, cfg, pair[0], pair[1], len(path), topo.HopCount(pair[0], pair[1]))
 			}
 		}
+		if sf, ok := topo.(*SlimFly); ok {
+			checkHopsAgainstBFS(t, sf)
+		}
 		// Out-of-range endpoints must error, not panic.
 		if _, err := topo.Route(-1, 0, nil); err == nil {
 			t.Fatalf("%s%s: negative src accepted", cfg.Kind, cfg)
@@ -83,4 +63,33 @@ func FuzzConfigBuild(f *testing.F) {
 			t.Fatalf("%s%s: out-of-range dst accepted", cfg.Kind, cfg)
 		}
 	})
+}
+
+// checkHopsAgainstBFS compares the HopCount of every ordered pair of
+// switched nodes with a BFS over the topology's links. A node's only link
+// is its terminal link, so a BFS from each switch vertex gives the
+// distance from each of its nodes to every other node, plus one.
+func checkHopsAgainstBFS(t *testing.T, topo *SlimFly) {
+	t.Helper()
+	adj := AdjacencyOf(topo)
+	dist := make([]int16, topo.NumVertices())
+	var queue []int32
+	var err error
+	n, per := topo.Nodes(), topo.perSwitch
+	for sw := 0; sw < topo.switches; sw++ {
+		if queue, err = adj.BFS(n+sw, dist, queue); err != nil {
+			t.Fatal(err)
+		}
+		for src := sw * per; src < (sw+1)*per; src++ {
+			for dst := 0; dst < n; dst++ {
+				want := 0
+				if dst != src {
+					want = int(dist[dst]) + 1
+				}
+				if got := topo.HopCount(src, dst); got != want {
+					t.Fatalf("%s: HopCount(%d,%d) = %d, BFS over its links %d", topo.Name(), src, dst, got, want)
+				}
+			}
+		}
+	}
 }

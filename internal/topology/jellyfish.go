@@ -29,7 +29,7 @@ const MaxJellyfishSwitches = 4096
 // next seed (seed+1, …) is tried, up to eight attempts, then an error is
 // returned — never a panic.
 type Jellyfish struct {
-	fabric
+	bfsTables
 	s, r, p int
 	seed    uint64
 }

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // SlimFly is the diameter-2 Slim Fly topology of Besta and Hoefler,
 // built on the McKay–Miller–Širáň (MMS) graphs: for an odd prime power
@@ -18,11 +21,13 @@ import "fmt"
 //	(0, x, y) ~ (1, m, c)   iff  y = m·x + c    (cross, ClassGlobal)
 //
 // giving network degree k = (3q − δ)/2 and diameter 2 between routers.
-// Each router hosts p compute nodes. Routing uses the shared fabric BFS
-// distance tables (no analytic form is attempted); the package tests pin
-// the router-graph diameter to 2 for every ladder parameter.
+// Each router hosts p compute nodes. Because the diameter is 2, a router
+// distance is 0 for the same router, 1 for linked routers and 2
+// otherwise, so routing needs only the routers' adjacency bitset;
+// NewSlimFly checks the diameter when it builds one.
 type SlimFly struct {
 	fabric
+	adj         adjacencyBits
 	q, p, delta int
 }
 
@@ -85,7 +90,8 @@ func NewSlimFly(q, p int) (*SlimFly, error) {
 			}
 		}
 	}
-	if err := s.finish(s.Name()); err != nil {
+	s.adj = bitsOf(s.swAdj)
+	if err := s.adj.checkDiameterTwo(s.Name(), s.swAdj); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -98,6 +104,50 @@ func slimFlyDelta(q int) int {
 		return -1
 	}
 	return 1
+}
+
+// HopCount implements Topology: two terminal hops around the router
+// distance, so 0, 2, 3 or 4.
+func (s *SlimFly) HopCount(src, dst int) int {
+	if src == dst {
+		return 0
+	}
+	return s.switchDist(src/s.perSwitch, dst/s.perSwitch) + 2
+}
+
+// switchDist returns the router-graph distance between routers a and b,
+// which the diameter bounds by 2.
+func (s *SlimFly) switchDist(a, b int) int {
+	switch {
+	case a == b:
+		return 0
+	case s.adj.linked(a, b):
+		return 1
+	}
+	return 2
+}
+
+// switchPath appends the router-to-router links of the route from router
+// ss to router ds, taking the first distance-decreasing neighbor in link
+// order at every router: the direct link when the two are linked,
+// otherwise the link to the first neighbor linked to ds and on to ds.
+func (s *SlimFly) switchPath(ss, ds int, buf []int) ([]int, error) {
+	for cur := ss; cur != ds; {
+		want := s.switchDist(cur, ds) - 1
+		found := false
+		for _, e := range s.swAdj[cur] {
+			if s.switchDist(int(e.To), ds) == want {
+				buf = append(buf, int(e.Link))
+				cur = int(e.To)
+				found = true
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("topology: %s dead end at router %d toward %d", s.Name(), cur, ds)
+		}
+	}
+	return buf, nil
 }
 
 // Params returns (q, p).
@@ -114,3 +164,61 @@ func (s *SlimFly) Name() string { return fmt.Sprintf("slimfly(%d,%d)", s.q, s.p)
 func (s *SlimFly) Kind() string { return "slimfly" }
 
 var _ Topology = (*SlimFly)(nil)
+
+// adjacencyBits is a switch graph as one bitset row per switch: bit t of
+// row s is set when a link joins switches s and t. It answers "adjacent?"
+// with one word read, which is all a diameter-2 graph's distances need.
+type adjacencyBits struct {
+	words int // uint64 words per row
+	rows  []uint64
+}
+
+// bitsOf returns the bitset rows of a switch adjacency.
+func bitsOf(adj Adjacency) adjacencyBits {
+	b := adjacencyBits{words: (len(adj) + 63) / 64}
+	b.rows = make([]uint64, len(adj)*b.words)
+	for s, edges := range adj {
+		row := b.row(s)
+		for _, e := range edges {
+			row[e.To/64] |= 1 << (e.To % 64)
+		}
+	}
+	return b
+}
+
+func (b adjacencyBits) row(s int) []uint64 { return b.rows[s*b.words : (s+1)*b.words] }
+
+// linked reports whether a link joins switches s and t.
+func (b adjacencyBits) linked(s, t int) bool {
+	return b.rows[s*b.words+t/64]&(1<<(t%64)) != 0
+}
+
+// checkDiameterTwo verifies that every switch of adj is at most two hops
+// from every other, the premise of distance-by-adjacency routing: a
+// switch's own bit, its row and its neighbors' rows must cover every
+// switch. name labels the error, which names the first switch pair
+// further apart.
+func (b adjacencyBits) checkDiameterTwo(name string, adj Adjacency) error {
+	n := len(adj)
+	cover := make([]uint64, b.words)
+	for s, edges := range adj {
+		copy(cover, b.row(s))
+		cover[s/64] |= 1 << (s % 64)
+		for _, e := range edges {
+			for w, r := range b.row(int(e.To)) {
+				cover[w] |= r
+			}
+		}
+		for w, got := range cover {
+			want := ^uint64(0)
+			if w == b.words-1 && n%64 != 0 {
+				want = 1<<(n%64) - 1
+			}
+			if missing := want &^ got; missing != 0 {
+				t := w*64 + bits.TrailingZeros64(missing)
+				return fmt.Errorf("topology: %s switch graph has diameter above 2 (switch %d is more than 2 hops from switch %d)", name, t, s)
+			}
+		}
+	}
+	return nil
+}

@@ -2,20 +2,88 @@ package topology
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
 // The MMS construction must hit diameter 2 on the router graph for every
-// ladder field order (that is the whole point of the family). Checking the
-// router graph directly keeps this affordable up to q=25 (1250 routers).
+// ladder field order (that is the whole point of the family). A BFS from
+// every router of the router graph measures it, which stays affordable
+// up to q=25 (1250 routers).
 func TestSlimFlyRouterDiameterTwo(t *testing.T) {
 	for _, q := range SlimFlyQLadder {
 		s, err := NewSlimFly(q, 1)
 		if err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
-		if d := s.switchDiameter(); d != 2 {
-			t.Errorf("q=%d: router-graph diameter %d, want 2", q, d)
+		dist := make([]int16, len(s.swAdj))
+		var queue []int32
+		diameter := int16(0)
+		for src := range s.swAdj {
+			if queue, err = s.swAdj.BFS(src, dist, queue); err != nil {
+				t.Fatal(err)
+			}
+			for dst, d := range dist {
+				if d == -1 {
+					t.Fatalf("q=%d: router %d unreachable from %d", q, dst, src)
+				}
+				diameter = max(diameter, d)
+			}
+		}
+		if diameter != 2 {
+			t.Errorf("q=%d: router-graph diameter %d, want 2", q, diameter)
+		}
+	}
+}
+
+// Slim Fly's distances assume diameter 2, so the check NewSlimFly runs
+// must refuse a switch graph with a pair further apart: a 5-cycle
+// (diameter 2) passes and loses that with one link removed, and so does
+// a Slim Fly's own router graph.
+func TestSlimFlyDiameterCheckRefusesLongerPaths(t *testing.T) {
+	cycle := func(n int) Adjacency {
+		adj := make(Adjacency, n)
+		for i := 0; i < n; i++ {
+			j := (i + 1) % n
+			adj[i] = append(adj[i], Edge{To: int32(j), Link: int32(i)})
+			adj[j] = append(adj[j], Edge{To: int32(i), Link: int32(i)})
+		}
+		return adj
+	}
+	// without returns adj less every link between a and b.
+	without := func(adj Adjacency, a, b int32) Adjacency {
+		out := make(Adjacency, len(adj))
+		for v, edges := range adj {
+			for _, e := range edges {
+				if !(int32(v) == a && e.To == b || int32(v) == b && e.To == a) {
+					out[v] = append(out[v], e)
+				}
+			}
+		}
+		return out
+	}
+	sf, err := NewSlimFly(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c5 := cycle(5)
+	for _, tc := range []struct {
+		name string
+		adj  Adjacency
+		ok   bool
+	}{
+		{"5-cycle", c5, true},
+		{"5-cycle less a link", without(c5, 0, 1), false},
+		{"slimfly(5,1)", sf.swAdj, true},
+		{"slimfly(5,1) less a link", without(sf.swAdj, 0, sf.swAdj[0][0].To), false},
+	} {
+		err := bitsOf(tc.adj).checkDiameterTwo(tc.name, tc.adj)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "diameter above 2")) {
+			t.Errorf("%s: check returned %v, want a diameter error", tc.name, err)
 		}
 	}
 }
@@ -105,6 +173,39 @@ func TestSlimFlyErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := NewSlimFly(c.q, c.p); err == nil {
 			t.Errorf("NewSlimFly(%d,%d): expected error", c.q, c.p)
+		}
+	}
+}
+
+// Slim Fly routes on its adjacency bitset exactly as the BFS-table walk
+// Jellyfish keeps: the same distance between every router pair and the
+// same first distance-decreasing neighbor in link order at every step.
+func TestSlimFlyRoutesMatchBFSTables(t *testing.T) {
+	for _, q := range []int{5, 7, 9, 11} {
+		sf, err := NewSlimFly(q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := &bfsTables{fabric: sf.fabric}
+		if err := tables.finish(sf.Name()); err != nil {
+			t.Fatal(err)
+		}
+		var got, want []int
+		for ss := 0; ss < sf.switches; ss++ {
+			for ds := 0; ds < sf.switches; ds++ {
+				if d := sf.switchDist(ss, ds); d != int(tables.dist[ss][ds]) {
+					t.Fatalf("q=%d: routers %d and %d are %d apart, BFS says %d", q, ss, ds, d, tables.dist[ss][ds])
+				}
+				if got, err = sf.switchPath(ss, ds, got[:0]); err != nil {
+					t.Fatal(err)
+				}
+				if want, err = tables.switchPath(ss, ds, want[:0]); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("q=%d: route %d -> %d takes links %v, the BFS-table walk %v", q, ss, ds, got, want)
+				}
+			}
 		}
 	}
 }

@@ -129,17 +129,39 @@ func (w *Writer) Close() error {
 }
 
 // WriteTrace writes a fully materialized trace in binary form.
-func WriteTrace(w io.Writer, t *Trace) error {
-	tw, err := NewWriter(w, t.Meta, uint64(len(t.Events)))
+func WriteTrace(w io.Writer, t *Trace) error { return WriteSource(w, t.Source()) }
+
+// WriteSource writes a source's events in binary form, batch by batch,
+// under a header that declares s.Remaining() events; a source that yields
+// another count fails at Write or Close.
+func WriteSource(w io.Writer, s Source) error {
+	tw, err := NewWriter(w, s.Meta(), s.Remaining())
 	if err != nil {
 		return err
 	}
-	for _, e := range t.Events {
-		if err := tw.Write(e); err != nil {
+	if err := eachEvent(s, tw.Write); err != nil {
+		return err
+	}
+	return tw.Close()
+}
+
+// eachEvent calls fn for every event of s, in order, and stops at the
+// first error.
+func eachEvent(s Source, fn func(Event) error) error {
+	for {
+		batch, err := s.Next()
+		for _, e := range batch {
+			if err := fn(e); err != nil {
+				return err
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
 			return err
 		}
 	}
-	return tw.Close()
 }
 
 // Reader streams events from a binary trace. It is a Source: Next reads
@@ -265,23 +287,30 @@ func mapEOF(err error) error {
 //
 // One line per event, space separated. Lines starting with '#' after the
 // header are comments.
-func WriteText(w io.Writer, t *Trace) error {
-	if err := t.Meta.Validate(); err != nil {
+func WriteText(w io.Writer, t *Trace) error { return WriteTextSource(w, t.Source()) }
+
+// WriteTextSource writes a source's events in WriteText's format, batch
+// by batch.
+func WriteTextSource(w io.Writer, s Source) error {
+	meta := s.Meta()
+	if err := meta.Validate(); err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "#netloc-trace app=%s ranks=%d wall=%g\n",
-		sanitizeApp(t.Meta.App), t.Meta.Ranks, t.Meta.WallTime); err != nil {
+		sanitizeApp(meta.App), meta.Ranks, meta.WallTime); err != nil {
 		return err
 	}
-	for _, e := range t.Events {
-		if err := e.Validate(t.Meta.Ranks); err != nil {
+	err := eachEvent(s, func(e Event) error {
+		if err := e.Validate(meta.Ranks); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(bw, "%d %s %d %d %d %d %d %d\n",
-			e.Rank, e.Op, e.Peer, e.Root, e.Bytes, e.Comm, e.Start, e.End); err != nil {
-			return err
-		}
+		_, err := fmt.Fprintf(bw, "%d %s %d %d %d %d %d %d\n",
+			e.Rank, e.Op, e.Peer, e.Root, e.Bytes, e.Comm, e.Start, e.End)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }

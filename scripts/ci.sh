@@ -54,7 +54,7 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 # (seeds only — no fuzzing engine) so a corpus entry that starts
 # crashing fails CI before any long fuzz run would find it.
 echo "=== go test (fuzz seed corpora) ==="
-go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./internal/dumpi ./internal/comm
+go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./internal/dumpi ./internal/comm ./internal/mapping
 
 # Allocation pins are built only without -race (the race runtime
 # allocates on its own), so the -race runs above never reach them: run
@@ -67,10 +67,12 @@ go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace ./in
 # 256, that a congest tolerance probe and a lean simnet replay allocate
 # nothing per message, that a netmodel run allocates no more than its
 # pinned ceilings, that Greedy's allocation count does not grow with the
-# rank count, that Route into a warm buffer allocates nothing on any
-# topology type, that the binary trace reader and writer allocate as many
-# objects for 10,000 events as for 1,000, and that draining a generated
-# workload's stream allocates as many at LULESH/512 as at LULESH/64.
+# rank count, that a second mapper call on one matrix does not rebuild
+# its rank graph (TestRankGraphAllocsOncePerMatrix), that Route into a
+# warm buffer allocates nothing on any topology type, that the binary
+# trace reader and writer allocate as many objects for 10,000 events as
+# for 1,000, and that draining a generated workload's stream allocates as
+# many at LULESH/512 as at LULESH/64.
 echo "=== go test (allocation pins, no -race) ==="
 go test -run 'Alloc' ./internal/workcache ./internal/comm ./internal/mpi ./internal/congest ./internal/simnet ./internal/netmodel ./internal/mapping ./internal/topology ./internal/trace ./internal/workloads
 
